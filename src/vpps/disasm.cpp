@@ -7,22 +7,8 @@ namespace vpps {
 
 namespace {
 
-/** @return a short tag naming the immediate's meaning per opcode. */
-const char*
-immTag(Opcode op)
-{
-    switch (op) {
-      case Opcode::MatVec:
-      case Opcode::MatVecT:
-      case Opcode::Outer:
-        return "m";
-      case Opcode::Signal:
-      case Opcode::Wait:
-        return "b";
-      default:
-        return "len";
-    }
-}
+/** Short tag naming the immediate, indexed by ImmKind. */
+constexpr const char* kImmTags[] = {"len", "m", "b"};
 
 } // namespace
 
@@ -37,13 +23,14 @@ disassemble(const Script& script, const DisasmOptions& options)
         if (pc == end && options.skip_empty)
             continue;
         while (pc != end) {
-            const Opcode op = preambleOpcode(pc[0]);
+            const OpcodeInfo& info = opcodeInfo(preambleOpcode(pc[0]));
             const std::uint32_t imm = preambleImm(pc[0]);
-            const int n = operandWords(op);
+            const int n = operandWords(info.op);
             out << "vpp " << std::setw(3) << std::setfill('0') << vpp
                 << std::setfill(' ') << ": " << std::left
-                << std::setw(12) << opcodeName(op) << std::right
-                << immTag(op) << '=' << imm;
+                << std::setw(12) << info.name << std::right
+                << kImmTags[static_cast<std::size_t>(info.imm)] << '='
+                << imm;
             if (n > 0) {
                 out << "  [";
                 for (int i = 0; i < n; ++i) {

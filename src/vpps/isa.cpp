@@ -1,78 +1,83 @@
 #include "vpps/isa.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/logging.hpp"
 
 namespace vpps {
 
+namespace {
+
+using enum ImmKind;
+using enum OperandKind;
+
+// One row per opcode, in Opcode order. Matrix operands name the
+// vector each word points at (MatVec: x, y; MatVecT: dy, dx;
+// Outer: dy, x).
+constexpr OpcodeInfo kOpcodes[] = {
+    {Opcode::Nop, "nop", Length, {}},
+    {Opcode::MatVec, "mvm", Matrix, {Cols, Rows}},
+    {Opcode::MatVecT, "mvm_t", Matrix, {Rows, Cols}},
+    {Opcode::Outer, "outer", Matrix, {Rows, Cols}},
+    {Opcode::Copy, "copy", Length, {Vec, Vec}},
+    {Opcode::Accum, "accum", Length, {Vec, Vec}},
+    {Opcode::AccumParam, "accum_param", Length, {Vec, Vec}},
+    {Opcode::Add2, "add2", Length, {Vec, Vec, Vec}},
+    {Opcode::Add3, "add3", Length, {Vec, Vec, Vec, Vec}},
+    {Opcode::Mul, "mul", Length, {Vec, Vec, Vec}},
+    {Opcode::MulAccum, "mul_accum", Length, {Vec, Vec, Vec}},
+    {Opcode::Tanh, "tanh", Length, {Vec, Vec}},
+    {Opcode::TanhBack, "tanh_back", Length, {Vec, Vec, Vec}},
+    {Opcode::Sigmoid, "sigmoid", Length, {Vec, Vec}},
+    {Opcode::SigmoidBack, "sigmoid_back", Length, {Vec, Vec, Vec}},
+    {Opcode::Relu, "relu", Length, {Vec, Vec}},
+    {Opcode::ReluBack, "relu_back", Length, {Vec, Vec, Vec}},
+    {Opcode::Scale, "scale", Length, {Vec, Vec, FloatBits}},
+    {Opcode::ScaleAccum, "scale_accum", Length, {Vec, Vec, FloatBits}},
+    {Opcode::PickNLS, "pick_nls", Length, {Vec, Vec, Scalar, Label}},
+    {Opcode::PickNLSBack, "pick_nls_back", Length,
+     {Vec, Scalar, Vec, Label}},
+    {Opcode::UpdateVec, "update_vec", Length, {Vec, Vec}},
+    {Opcode::Signal, "signal", Barrier, {}},
+    {Opcode::Wait, "wait", Barrier, {}},
+};
+static_assert(indexedByOpcode(kOpcodes));
+
+// Operand word counts, derived from kOpcodes at compile time:
+// operandWords() runs for every emitted and decoded instruction.
+constexpr auto kOperandWords = [] {
+    std::array<int, std::size(kOpcodes)> words{};
+    for (std::size_t i = 0; i < words.size(); ++i)
+        words[i] = static_cast<int>(
+            std::ranges::count_if(kOpcodes[i].operands,
+                                  [](OperandKind k) { return k != None; }));
+    return words;
+}();
+
+} // namespace
+
+const OpcodeInfo&
+opcodeInfo(Opcode op)
+{
+    if (op >= Opcode::NumOpcodes)
+        common::panic("invalid opcode ", static_cast<int>(op));
+    return kOpcodes[static_cast<std::size_t>(op)];
+}
+
 const char*
 opcodeName(Opcode op)
 {
-    switch (op) {
-      case Opcode::Nop: return "nop";
-      case Opcode::MatVec: return "mvm";
-      case Opcode::MatVecT: return "mvm_t";
-      case Opcode::Outer: return "outer";
-      case Opcode::Copy: return "copy";
-      case Opcode::Accum: return "accum";
-      case Opcode::AccumParam: return "accum_param";
-      case Opcode::Add2: return "add2";
-      case Opcode::Add3: return "add3";
-      case Opcode::Mul: return "mul";
-      case Opcode::MulAccum: return "mul_accum";
-      case Opcode::Tanh: return "tanh";
-      case Opcode::TanhBack: return "tanh_back";
-      case Opcode::Sigmoid: return "sigmoid";
-      case Opcode::SigmoidBack: return "sigmoid_back";
-      case Opcode::Relu: return "relu";
-      case Opcode::ReluBack: return "relu_back";
-      case Opcode::Scale: return "scale";
-      case Opcode::ScaleAccum: return "scale_accum";
-      case Opcode::PickNLS: return "pick_nls";
-      case Opcode::PickNLSBack: return "pick_nls_back";
-      case Opcode::UpdateVec: return "update_vec";
-      case Opcode::Signal: return "signal";
-      case Opcode::Wait: return "wait";
-      default: return "invalid";
-    }
+    return op < Opcode::NumOpcodes ? opcodeInfo(op).name : "invalid";
 }
 
 int
 operandWords(Opcode op)
 {
-    switch (op) {
-      case Opcode::Nop:
-      case Opcode::Signal:
-      case Opcode::Wait:
-        return 0;
-      case Opcode::MatVec:
-      case Opcode::MatVecT:
-      case Opcode::Outer:
-      case Opcode::Copy:
-      case Opcode::Accum:
-      case Opcode::AccumParam:
-      case Opcode::UpdateVec:
-        return 2;
-      case Opcode::Add2:
-      case Opcode::Mul:
-      case Opcode::MulAccum:
-      case Opcode::TanhBack:
-      case Opcode::SigmoidBack:
-      case Opcode::ReluBack:
-      case Opcode::Scale:
-      case Opcode::ScaleAccum:
-        return 3;
-      case Opcode::Tanh:
-      case Opcode::Sigmoid:
-      case Opcode::Relu:
-        return 2;
-      case Opcode::Add3:
-      case Opcode::PickNLS:
-      case Opcode::PickNLSBack:
-        return 4;
-      default:
+    if (op >= Opcode::NumOpcodes)
         common::panic("operandWords: invalid opcode ",
                       static_cast<int>(op));
-    }
+    return kOperandWords[static_cast<std::size_t>(op)];
 }
 
 std::uint32_t

@@ -65,6 +65,59 @@ enum class Opcode : std::uint8_t
     NumOpcodes
 };
 
+/** What a preamble immediate names. */
+enum class ImmKind : std::uint8_t
+{
+    Length,  //!< element count of the instruction's vectors
+    Matrix,  //!< weight-matrix param id
+    Barrier, //!< barrier index
+};
+
+/** What one operand word holds; each kind has its own decode check. */
+enum class OperandKind : std::uint8_t
+{
+    None,      //!< no operand word in this position
+    Vec,       //!< pool offset of an imm-length vector
+    Scalar,    //!< pool offset of a single float
+    Label,     //!< class index into the imm-length vector
+    FloatBits, //!< bit pattern of a float constant
+    Rows,      //!< pool offset of one float per row of the matrix
+    Cols,      //!< pool offset of one float per column of the matrix
+};
+
+/**
+ * How one opcode is encoded. The table of these rows in isa.cpp is
+ * the only place an opcode's mnemonic, immediate and operand layout
+ * are written: operandWords(), opcodeName(), the disassembler and the
+ * decoder's range checks all read it.
+ */
+struct OpcodeInfo
+{
+    Opcode op;
+    const char* name;
+    ImmKind imm;
+    OperandKind operands[4];
+};
+
+/** @return the encoding of @p op; panics on an invalid opcode. */
+const OpcodeInfo& opcodeInfo(Opcode op);
+
+/**
+ * @return true when @p rows holds exactly one row per opcode, in
+ * Opcode order: the invariant of every table indexed by Opcode.
+ */
+template <class Row, std::size_t N>
+constexpr bool
+indexedByOpcode(const Row (&rows)[N])
+{
+    if (N != static_cast<std::size_t>(Opcode::NumOpcodes))
+        return false;
+    for (std::size_t i = 0; i < N; ++i)
+        if (rows[i].op != static_cast<Opcode>(i))
+            return false;
+    return true;
+}
+
 /** @return mnemonic for diagnostics and generated-source listings. */
 const char* opcodeName(Opcode op);
 

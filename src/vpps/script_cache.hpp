@@ -12,11 +12,12 @@
  * triggered by another replica mid-run.
  *
  * Keys fold in everything decoding and validation depend on: the
- * script's content checksum, the model's parameter count (param-id
- * immediates are range-checked against it), and the device pool
- * capacity (operand offsets are range-checked against it). Sharing
- * across replicas is therefore only a hit when the replicas really
- * are clones.
+ * script's content checksum, the model's parameter count and every
+ * parameter's shape (param-id immediates are range-checked against
+ * the count, matrix operands against the rows and cols), and the
+ * device pool capacity (operand offsets are range-checked against
+ * it). Sharing across replicas is therefore only a hit when the
+ * replicas really are clones.
  */
 #pragma once
 
@@ -25,6 +26,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "graph/model.hpp"
 #include "vpps/script_exec.hpp"
 
 namespace vpps {
@@ -47,15 +49,26 @@ class ScriptCache
     ScriptCache(const ScriptCache&) = delete;
     ScriptCache& operator=(const ScriptCache&) = delete;
 
-    /** Cache key over every decode input. @p pool_floats is the
-     *  device memory capacity the operands were validated against. */
+    /** Cache key over every decode input: the script, the shapes of
+     *  @p model's parameters, and the device memory capacity
+     *  @p pool_floats the operands were validated against. */
     static std::uint64_t
-    key(std::uint64_t script_checksum, std::size_t num_params,
+    key(std::uint64_t script_checksum, const graph::Model& model,
         std::size_t pool_floats)
     {
+        // FNV-1a over the parameter count and every (rows, cols).
+        std::uint64_t shapes = 1469598103934665603ull;
+        auto mix = [&shapes](std::uint64_t v) {
+            shapes ^= v;
+            shapes *= 1099511628211ull;
+        };
+        mix(model.numParams());
+        for (graph::ParamId p = 0; p < model.numParams(); ++p) {
+            mix(model.param(p).shape.rows());
+            mix(model.param(p).shape.cols());
+        }
         std::uint64_t h = script_checksum;
-        h ^= 0x9E3779B97F4A7C15ull *
-             (static_cast<std::uint64_t>(num_params) + 1);
+        h ^= 0x9E3779B97F4A7C15ull * (shapes + 1);
         h ^= 0xC2B2AE3D27D4EB4Full *
              (static_cast<std::uint64_t>(pool_floats) + 1);
         return h;

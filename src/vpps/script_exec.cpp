@@ -61,6 +61,158 @@ struct VppSink
     }
 };
 
+/** One DRAM stream of an imm-length instruction. */
+struct Stream
+{
+    MemSpace space = MemSpace::Activations;
+    double bytes = 0.0; //!< per element of the instruction's length
+};
+
+/**
+ * Simulated cost of an imm-length instruction per element of its
+ * length. The matrix products' rows stay empty: their cost depends on
+ * the rows each VPP caches, so the interpreter charges them in
+ * explicit code. Nop and the sync instructions cost nothing beyond
+ * the decode overhead.
+ */
+struct OpCost
+{
+    Opcode op;
+    double flops = 0.0;
+    Stream loads[2];
+    Stream store;
+    /** Bytes stored once per instruction (PickNLS's loss scalar). */
+    double store_fixed = 0.0;
+};
+
+constexpr MemSpace kAct = MemSpace::Activations;
+constexpr MemSpace kGrad = MemSpace::ActGrads;
+constexpr MemSpace kParam = MemSpace::Params;
+constexpr MemSpace kParamGrad = MemSpace::ParamGrads;
+
+// One row per opcode, in Opcode order: flops, loads, store.
+constexpr OpCost kOpCosts[] = {
+    {Opcode::Nop, 0, {}, {}},
+    {Opcode::MatVec, 0, {}, {}},
+    {Opcode::MatVecT, 0, {}, {}},
+    {Opcode::Outer, 0, {}, {}},
+    {Opcode::Copy, 0, {{kAct, 4}}, {kAct, 4}},
+    {Opcode::Accum, 1, {{kGrad, 4}, {kGrad, 4}}, {kGrad, 4}},
+    {Opcode::AccumParam, 1, {{kParamGrad, 4}, {kGrad, 4}},
+     {kParamGrad, 4}},
+    {Opcode::Add2, 1, {{kAct, 8}}, {kAct, 4}},
+    {Opcode::Add3, 2, {{kAct, 12}}, {kAct, 4}},
+    {Opcode::Mul, 1, {{kAct, 8}}, {kAct, 4}},
+    {Opcode::MulAccum, 2, {{kGrad, 8}, {kAct, 4}}, {kGrad, 4}},
+    {Opcode::Tanh, 10, {{kAct, 4}}, {kAct, 4}},
+    {Opcode::TanhBack, 3, {{kGrad, 8}, {kAct, 4}}, {kGrad, 4}},
+    {Opcode::Sigmoid, 10, {{kAct, 4}}, {kAct, 4}},
+    {Opcode::SigmoidBack, 3, {{kGrad, 8}, {kAct, 4}}, {kGrad, 4}},
+    {Opcode::Relu, 1, {{kAct, 4}}, {kAct, 4}},
+    {Opcode::ReluBack, 1, {{kGrad, 8}, {kAct, 4}}, {kGrad, 4}},
+    {Opcode::Scale, 1, {{kAct, 4}}, {kAct, 4}},
+    {Opcode::ScaleAccum, 2, {{kGrad, 8}}, {kGrad, 4}},
+    {Opcode::PickNLS, 10, {{kAct, 4}}, {kAct, 4}, 4},
+    {Opcode::PickNLSBack, 3, {{kAct, 4}, {kGrad, 4}}, {kGrad, 4}},
+    {Opcode::UpdateVec, 3, {{kParam, 4}, {kParamGrad, 4}}, {kParam, 8}},
+    {Opcode::Signal, 0, {}, {}},
+    {Opcode::Wait, 0, {}, {}},
+};
+static_assert(indexedByOpcode(kOpCosts));
+
+/**
+ * The float math of one imm-length instruction on a functional
+ * device. Accumulations whose target other VPPs may share within a
+ * phase (the += family) go to @p sink's deferred scratch.
+ */
+void
+vectorPayload(const DecodedInstr& in, gpusim::DeviceMemory& mem,
+              VppSink& sink, const graph::Model& model,
+              bool apply_updates)
+{
+    const std::uint32_t n = in.imm;
+    const std::uint32_t* w = in.operands;
+    auto at = [&](int i) { return mem.data(w[i]); };
+    auto factor = [&](int i) {
+        float f;
+        std::memcpy(&f, &w[i], sizeof(f));
+        return f;
+    };
+    switch (in.op) {
+      case Opcode::Copy:
+        std::memcpy(at(0), at(1), static_cast<std::size_t>(n) *
+                                      sizeof(float));
+        break;
+      case Opcode::Accum:
+      case Opcode::AccumParam:
+        tensor::accum(sink.claim(w[0], n), at(1), n);
+        break;
+      case Opcode::Add2: {
+        const float* ins[2] = {at(1), at(2)};
+        tensor::addN(ins, 2, at(0), n);
+        break;
+      }
+      case Opcode::Add3: {
+        const float* ins[3] = {at(1), at(2), at(3)};
+        tensor::addN(ins, 3, at(0), n);
+        break;
+      }
+      case Opcode::Mul:
+        tensor::cwiseMult(at(1), at(2), at(0), n);
+        break;
+      case Opcode::MulAccum: {
+        float* out = sink.claim(w[0], n);
+        const float* a = at(1);
+        const float* b = at(2);
+        for (std::uint32_t i = 0; i < n; ++i)
+            out[i] += a[i] * b[i];
+        break;
+      }
+      case Opcode::Tanh:
+        tensor::tanhForward(at(1), at(0), n);
+        break;
+      case Opcode::Sigmoid:
+        tensor::sigmoidForward(at(1), at(0), n);
+        break;
+      case Opcode::Relu:
+        tensor::reluForward(at(1), at(0), n);
+        break;
+      case Opcode::Scale:
+        tensor::scaleForward(at(1), factor(2), at(0), n);
+        break;
+      case Opcode::ScaleAccum:
+        tensor::scaleAccum(at(1), factor(2), sink.claim(w[0], n), n);
+        break;
+      case Opcode::TanhBack:
+        tensor::tanhBackward(at(1), at(2), sink.claim(w[0], n), n);
+        break;
+      case Opcode::SigmoidBack:
+        tensor::sigmoidBackward(at(1), at(2), sink.claim(w[0], n), n);
+        break;
+      case Opcode::ReluBack:
+        tensor::reluBackward(at(1), at(2), sink.claim(w[0], n), n);
+        break;
+      case Opcode::PickNLS:
+        at(2)[0] = tensor::pickNegLogSoftmax(at(0), w[3], at(1), n);
+        break;
+      case Opcode::PickNLSBack:
+        tensor::pickNegLogSoftmaxBackward(at(0), w[3], at(1)[0],
+                                          sink.claim(w[2], n), n);
+        break;
+      case Opcode::UpdateVec:
+        // Gradient-only mode leaves the parameter and its grad
+        // untouched (data-parallel training applies the all-reduced
+        // update itself); the cost is charged either way so timing
+        // does not depend on the mode.
+        if (apply_updates)
+            tensor::sgdUpdate(at(0), at(1), n, model.learning_rate,
+                              model.weight_decay);
+        break;
+      default:
+        break; // Nop
+    }
+}
+
 } // namespace
 
 ScriptExecutor::ScriptExecutor(gpusim::Device& device, int threads,
@@ -87,17 +239,17 @@ ScriptExecutor::decoded(const Script& script,
     // transfer checksum uses). Identical batches generate identical
     // words, so replayed minibatches hit here and skip the whole
     // decode-and-validate pass -- across all executors sharing the
-    // cache. The model's param count and the pool capacity fold into
-    // the key because operand validation depends on both.
+    // cache. The model's parameter shapes and the pool capacity fold
+    // into the key because operand validation depends on both.
     const std::uint64_t h = ScriptCache::key(
-        script.checksum(), model.numParams(),
-        device_.memory().capacity());
+        script.checksum(), model, device_.memory().capacity());
     if (auto hit = cache_->find(h))
         return hit;
 
     const auto& expected = script.expectedSignals();
     std::vector<std::uint64_t> emitted(expected.size(), 0);
 
+    const std::uint64_t cap = device_.memory().capacity();
     auto prog = std::make_unique<DecodedProgram>();
     const int num_vpps = script.numVpps();
     prog->num_vpps = num_vpps;
@@ -123,17 +275,18 @@ ScriptExecutor::decoded(const Script& script,
                                " in script stream"))
                     .withVpp(vpp)
                     .withPc(idx);
+            const OpcodeInfo& info = opcodeInfo(in.op);
             const int n = operandWords(in.op);
             if (pc + 1 + n > end)
                 return Status::failure(
                            ErrorCode::MalformedScript,
                            common::detail::concat(
                                "truncated instruction stream: ",
-                               opcodeName(in.op), " needs ", n,
+                               info.name, " needs ", n,
                                " operand words"))
                     .withVpp(vpp)
                     .withPc(idx);
-            if (in.op == Opcode::Signal || in.op == Opcode::Wait) {
+            if (info.imm == ImmKind::Barrier) {
                 if (in.imm >= expected.size())
                     return Status::failure(
                                ErrorCode::MalformedScript,
@@ -158,94 +311,45 @@ ScriptExecutor::decoded(const Script& script,
             // here, before the interpreter can dereference it, so a
             // corrupted or adversarial script surfaces a structured
             // MalformedScript error instead of out-of-bounds access.
-            const std::size_t cap = device_.memory().capacity();
+            // Each operand's kind in the encoding table fixes the
+            // span it must fit in the pool.
             auto fail_decode = [&](const char* what) {
                 return Status::failure(
                            ErrorCode::MalformedScript,
-                           common::detail::concat(
-                               what, " in ", opcodeName(in.op)))
+                           common::detail::concat(what, " in ",
+                                                  info.name))
                     .withVpp(vpp)
                     .withPc(idx);
             };
-            auto span_ok = [&](std::uint32_t off, std::uint64_t len) {
-                return static_cast<std::uint64_t>(off) < cap &&
-                       static_cast<std::uint64_t>(off) + len <= cap;
-            };
-            // Operands 0..k-1 are pool vectors of imm floats each.
-            auto vectors_ok = [&](int k) {
-                for (int i = 0; i < k; ++i)
-                    if (!span_ok(in.operands[i], in.imm))
-                        return false;
-                return true;
-            };
-            switch (in.op) {
-              case Opcode::MatVec:
-              case Opcode::MatVecT:
-              case Opcode::Outer: {
+            std::uint64_t rows = 0, cols = 0;
+            if (info.imm == ImmKind::Matrix) {
                 if (in.imm >= model.numParams())
                     return fail_decode("param id out of range");
                 const auto& shape = model.param(in.imm).shape;
-                const std::uint64_t rows = shape.rows();
-                const std::uint64_t cols = shape.cols();
-                // MatVec reads x (cols) and writes y (rows); the
-                // backward products read dy (rows) and touch a
-                // cols-length vector.
-                const std::uint64_t len0 =
-                    in.op == Opcode::MatVec ? cols : rows;
-                const std::uint64_t len1 =
-                    in.op == Opcode::MatVec ? rows : cols;
-                if (!span_ok(in.operands[0], len0) ||
-                    !span_ok(in.operands[1], len1))
+                rows = shape.rows();
+                cols = shape.cols();
+            }
+            // A label indexes the imm-length logits; an empty vector
+            // has no valid label.
+            if (in.imm == 0 &&
+                std::ranges::count(info.operands, OperandKind::Label))
+                return fail_decode("empty logits vector");
+            for (int i = 0; i < n; ++i) {
+                const std::uint64_t off = in.operands[i];
+                std::uint64_t len = 0;
+                switch (info.operands[i]) {
+                  case OperandKind::Vec: len = in.imm; break;
+                  case OperandKind::Scalar: len = 1; break;
+                  case OperandKind::Rows: len = rows; break;
+                  case OperandKind::Cols: len = cols; break;
+                  case OperandKind::Label:
+                    if (off >= in.imm)
+                        return fail_decode("label out of range");
+                    continue;
+                  default: continue; // float bits: not an address
+                }
+                if (off >= cap || off + len > cap)
                     return fail_decode("operand out of pool range");
-                break;
-              }
-              case Opcode::Copy:
-              case Opcode::Accum:
-              case Opcode::AccumParam:
-              case Opcode::Tanh:
-              case Opcode::Sigmoid:
-              case Opcode::Relu:
-              case Opcode::Scale:
-              case Opcode::ScaleAccum:
-              case Opcode::UpdateVec:
-                if (!vectors_ok(2))
-                    return fail_decode("operand out of pool range");
-                break;
-              case Opcode::Add2:
-              case Opcode::Mul:
-              case Opcode::MulAccum:
-              case Opcode::TanhBack:
-              case Opcode::SigmoidBack:
-              case Opcode::ReluBack:
-                if (!vectors_ok(3))
-                    return fail_decode("operand out of pool range");
-                break;
-              case Opcode::Add3:
-                if (!vectors_ok(4))
-                    return fail_decode("operand out of pool range");
-                break;
-              case Opcode::PickNLS:
-                if (in.imm == 0)
-                    return fail_decode("empty logits vector");
-                if (!span_ok(in.operands[0], in.imm) ||
-                    !span_ok(in.operands[1], in.imm) ||
-                    !span_ok(in.operands[2], 1))
-                    return fail_decode("operand out of pool range");
-                if (in.operands[3] >= in.imm)
-                    return fail_decode("label out of range");
-                break;
-              case Opcode::PickNLSBack:
-                if (in.imm == 0)
-                    return fail_decode("empty logits vector");
-                if (!span_ok(in.operands[0], in.imm) ||
-                    !span_ok(in.operands[1], 1) ||
-                    !span_ok(in.operands[2], in.imm))
-                    return fail_decode("operand out of pool range");
-                if (in.operands[3] >= in.imm)
-                    return fail_decode("label out of range");
-                break;
-              default:
-                break; // Nop, Signal, Wait: no pool operands
             }
 
             out.push_back(in);
@@ -474,232 +578,21 @@ ScriptExecutor::run(const CompiledKernel& kernel,
             sink.traffic.addLoad(MemSpace::Activations, 4.0 * cols);
             break;
           }
-          case Opcode::Copy:
+          default: {
+            // Every imm-length instruction is charged from its cost
+            // row: each field is a per-element coefficient times the
+            // length.
+            const OpCost& c = kOpCosts[static_cast<std::size_t>(op)];
+            cost.flops = c.flops * len;
+            cost.dram_load_bytes =
+                (c.loads[0].bytes + c.loads[1].bytes) * len;
+            cost.dram_store_bytes = c.store.bytes * len + c.store_fixed;
+            for (const Stream& load : c.loads)
+                sink.traffic.addLoad(load.space, load.bytes * len);
+            sink.traffic.addStore(c.store.space, cost.dram_store_bytes);
             if (func)
-                std::memcpy(mem.data(in.operands[0]),
-                            mem.data(in.operands[1]),
-                            static_cast<std::size_t>(imm) *
-                                sizeof(float));
-            cost.dram_load_bytes = 4.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * len);
-            break;
-          case Opcode::Accum:
-          case Opcode::AccumParam: {
-            if (func)
-                tensor::accum(sink.claim(in.operands[0], imm),
-                              mem.data(in.operands[1]), imm);
-            cost.flops = len;
-            cost.dram_load_bytes = 8.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            const MemSpace space = op == Opcode::AccumParam
-                                       ? MemSpace::ParamGrads
-                                       : MemSpace::ActGrads;
-            sink.traffic.addLoad(space, 4.0 * len);
-            sink.traffic.addLoad(MemSpace::ActGrads, 4.0 * len);
-            sink.traffic.addStore(space, 4.0 * len);
-            break;
+                vectorPayload(in, mem, sink, model, apply_updates);
           }
-          case Opcode::Add2: {
-            if (func) {
-                const float* ins[2] = {mem.data(in.operands[1]),
-                                       mem.data(in.operands[2])};
-                tensor::addN(ins, 2, mem.data(in.operands[0]), imm);
-            }
-            cost.flops = len;
-            cost.dram_load_bytes = 8.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 8.0 * len);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * len);
-            break;
-          }
-          case Opcode::Add3: {
-            if (func) {
-                const float* ins[3] = {mem.data(in.operands[1]),
-                                       mem.data(in.operands[2]),
-                                       mem.data(in.operands[3])};
-                tensor::addN(ins, 3, mem.data(in.operands[0]), imm);
-            }
-            cost.flops = 2.0 * len;
-            cost.dram_load_bytes = 12.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 12.0 * len);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * len);
-            break;
-          }
-          case Opcode::Mul:
-            if (func)
-                tensor::cwiseMult(mem.data(in.operands[1]),
-                                  mem.data(in.operands[2]),
-                                  mem.data(in.operands[0]), imm);
-            cost.flops = len;
-            cost.dram_load_bytes = 8.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 8.0 * len);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * len);
-            break;
-          case Opcode::MulAccum: {
-            if (func) {
-                float* out = sink.claim(in.operands[0], imm);
-                const float* a = mem.data(in.operands[1]);
-                const float* b = mem.data(in.operands[2]);
-                for (std::uint32_t i = 0; i < imm; ++i)
-                    out[i] += a[i] * b[i];
-            }
-            cost.flops = 2.0 * len;
-            cost.dram_load_bytes = 12.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::ActGrads, 8.0 * len);
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::ActGrads, 4.0 * len);
-            break;
-          }
-          case Opcode::Tanh:
-            if (func)
-                tensor::tanhForward(mem.data(in.operands[1]),
-                                    mem.data(in.operands[0]), imm);
-            cost.flops = 10.0 * len;
-            cost.dram_load_bytes = 4.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * len);
-            break;
-          case Opcode::Sigmoid:
-            if (func)
-                tensor::sigmoidForward(mem.data(in.operands[1]),
-                                       mem.data(in.operands[0]), imm);
-            cost.flops = 10.0 * len;
-            cost.dram_load_bytes = 4.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * len);
-            break;
-          case Opcode::Relu:
-            if (func)
-                tensor::reluForward(mem.data(in.operands[1]),
-                                    mem.data(in.operands[0]), imm);
-            cost.flops = len;
-            cost.dram_load_bytes = 4.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * len);
-            break;
-          case Opcode::Scale: {
-            if (func) {
-                float factor;
-                std::uint32_t bits = in.operands[2];
-                std::memcpy(&factor, &bits, sizeof(factor));
-                tensor::scaleForward(mem.data(in.operands[1]), factor,
-                                     mem.data(in.operands[0]), imm);
-            }
-            cost.flops = len;
-            cost.dram_load_bytes = 4.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * len);
-            break;
-          }
-          case Opcode::ScaleAccum: {
-            if (func) {
-                float factor;
-                std::uint32_t bits = in.operands[2];
-                std::memcpy(&factor, &bits, sizeof(factor));
-                tensor::scaleAccum(mem.data(in.operands[1]), factor,
-                                   sink.claim(in.operands[0], imm),
-                                   imm);
-            }
-            cost.flops = 2.0 * len;
-            cost.dram_load_bytes = 8.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::ActGrads, 8.0 * len);
-            sink.traffic.addStore(MemSpace::ActGrads, 4.0 * len);
-            break;
-          }
-          case Opcode::TanhBack:
-            if (func)
-                tensor::tanhBackward(mem.data(in.operands[1]),
-                                     mem.data(in.operands[2]),
-                                     sink.claim(in.operands[0], imm),
-                                     imm);
-            cost.flops = 3.0 * len;
-            cost.dram_load_bytes = 12.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::ActGrads, 8.0 * len);
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::ActGrads, 4.0 * len);
-            break;
-          case Opcode::SigmoidBack:
-            if (func)
-                tensor::sigmoidBackward(
-                    mem.data(in.operands[1]), mem.data(in.operands[2]),
-                    sink.claim(in.operands[0], imm), imm);
-            cost.flops = 3.0 * len;
-            cost.dram_load_bytes = 12.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::ActGrads, 8.0 * len);
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::ActGrads, 4.0 * len);
-            break;
-          case Opcode::ReluBack:
-            if (func)
-                tensor::reluBackward(mem.data(in.operands[1]),
-                                     mem.data(in.operands[2]),
-                                     sink.claim(in.operands[0], imm),
-                                     imm);
-            cost.flops = len;
-            cost.dram_load_bytes = 12.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::ActGrads, 8.0 * len);
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::ActGrads, 4.0 * len);
-            break;
-          case Opcode::PickNLS:
-            if (func)
-                mem.data(in.operands[2])[0] = tensor::pickNegLogSoftmax(
-                    mem.data(in.operands[0]), in.operands[3],
-                    mem.data(in.operands[1]), imm);
-            cost.flops = 10.0 * len;
-            cost.dram_load_bytes = 4.0 * len;
-            cost.dram_store_bytes = 4.0 * len + 4.0;
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addStore(MemSpace::Activations,
-                                  4.0 * len + 4.0);
-            break;
-          case Opcode::PickNLSBack:
-            if (func)
-                tensor::pickNegLogSoftmaxBackward(
-                    mem.data(in.operands[0]), in.operands[3],
-                    mem.data(in.operands[1])[0],
-                    sink.claim(in.operands[2], imm), imm);
-            cost.flops = 3.0 * len;
-            cost.dram_load_bytes = 8.0 * len;
-            cost.dram_store_bytes = 4.0 * len;
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * len);
-            sink.traffic.addLoad(MemSpace::ActGrads, 4.0 * len);
-            sink.traffic.addStore(MemSpace::ActGrads, 4.0 * len);
-            break;
-          case Opcode::UpdateVec:
-            // Gradient-only mode leaves the parameter and its grad
-            // untouched (the data-parallel driver applies the
-            // all-reduced update itself); the cost model is charged
-            // either way so timing does not depend on the mode.
-            if (func && apply_updates)
-                tensor::sgdUpdate(mem.data(in.operands[0]),
-                                  mem.data(in.operands[1]), imm,
-                                  model.learning_rate,
-                                  model.weight_decay);
-            cost.flops = 3.0 * len;
-            cost.dram_load_bytes = 8.0 * len;
-            cost.dram_store_bytes = 8.0 * len;
-            sink.traffic.addLoad(MemSpace::Params, 4.0 * len);
-            sink.traffic.addLoad(MemSpace::ParamGrads, 4.0 * len);
-            sink.traffic.addStore(MemSpace::Params, 8.0 * len);
-            break;
-          case Opcode::Nop:
-            break;
-          default:
-            common::panic("ScriptExecutor: bad opcode in stream");
         }
         psim.charge(vpp, kDecodeUs);
         psim.chargeInstruction(vpp, cost);
@@ -935,12 +828,9 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         for (const Segment& seg : segments) {
             VppSink& sink =
                 sinks[static_cast<std::size_t>(seg.vpp)];
-            for (const PendingAccum& pa : sink.pending) {
-                float* dst = mem.data(pa.target);
-                const float* src = sink.arena.data() + pa.arena_pos;
-                for (std::uint32_t i = 0; i < pa.len; ++i)
-                    dst[i] += src[i];
-            }
+            for (const PendingAccum& pa : sink.pending)
+                tensor::accum(mem.data(pa.target),
+                              sink.arena.data() + pa.arena_pos, pa.len);
             sink.pending.clear();
             sink.arena.clear();
         }

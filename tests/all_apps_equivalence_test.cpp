@@ -5,10 +5,12 @@
  * produces the same losses as the per-node baseline -- and this holds
  * on non-default device geometries (fewer SMs, smaller register
  * files), where the distribution plan and script differ entirely.
+ * One timing-only batch per app also pins its simulated time.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ios>
 
 #include "common/rng.hpp"
 #include "data/ner_corpus.hpp"
@@ -127,6 +129,54 @@ TEST_P(AllAppsEquivalenceTest, OnSmallerGpu)
     small.num_sms = 20;
     small.regfile_bytes_per_sm = 128 * 1024;
     expectVppsMatchesBaseline(GetParam(), small);
+}
+
+/** Simulated output of one timing-only batch of an app. */
+struct TimingPin
+{
+    const char* app;
+    double kernel_us;
+    double extra_kernel_us;
+    std::uint64_t instructions;
+};
+
+const TimingPin kTimingPins[] = {
+    {"Tree-LSTM", 0x1.7e14151f5ccd6p+11, 0x1.b9b9b9b9b9cp+2, 15550},
+    {"BiLSTM", 0x1.4a1d064dfc13bp+12, 0x1.b9b9b9b9b9cp+2, 20660},
+    {"BiLSTMwChar", 0x1.e8bbd4a16e458p+12, 0x1.b9b9b9b9b9cp+2, 23509},
+    {"BiGRU", 0x1.70ce63448c3dap+12, 0x1.b9b9b9b9b9cp+2, 17156},
+    {"TD-RNN", 0x1.671473400cd69p+11, 0x1.b9b9b9b9b9cp+2, 4678},
+    {"TD-LSTM", 0x1.3e07908648dbap+12, 0x1.bff82b5e91cp+2, 39976},
+    {"RvNN", 0x1.c741b9153e329p+10, 0x1.b9b9b9b9b9cp+2, 2656},
+};
+
+TEST_P(AllAppsEquivalenceTest, TimingOnlyBatchIsPinned)
+{
+    // Simulated time must not move under host-side refactors: one
+    // four-input batch per app pins the interpreter's cost model
+    // bit for bit across every opcode the apps emit.
+    const TimingPin* pin = nullptr;
+    for (const TimingPin& p : kTimingPins)
+        if (std::string(p.app) == GetParam())
+            pin = &p;
+    ASSERT_NE(pin, nullptr);
+
+    Factory f(gpusim::DeviceSpec{});
+    f.device.setFunctional(false);
+    auto m = f.make(GetParam());
+    vpps::VppsOptions opts;
+    opts.rpw = 2;
+    opts.async = false;
+    vpps::Handle handle(m->model(), f.device, opts);
+    graph::ComputationGraph cg;
+    handle.fb(m->model(), cg, train::buildSuperGraph(*m, cg, 0, 4));
+
+    const vpps::VppsStats& s = handle.stats();
+    EXPECT_EQ(s.kernel_us, pin->kernel_us)
+        << std::hexfloat << s.kernel_us;
+    EXPECT_EQ(s.extra_kernel_us, pin->extra_kernel_us)
+        << std::hexfloat << s.extra_kernel_us;
+    EXPECT_EQ(s.instructions, pin->instructions);
 }
 
 INSTANTIATE_TEST_SUITE_P(SevenApps, AllAppsEquivalenceTest,

@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iomanip>
+#include <sstream>
 
 #include "common/rng.hpp"
 #include "vpps/script_exec.hpp"
@@ -16,6 +18,7 @@
 namespace {
 
 using gpusim::DeviceMemory;
+using vpps::Opcode;
 
 /** Fixture: a device, a 2-matrix model, and a compiled kernel. */
 struct InterpRig
@@ -284,5 +287,163 @@ TEST(Interpreter, InstructionCountAndTimingAreReported)
     EXPECT_GT(result.kernel_us, rig.device.spec().kernel_launch_us);
     EXPECT_GE(result.makespan_us, result.mean_vpp_us);
 }
+
+// -- Cost pins -----------------------------------------------------
+// Each non-sync opcode runs once on the rig, and the simulated kernel
+// time and the device's DRAM traffic (prologue and epilogue included)
+// are pinned bit for bit. Any edit to the interpreter's cost model
+// that moves simulated time or traffic for one opcode fails its pin.
+
+/** Operand roles, resolved against the pin rig's buffers. */
+enum Role : std::uint32_t
+{
+    kOut,    //!< vector written (or accumulated into)
+    kIn0,    //!< vectors read
+    kIn1,
+    kIn2,
+    kScalar, //!< one-float loss / loss-gradient slot
+    kLabel,  //!< class label below kPinLen
+    kBits,   //!< a float factor's bit pattern
+};
+
+/** Immediate of the pinned vector instructions. */
+constexpr std::uint32_t kPinLen = 40;
+
+struct CostPin
+{
+    Opcode op;
+    std::vector<Role> operands;
+    double kernel_us;
+    /** Nonzero per-space "load/store" bytes, then the atomics. */
+    const char* traffic;
+};
+
+std::string
+trafficText(const gpusim::TrafficStats& t)
+{
+    std::ostringstream out;
+    out << std::setprecision(17);
+    for (std::size_t i = 0; i < gpusim::TrafficStats::kNumSpaces; ++i) {
+        const auto space = static_cast<gpusim::MemSpace>(i);
+        if (t.loadBytes(space) != 0.0 || t.storeBytes(space) != 0.0)
+            out << gpusim::memSpaceName(space) << ' '
+                << t.loadBytes(space) << '/' << t.storeBytes(space)
+                << ' ';
+    }
+    out << "atomics " << t.atomicOps();
+    return out.str();
+}
+
+const CostPin kCostPins[] = {
+    {Opcode::Nop, {}, 0x1.d377777777778p+2,
+     "weights 128/128 script 4/0 atomics 0"},
+    {Opcode::MatVec, {kIn0, kOut}, 0x1.0365656565656p+3,
+     "weights 128/128 activations 64/32 script 48/0 atomics 0"},
+    {Opcode::MatVecT, {kIn0, kOut}, 0x1.03e06fcbf4eabp+3,
+     "weights 128/128 act-grads 32/64 script 48/0 atomics 16"},
+    {Opcode::Outer, {kIn0, kIn1}, 0x1.db056bd2389fp+2,
+     "weights 128/128 activations 64/0 act-grads 32/0 script 48/0 atomics 0"},
+    {Opcode::Copy, {kOut, kIn0}, 0x1.d4c0c0c0c0c0cp+2,
+     "weights 128/128 activations 160/160 script 12/0 atomics 0"},
+    {Opcode::Accum, {kOut, kIn0}, 0x1.d561616161616p+2,
+     "weights 128/128 act-grads 320/160 script 12/0 atomics 0"},
+    {Opcode::AccumParam, {kOut, kIn0}, 0x1.d561616161616p+2,
+     "weights 128/128 param-grads 160/160 act-grads 160/0 "
+     "script 12/0 atomics 0"},
+    {Opcode::Add2, {kOut, kIn0, kIn1}, 0x1.d565656565656p+2,
+     "weights 128/128 activations 320/160 script 16/0 atomics 0"},
+    {Opcode::Add3, {kOut, kIn0, kIn1, kIn2}, 0x1.d60a0a0a0a0ap+2,
+     "weights 128/128 activations 480/160 script 20/0 atomics 0"},
+    {Opcode::Mul, {kOut, kIn0, kIn1}, 0x1.d565656565656p+2,
+     "weights 128/128 activations 320/160 script 16/0 atomics 0"},
+    {Opcode::MulAccum, {kOut, kIn0, kIn1}, 0x1.d60606060606p+2,
+     "weights 128/128 activations 160/0 act-grads 320/160 "
+     "script 16/0 atomics 0"},
+    {Opcode::Tanh, {kOut, kIn0}, 0x1.d4c0c0c0c0c0cp+2,
+     "weights 128/128 activations 160/160 script 12/0 atomics 0"},
+    {Opcode::TanhBack, {kOut, kIn0, kIn1}, 0x1.d60606060606p+2,
+     "weights 128/128 activations 160/0 act-grads 320/160 "
+     "script 16/0 atomics 0"},
+    {Opcode::Sigmoid, {kOut, kIn0}, 0x1.d4c0c0c0c0c0cp+2,
+     "weights 128/128 activations 160/160 script 12/0 atomics 0"},
+    {Opcode::SigmoidBack, {kOut, kIn0, kIn1}, 0x1.d60606060606p+2,
+     "weights 128/128 activations 160/0 act-grads 320/160 "
+     "script 16/0 atomics 0"},
+    {Opcode::Relu, {kOut, kIn0}, 0x1.d4c0c0c0c0c0cp+2,
+     "weights 128/128 activations 160/160 script 12/0 atomics 0"},
+    {Opcode::ReluBack, {kOut, kIn0, kIn1}, 0x1.d60606060606p+2,
+     "weights 128/128 activations 160/0 act-grads 320/160 "
+     "script 16/0 atomics 0"},
+    {Opcode::Scale, {kOut, kIn0, kBits}, 0x1.d4c4c4c4c4c4cp+2,
+     "weights 128/128 activations 160/160 script 16/0 atomics 0"},
+    {Opcode::ScaleAccum, {kOut, kIn0, kBits}, 0x1.d565656565656p+2,
+     "weights 128/128 act-grads 320/160 script 16/0 atomics 0"},
+    {Opcode::PickNLS, {kIn0, kOut, kScalar, kLabel}, 0x1.d4ccccccccccdp+2,
+     "weights 128/128 activations 160/164 script 20/0 atomics 0"},
+    {Opcode::PickNLSBack, {kIn0, kScalar, kOut, kLabel}, 0x1.d569696969696p+2,
+     "weights 128/128 activations 160/0 act-grads 160/160 "
+     "script 20/0 atomics 0"},
+    {Opcode::UpdateVec, {kOut, kIn0}, 0x1.d60202020202p+2,
+     "weights 128/128 params 160/320 param-grads 160/0 script 12/0 atomics 0"},
+};
+
+/** Print a pin by opcode; its raw bytes hold padding and pointers. */
+void PrintTo(const CostPin& pin, std::ostream* os)
+{
+    *os << vpps::opcodeName(pin.op);
+}
+
+class InterpreterCostPin : public testing::TestWithParam<CostPin>
+{
+};
+
+TEST_P(InterpreterCostPin, KernelTimeAndTrafficAreUnchanged)
+{
+    const CostPin& pin = GetParam();
+    InterpRig rig;
+    auto& mem = rig.device.memory();
+    DeviceMemory::Offset buffers[4];
+    for (auto& b : buffers) {
+        b = mem.allocate(64, gpusim::MemSpace::Activations);
+        for (int i = 0; i < 64; ++i)
+            mem.data(b)[i] = 0.125f * static_cast<float>(i % 7) - 0.25f;
+    }
+    const auto scalar = rig.vec({0.5f});
+    const float factor = 0.75f;
+    std::uint32_t bits;
+    std::memcpy(&bits, &factor, sizeof(bits));
+
+    std::vector<std::uint32_t> operands;
+    for (Role role : pin.operands)
+        operands.push_back(role <= kIn2 ? buffers[role]
+                           : role == kScalar ? scalar
+                           : role == kLabel  ? 7u
+                                             : bits);
+
+    // Matrix products run on every VPP caching rows of W, as the
+    // generator emits them; every other instruction runs on one VPP
+    // that caches W rows too, so it lies on the kernel's critical path.
+    auto batch = rig.fresh();
+    const auto& plan = rig.kernel.plan;
+    if (pin.op == Opcode::MatVec || pin.op == Opcode::MatVecT ||
+        pin.op == Opcode::Outer) {
+        for (int vpp : plan.vppsOf(rig.w, pin.op == Opcode::Outer))
+            batch.script.emit(vpp, pin.op, rig.w, operands);
+    } else {
+        batch.script.emit(plan.vppsOf(rig.w, false).front(), pin.op,
+                          pin.op == Opcode::Nop ? 0 : kPinLen,
+                          operands);
+    }
+    const auto result = rig.run(batch);
+    EXPECT_EQ(result.kernel_us, pin.kernel_us)
+        << std::hexfloat << result.kernel_us;
+    EXPECT_EQ(trafficText(rig.device.traffic()), pin.traffic);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOpcodes, InterpreterCostPin, testing::ValuesIn(kCostPins),
+    [](const testing::TestParamInfo<CostPin>& info) {
+        return std::string(vpps::opcodeName(info.param.op));
+    });
 
 } // namespace

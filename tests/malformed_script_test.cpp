@@ -3,20 +3,23 @@
  * Malformed and adversarial scripts must surface clean structured
  * errors -- never a hang, never an abort. Covers static decode
  * validation (bad opcodes, truncated streams, out-of-range barriers,
- * Signal/Wait count mismatches) and runtime stall diagnosis (a
- * statically-consistent script whose barrier order deadlocks), at
- * both serial and 8-thread host interpretation.
+ * Signal/Wait count mismatches, operand ranges, labels, and a decode
+ * cache shared by models of different shapes) and runtime stall
+ * diagnosis (a statically-consistent script whose barrier order
+ * deadlocks), at both serial and 8-thread host interpretation.
  */
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "vpps/script_cache.hpp"
 #include "vpps/script_exec.hpp"
 
 namespace {
 
 using common::ErrorCode;
 
-/** A tiny model + compiled kernel to run hand-built scripts against. */
+/** A tiny model + compiled kernel to run hand-built scripts against:
+ *  one 8 x @p cols weight matrix W (param id 0). */
 struct MalformedRig
 {
     gpusim::Device device{gpusim::DeviceSpec{}, 4u << 20};
@@ -25,9 +28,9 @@ struct MalformedRig
     graph::ComputationGraph cg;
     graph::NodeId loss_node;
 
-    MalformedRig()
+    explicit MalformedRig(std::uint32_t cols = 4)
     {
-        model.addWeightMatrix("W", 8, 4);
+        model.addWeightMatrix("W", 8, cols);
         common::Rng rng(111);
         model.allocate(device, rng);
         vpps::VppsOptions opts;
@@ -41,12 +44,19 @@ struct MalformedRig
     }
 
     common::Result<vpps::RunResult>
-    run(vpps::GeneratedBatch& batch, int threads)
+    run(vpps::GeneratedBatch& batch, int threads,
+        vpps::ScriptCache* cache = nullptr)
     {
         batch.loss_node = loss_node;
         batch.script.seal();
-        vpps::ScriptExecutor executor(device, threads);
+        vpps::ScriptExecutor executor(device, threads, cache);
         return executor.run(kernel, batch, model, cg);
+    }
+
+    std::uint32_t
+    capacity() const
+    {
+        return static_cast<std::uint32_t>(device.memory().capacity());
     }
 
     vpps::GeneratedBatch
@@ -59,6 +69,20 @@ struct MalformedRig
 class MalformedScriptTest : public testing::TestWithParam<int>
 {
 };
+
+/** Expect @p r to be a decode error at VPP @p vpp, pc 0, whose
+ *  message contains @p what. */
+void
+expectDecodeError(const common::Result<vpps::RunResult>& r, int vpp,
+                  const std::string& what)
+{
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::MalformedScript);
+    EXPECT_EQ(r.error().vpp, vpp);
+    EXPECT_EQ(r.error().pc, 0);
+    EXPECT_NE(r.error().message.find(what), std::string::npos)
+        << r.error().toString();
+}
 
 TEST_P(MalformedScriptTest, SignalCountMismatchIsRejectedAtDecode)
 {
@@ -230,6 +254,74 @@ TEST_P(MalformedScriptTest, SpanLengthOverflowIsRejected)
     EXPECT_NE(r.error().message.find("operand out of pool range"),
               std::string::npos)
         << r.error().toString();
+}
+
+TEST_P(MalformedScriptTest, MatrixRowsOperandPastPoolEndIsRejected)
+{
+    MalformedRig rig;
+    auto batch = rig.fresh();
+    // MatVecT reads dy, one float per row of W (8 rows, 4 cols):
+    // starting 4 floats before the pool end it overruns the pool,
+    // although a cols-length span there would fit.
+    batch.script.emit(0, vpps::Opcode::MatVecT, 0,
+                      {rig.capacity() - 4, 0});
+    expectDecodeError(rig.run(batch, GetParam()), 0,
+                      "operand out of pool range in mvm_t");
+}
+
+TEST_P(MalformedScriptTest, EmptyLogitsVectorIsRejected)
+{
+    MalformedRig rig;
+    auto batch = rig.fresh();
+    batch.script.emit(1, vpps::Opcode::PickNLS, 0, {0, 16, 32, 0});
+    expectDecodeError(rig.run(batch, GetParam()), 1,
+                      "empty logits vector in pick_nls");
+}
+
+TEST_P(MalformedScriptTest, LabelOutsideLogitsIsRejected)
+{
+    MalformedRig rig;
+    auto batch = rig.fresh();
+    // Label 4 of a 4-logit vector: one past the last class.
+    batch.script.emit(0, vpps::Opcode::PickNLSBack, 4, {0, 16, 32, 4});
+    expectDecodeError(rig.run(batch, GetParam()), 0,
+                      "label out of range in pick_nls_back");
+}
+
+TEST_P(MalformedScriptTest, LossScalarAtPoolCapacityIsRejected)
+{
+    MalformedRig rig;
+    auto batch = rig.fresh();
+    batch.script.emit(0, vpps::Opcode::PickNLS, 4,
+                      {0, 16, rig.capacity(), 1});
+    expectDecodeError(rig.run(batch, GetParam()), 0,
+                      "operand out of pool range in pick_nls");
+}
+
+TEST_P(MalformedScriptTest, SharedCacheDistinguishesParameterShapes)
+{
+    // Two one-matrix models that differ only in W's width share one
+    // decode cache. A MatVec whose x starts 8 floats before the pool
+    // end is valid for the 8x4 model (x is 4 floats) but runs 56
+    // floats past the pool for the 8x64 one, so the wide model must
+    // not reuse the narrow model's decoding.
+    MalformedRig narrow(4), wide(64);
+    ASSERT_EQ(narrow.kernel.plan.numVpps(), wide.kernel.plan.numVpps());
+    ASSERT_EQ(narrow.capacity(), wide.capacity());
+    // Timing-only, so a wrongly accepted script reads nothing.
+    wide.device.setFunctional(false);
+    vpps::ScriptCache cache;
+    const std::uint32_t x = narrow.capacity() - 8;
+    const std::uint32_t y = narrow.capacity() - 16;
+
+    auto ok = narrow.fresh();
+    ok.script.emit(0, vpps::Opcode::MatVec, 0, {x, y});
+    ASSERT_TRUE(narrow.run(ok, GetParam(), &cache).ok());
+
+    auto bad = wide.fresh();
+    bad.script.emit(0, vpps::Opcode::MatVec, 0, {x, y});
+    expectDecodeError(wide.run(bad, GetParam(), &cache), 0,
+                      "operand out of pool range in mvm");
 }
 
 TEST_P(MalformedScriptTest, TruncatedTailAfterValidPrefixIsRejected)

@@ -132,6 +132,16 @@ struct ActivationCase
     void (*bwd)(const float*, const float*, float*, std::size_t);
 };
 
+/**
+ * Print a case by name. Without this GoogleTest prints the raw bytes
+ * of the struct, whose pointers change from run to run, and the ctest
+ * names taken from that listing would change with them.
+ */
+void PrintTo(const ActivationCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
+
 class ActivationGradientTest
     : public testing::TestWithParam<ActivationCase>
 {
