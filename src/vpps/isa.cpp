@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -101,12 +102,29 @@ preambleImm(std::uint32_t word)
     return word & 0x00FFFFFFu;
 }
 
+namespace {
+
+/** Stream buffers of the last script destroyed on this thread, kept
+ *  (emptied, capacity intact) for the next script built here. */
+thread_local std::vector<std::vector<std::uint32_t>> t_spare_streams;
+
+} // namespace
+
 Script::Script(int num_vpps)
-    : num_vpps_(num_vpps),
-      streams_(static_cast<std::size_t>(num_vpps))
+    : num_vpps_(num_vpps), streams_(std::move(t_spare_streams))
 {
     if (num_vpps <= 0)
         common::panic("Script: num_vpps must be positive");
+    streams_.resize(static_cast<std::size_t>(num_vpps));
+}
+
+Script::~Script()
+{
+    if (streams_.empty() || !t_spare_streams.empty())
+        return;
+    for (auto& s : streams_)
+        s.clear();
+    t_spare_streams = std::move(streams_);
 }
 
 void
@@ -127,6 +145,12 @@ Script::emit(int vpp, Opcode op, std::uint32_t imm,
         common::panic("Script::emit: ", opcodeName(op), " takes ",
                       operandWords(op), " operands, got ", n_operands);
     auto& s = streams_.at(static_cast<std::size_t>(vpp));
+    // A matrix op writes one instruction to the stream of every VPP
+    // caching its rows, often over a hundred streams in turn: too
+    // many for the hardware prefetcher to follow, so fetch the
+    // stream's next cache line ahead of its next write.
+    if (s.capacity() - s.size() > 16)
+        __builtin_prefetch(s.data() + s.size() + 16, 1);
     s.push_back(packPreamble(op, imm));
     for (int i = 0; i < n_operands; ++i)
         s.push_back(operands[i]);
@@ -155,28 +179,15 @@ Script::seal()
     if (sealed_)
         common::panic("Script::seal called twice");
     sealed_ = true;
-    words_.reserve(static_cast<std::size_t>(num_vpps_) + 1);
-    // Prefix-sum header: words_[v] is the start of VPP v's stream
-    // relative to the end of the header; words_[num_vpps] is the end.
+    // Prefix-sum header: header_[v] is the start of VPP v's stream
+    // relative to the end of the header; header_[num_vpps] is the end.
+    header_.reserve(streams_.size() + 1);
     std::uint32_t acc = 0;
-    words_.push_back(0);
+    header_.push_back(0);
     for (const auto& s : streams_) {
         acc += static_cast<std::uint32_t>(s.size());
-        words_.push_back(acc);
+        header_.push_back(acc);
     }
-    for (auto& s : streams_) {
-        words_.insert(words_.end(), s.begin(), s.end());
-        s.clear();
-        s.shrink_to_fit();
-    }
-}
-
-const std::vector<std::uint32_t>&
-Script::words() const
-{
-    if (!sealed_)
-        common::panic("Script::words before seal()");
-    return words_;
 }
 
 std::pair<const std::uint32_t*, const std::uint32_t*>
@@ -184,10 +195,8 @@ Script::vppStream(int vpp) const
 {
     if (!sealed_)
         common::panic("Script::vppStream before seal()");
-    const std::size_t header = static_cast<std::size_t>(num_vpps_) + 1;
-    const std::size_t begin = words_[static_cast<std::size_t>(vpp)];
-    const std::size_t end = words_[static_cast<std::size_t>(vpp) + 1];
-    return {words_.data() + header + begin, words_.data() + header + end};
+    const auto& s = streams_[static_cast<std::size_t>(vpp)];
+    return {s.data(), s.data() + s.size()};
 }
 
 double
@@ -195,7 +204,7 @@ Script::bytes() const
 {
     if (!sealed_)
         common::panic("Script::bytes before seal()");
-    return 4.0 * static_cast<double>(words_.size());
+    return 4.0 * (static_cast<double>(header_.size()) + header_.back());
 }
 
 std::uint64_t
@@ -209,9 +218,12 @@ Script::checksum() const
         h *= 1099511628211ull;
     };
     mix(static_cast<std::uint64_t>(num_vpps_));
-    mix(words_.size());
-    for (std::uint32_t w : words_)
+    mix(header_.size() + header_.back());
+    for (std::uint32_t w : header_)
         mix(w);
+    for (const auto& s : streams_)
+        for (std::uint32_t w : s)
+            mix(w);
     return h;
 }
 

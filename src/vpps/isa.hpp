@@ -9,9 +9,11 @@
  * memory-pool element offsets or small immediates -- for a maximum
  * instruction size of 20 bytes, matching the paper.
  *
- * Per-VPP scripts are concatenated into one buffer preceded by a
- * prefix sum of per-VPP word counts so each VPP can index directly
- * into its own section (Section III-B2).
+ * A sealed script is a prefix sum of per-VPP word counts followed by
+ * the per-VPP streams, so each VPP can index directly into its own
+ * section (Section III-B2). The streams stay separate buffers: size
+ * and checksum are those of the concatenated buffer without building
+ * it.
  */
 #pragma once
 
@@ -136,11 +138,20 @@ std::uint32_t preambleImm(std::uint32_t word);
 /**
  * The execution script for one kernel invocation: per-VPP instruction
  * streams behind a prefix-sum header, plus barrier metadata.
+ *
+ * Each instruction is written once, straight into its VPP's stream.
+ * The stream buffers are reused: a Script takes the buffers of the
+ * last script destroyed on the same thread, so steady-state batches
+ * emit into memory that is already mapped.
  */
 class Script
 {
   public:
     explicit Script(int num_vpps);
+    ~Script();
+
+    Script(Script&&) noexcept = default;
+    Script& operator=(Script&&) noexcept = default;
 
     int numVpps() const { return num_vpps_; }
 
@@ -169,14 +180,11 @@ class Script
     }
 
     /**
-     * Finalize into the transferable buffer: header (num_vpps + 1
-     * prefix sums) followed by the concatenated per-VPP streams.
-     * Must be called exactly once, after all emission.
+     * Finalize the transferable form: the header (num_vpps + 1
+     * prefix sums) in front of the per-VPP streams. Must be called
+     * exactly once, after all emission.
      */
     void seal();
-
-    /** @return the sealed buffer (header + streams). */
-    const std::vector<std::uint32_t>& words() const;
 
     /** @return [begin, end) word range of VPP @p vpp's stream. */
     std::pair<const std::uint32_t*, const std::uint32_t*>
@@ -186,10 +194,11 @@ class Script
     double bytes() const;
 
     /**
-     * FNV-1a digest of the sealed buffer. The transfer path verifies
-     * the device-side copy against this host-side value (the detected
-     * ECC / retransmit policy), and the executor keys its decode
-     * cache on it.
+     * FNV-1a digest of the sealed buffer: num_vpps, the word count,
+     * the header, then the streams in VPP order. The transfer path
+     * verifies the device-side copy against this host-side value
+     * (the detected ECC / retransmit policy), and the executor keys
+     * its decode cache on it.
      */
     std::uint64_t checksum() const;
 
@@ -200,7 +209,7 @@ class Script
     int num_vpps_;
     bool sealed_ = false;
     std::vector<std::vector<std::uint32_t>> streams_;
-    std::vector<std::uint32_t> words_;
+    std::vector<std::uint32_t> header_;
     std::vector<std::uint32_t> expected_signals_;
     std::size_t num_instructions_ = 0;
 };

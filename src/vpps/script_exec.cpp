@@ -277,7 +277,7 @@ ScriptExecutor::decoded(const Script& script,
                     .withPc(idx);
             const OpcodeInfo& info = opcodeInfo(in.op);
             const int n = operandWords(in.op);
-            if (pc + 1 + n > end)
+            if (end - pc < 1 + n)
                 return Status::failure(
                            ErrorCode::MalformedScript,
                            common::detail::concat(
@@ -845,8 +845,9 @@ ScriptExecutor::run(const CompiledKernel& kernel,
 
     // -- Epilogue: apply register-cached gradients onto the DRAM
     // master copies (store-only: both W and dW live in registers).
+    // A timing-only device charges the cost but runs no float math.
     if (plan.gradientsCached()) {
-        if (apply_updates)
+        if (func && apply_updates)
             for (graph::ParamId m : model.weightMatrices()) {
                 auto& p = model.param(m);
                 tensor::sgdUpdate(mem.data(p.value), mem.data(p.grad),
@@ -888,11 +889,12 @@ ScriptExecutor::run(const CompiledKernel& kernel,
             auto& p = model.param(st.matrix);
             const double r = p.shape.rows(), c = p.shape.cols();
             const double k = st.count;
-            tensor::gemmAccumABt(mem.data(p.grad),
-                                 mem.data(st.lhs_base),
-                                 mem.data(st.rhs_base), p.shape.rows(),
-                                 p.shape.cols(),
-                                 st.count);
+            if (func)
+                tensor::gemmAccumABt(mem.data(p.grad),
+                                     mem.data(st.lhs_base),
+                                     mem.data(st.rhs_base),
+                                     p.shape.rows(), p.shape.cols(),
+                                     st.count);
             KernelCost gemm;
             gemm.flops = 2.0 * r * c * k;
             gemm.dram_load_bytes = 4.0 * (r * k + c * k + r * c);
@@ -905,7 +907,7 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         }
         for (graph::ParamId m : model.weightMatrices()) {
             auto& p = model.param(m);
-            if (apply_updates)
+            if (func && apply_updates)
                 tensor::sgdUpdate(mem.data(p.value), mem.data(p.grad),
                                   p.shape.size(),
                                   model.learning_rate,

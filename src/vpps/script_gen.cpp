@@ -21,20 +21,18 @@ namespace {
  *  intensity relative to vector ops (Section III-B1). */
 constexpr double kMatrixLoadWeight = 4.0;
 
-/** Per-phase staging of instructions before barrier insertion. */
+/**
+ * Emits one phase's instructions straight into the script. A VPP's
+ * first instruction in the phase is preceded by its wait on the
+ * previous phase's barrier; flush() closes the phase with one signal
+ * per participating VPP.
+ */
 class PhaseBuilder
 {
   public:
-    /** Flat (no per-instruction heap) staged instruction. */
-    struct Instr
-    {
-        Opcode op;
-        std::uint32_t imm;
-        std::uint32_t operands[4];
-    };
-
-    explicit PhaseBuilder(int num_vpps)
-        : per_vpp_(static_cast<std::size_t>(num_vpps))
+    explicit PhaseBuilder(Script& script)
+        : script_(script),
+          joined_(static_cast<std::size_t>(script.numVpps()), false)
     {
     }
 
@@ -42,62 +40,52 @@ class PhaseBuilder
     add(int vpp, Opcode op, std::uint32_t imm,
         std::initializer_list<std::uint32_t> operands)
     {
-        Instr in{op, imm, {0, 0, 0, 0}};
-        int i = 0;
-        for (std::uint32_t w : operands)
-            in.operands[i++] = w;
-        per_vpp_[static_cast<std::size_t>(vpp)].push_back(in);
+        if (!joined_[static_cast<std::size_t>(vpp)]) {
+            joined_[static_cast<std::size_t>(vpp)] = true;
+            participants_.push_back(vpp);
+            if (prev_barrier_ >= 0)
+                script_.emit(vpp, Opcode::Wait,
+                             static_cast<std::uint32_t>(prev_barrier_),
+                             nullptr, 0);
+        }
+        script_.emit(vpp, op, imm, operands.begin(),
+                     static_cast<int>(operands.size()));
         ++count_;
     }
 
-    bool empty() const { return count_ == 0; }
+    /** @return the phase's instructions so far, excluding sync. */
     std::size_t count() const { return count_; }
 
-    /**
-     * Flush into the script: each participant waits on the previous
-     * phase's barrier, runs its instructions, then signals this
-     * phase's barrier.
-     *
-     * @return the number of instructions emitted (incl. sync).
-     */
-    std::size_t
-    flush(Script& script, int& prev_barrier, int& next_barrier)
+    /** @return the number of barriers (closed phases) so far. */
+    int barriers() const { return next_barrier_; }
+
+    /** Close the phase: each participant signals its barrier. */
+    void
+    flush()
     {
-        if (empty())
-            return 0;
-        int participants = 0;
-        std::size_t emitted = 0;
-        for (int vpp = 0; vpp < static_cast<int>(per_vpp_.size());
-             ++vpp) {
-            auto& instrs = per_vpp_[static_cast<std::size_t>(vpp)];
-            if (instrs.empty())
-                continue;
-            ++participants;
-            if (prev_barrier >= 0) {
-                script.emit(vpp, Opcode::Wait,
-                            static_cast<std::uint32_t>(prev_barrier), {});
-                ++emitted;
-            }
-            for (auto& in : instrs) {
-                script.emit(vpp, in.op, in.imm, in.operands,
-                            operandWords(in.op));
-                ++emitted;
-            }
-            script.emit(vpp, Opcode::Signal,
-                        static_cast<std::uint32_t>(next_barrier), {});
-            ++emitted;
-            instrs.clear();
+        if (participants_.empty())
+            return;
+        for (int vpp : participants_) {
+            script_.emit(vpp, Opcode::Signal,
+                         static_cast<std::uint32_t>(next_barrier_),
+                         nullptr, 0);
+            joined_[static_cast<std::size_t>(vpp)] = false;
         }
-        script.setExpectedSignals(
-            static_cast<std::size_t>(next_barrier), participants);
-        prev_barrier = next_barrier;
-        ++next_barrier;
+        script_.setExpectedSignals(
+            static_cast<std::size_t>(next_barrier_),
+            static_cast<int>(participants_.size()));
+        prev_barrier_ = next_barrier_;
+        ++next_barrier_;
+        participants_.clear();
         count_ = 0;
-        return emitted;
     }
 
   private:
-    std::vector<std::vector<Instr>> per_vpp_;
+    Script& script_;
+    std::vector<bool> joined_;
+    std::vector<int> participants_;
+    int prev_barrier_ = -1;
+    int next_barrier_ = 0;
     std::size_t count_ = 0;
 };
 
@@ -187,9 +175,7 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
     }
 
     LoadBalancer balance(num_vpps);
-    PhaseBuilder phase(num_vpps);
-    int prev_barrier = -1;
-    int next_barrier = 0;
+    PhaseBuilder phase(out.script);
 
     auto vec_load = [](const Node& n) {
         return static_cast<double>(n.shape.size()) *
@@ -207,15 +193,29 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
     };
 
     // Emit a cooperative matrix instruction on every VPP caching rows
-    // of the matrix (or of its gradient for outer products).
+    // of the matrix (or of its gradient for outer products). Each
+    // (matrix, gradient) pair's fan-out -- the VPPs and the load each
+    // is charged -- is built on first use.
+    struct FanOut
+    {
+        int vpp;
+        double load;
+    };
+    std::vector<std::vector<FanOut>> fan_outs(2 * model.numParams());
     auto emit_matrix = [&](Opcode op, graph::ParamId m, bool gradient,
                            std::uint32_t op_a, std::uint32_t op_b) {
-        const auto& p = model.param(m);
-        for (int vpp : plan.vppsOf(m, gradient)) {
-            phase.add(vpp, op, m, {op_a, op_b});
-            const double rows = plan.rowsOn(vpp, m, gradient);
-            balance.charge(vpp, kMatrixLoadWeight * rows *
-                                    p.shape.cols());
+        auto& targets = fan_outs[2 * m + (gradient ? 1 : 0)];
+        if (targets.empty()) {
+            const auto& p = model.param(m);
+            for (int vpp : plan.vppsOf(m, gradient)) {
+                const double rows = plan.rowsOn(vpp, m, gradient);
+                targets.push_back(
+                    {vpp, kMatrixLoadWeight * rows * p.shape.cols()});
+            }
+        }
+        for (const FanOut& t : targets) {
+            phase.add(t.vpp, op, m, {op_a, op_b});
+            balance.charge(t.vpp, t.load);
         }
     };
 
@@ -457,7 +457,7 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
             if (live[id])
                 emit_forward_node(id);
         fwd_instr += phase.count();
-        phase.flush(out.script, prev_barrier, next_barrier);
+        phase.flush();
     }
     out.stats.fwd_instructions = fwd_instr;
 
@@ -468,7 +468,7 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
             if (live[id])
                 emit_backward_node(id);
         bwd_instr += phase.count();
-        phase.flush(out.script, prev_barrier, next_barrier);
+        phase.flush();
     }
     out.stats.bwd_instructions = bwd_instr;
 
@@ -508,8 +508,8 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
         }
     }
     out.stats.update_instructions = phase.count();
-    phase.flush(out.script, prev_barrier, next_barrier);
-    out.stats.barriers = static_cast<std::size_t>(next_barrier);
+    phase.flush();
+    out.stats.barriers = static_cast<std::size_t>(phase.barriers());
 
     out.script.seal();
 

@@ -93,7 +93,7 @@ class ScriptGenerator
 
   private:
     const CompiledKernel& kernel_;
-    const gpusim::HostSpec& host_;
+    const gpusim::HostSpec host_;
 };
 
 } // namespace vpps

@@ -26,6 +26,7 @@
 #include "models/tree_lstm.hpp"
 #include "train/harness.hpp"
 #include "vpps/handle.hpp"
+#include "vpps/script_gen.hpp"
 
 namespace {
 
@@ -131,23 +132,32 @@ TEST_P(AllAppsEquivalenceTest, OnSmallerGpu)
     expectVppsMatchesBaseline(GetParam(), small);
 }
 
-/** Simulated output of one timing-only batch of an app. */
+/** Simulated output and script of one timing-only batch of an app. */
 struct TimingPin
 {
     const char* app;
     double kernel_us;
     double extra_kernel_us;
     std::uint64_t instructions;
+    std::uint64_t script_checksum;
+    double script_bytes;
 };
 
 const TimingPin kTimingPins[] = {
-    {"Tree-LSTM", 0x1.7e14151f5ccd6p+11, 0x1.b9b9b9b9b9cp+2, 15550},
-    {"BiLSTM", 0x1.4a1d064dfc13bp+12, 0x1.b9b9b9b9b9cp+2, 20660},
-    {"BiLSTMwChar", 0x1.e8bbd4a16e458p+12, 0x1.b9b9b9b9b9cp+2, 23509},
-    {"BiGRU", 0x1.70ce63448c3dap+12, 0x1.b9b9b9b9b9cp+2, 17156},
-    {"TD-RNN", 0x1.671473400cd69p+11, 0x1.b9b9b9b9b9cp+2, 4678},
-    {"TD-LSTM", 0x1.3e07908648dbap+12, 0x1.bff82b5e91cp+2, 39976},
-    {"RvNN", 0x1.c741b9153e329p+10, 0x1.b9b9b9b9b9cp+2, 2656},
+    {"Tree-LSTM", 0x1.7e14151f5ccd6p+11, 0x1.b9b9b9b9b9cp+2, 15550,
+     0x904fba355373fecfull, 216228},
+    {"BiLSTM", 0x1.4a1d064dfc13bp+12, 0x1.b9b9b9b9b9cp+2, 20660,
+     0x46ef43a8dcf8b4e8ull, 290700},
+    {"BiLSTMwChar", 0x1.e8bbd4a16e458p+12, 0x1.b9b9b9b9b9cp+2, 23509,
+     0xdd7269be659e7d16ull, 347904},
+    {"BiGRU", 0x1.70ce63448c3dap+12, 0x1.b9b9b9b9b9cp+2, 17156,
+     0xcbf39d94197612c0ull, 246068},
+    {"TD-RNN", 0x1.671473400cd69p+11, 0x1.b9b9b9b9b9cp+2, 4678,
+     0x8c8fc51362df5ad7ull, 68472},
+    {"TD-LSTM", 0x1.3e07908648dbap+12, 0x1.bff82b5e91cp+2, 39976,
+     0x7362ccfd0e0129b6ull, 535840},
+    {"RvNN", 0x1.c741b9153e329p+10, 0x1.b9b9b9b9b9cp+2, 2656,
+     0xd5bef53cfd86e0d1ull, 38440},
 };
 
 TEST_P(AllAppsEquivalenceTest, TimingOnlyBatchIsPinned)
@@ -169,7 +179,8 @@ TEST_P(AllAppsEquivalenceTest, TimingOnlyBatchIsPinned)
     opts.async = false;
     vpps::Handle handle(m->model(), f.device, opts);
     graph::ComputationGraph cg;
-    handle.fb(m->model(), cg, train::buildSuperGraph(*m, cg, 0, 4));
+    const graph::Expr loss = train::buildSuperGraph(*m, cg, 0, 4);
+    handle.fb(m->model(), cg, loss);
 
     const vpps::VppsStats& s = handle.stats();
     EXPECT_EQ(s.kernel_us, pin->kernel_us)
@@ -177,6 +188,19 @@ TEST_P(AllAppsEquivalenceTest, TimingOnlyBatchIsPinned)
     EXPECT_EQ(s.extra_kernel_us, pin->extra_kernel_us)
         << std::hexfloat << s.extra_kernel_us;
     EXPECT_EQ(s.instructions, pin->instructions);
+
+    // The script that batch sent, generated again at the same pool
+    // mark: every word it transfers is pinned through its digest.
+    auto& mem = f.device.memory();
+    const auto mark = mem.mark();
+    const vpps::GeneratedBatch gb =
+        vpps::ScriptGenerator(handle.kernel(), gpusim::HostSpec{})
+            .generate(f.device, m->model(), cg, loss);
+    mem.resetTo(mark);
+    EXPECT_EQ(gb.script.checksum(), pin->script_checksum)
+        << std::hex << std::showbase << gb.script.checksum();
+    EXPECT_EQ(gb.script.bytes(), pin->script_bytes)
+        << std::fixed << gb.script.bytes();
 }
 
 INSTANTIATE_TEST_SUITE_P(SevenApps, AllAppsEquivalenceTest,

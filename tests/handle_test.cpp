@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "data/treebank.hpp"
@@ -151,6 +153,45 @@ TEST(Handle, KernelSourceIsExposedForInspection)
     EXPECT_FALSE(handle.kernel().source.empty());
     EXPECT_NE(handle.kernel().source.find("reg_cache"),
               std::string::npos);
+}
+
+TEST(Handle, TimingOnlyFbLeavesParametersUntouched)
+{
+    // A timing-only device charges every kernel's time and traffic
+    // but runs no float math: not in the script and not in the
+    // weight-matrix update after it, so even a large learning rate
+    // and weight decay leave every parameter bitwise as it was.
+    for (const bool cached : {true, false}) {
+        SCOPED_TRACE(cached ? "gradients cached" : "gradients uncached");
+        HandleRig rig;
+        rig.device.setFunctional(false);
+        graph::Model& model = rig.model.model();
+        model.learning_rate = 0.5f;
+        model.weight_decay = 0.1f;
+        vpps::VppsOptions opts;
+        opts.rpw = 2;
+        opts.cache_gradients = cached;
+        vpps::Handle handle(model, rig.device, opts);
+        ASSERT_EQ(handle.kernel().plan.gradientsCached(), cached);
+
+        auto values = [&] {
+            std::vector<float> out;
+            for (graph::ParamId id = 0; id < model.numParams(); ++id) {
+                const auto& p = model.param(id);
+                const float* v = rig.device.memory().data(p.value);
+                out.insert(out.end(), v, v + p.shape.size());
+            }
+            return out;
+        };
+        const std::vector<float> before = values();
+        rig.trainOne(handle, 0);
+        rig.trainOne(handle, 2);
+        const std::vector<float> after = values();
+        ASSERT_EQ(after.size(), before.size());
+        EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                              before.size() * sizeof(float)),
+                  0);
+    }
 }
 
 } // namespace

@@ -2,6 +2,8 @@
  *  container (Section III-B). */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "vpps/isa.hpp"
 
 namespace {
@@ -43,23 +45,24 @@ TEST(Isa, ExampleEncodingSizesMatchPaper)
     EXPECT_EQ(vpps::operandWords(Opcode::Wait), 0);
 }
 
-TEST(Script, PrefixSumHeaderIndexesStreams)
+/** The three-VPP script the layout tests share. */
+Script
+threeVppScript()
 {
     Script script(3);
     script.emit(0, Opcode::Tanh, 16, {100, 200});
     script.emit(2, Opcode::Signal, 0, {});
     script.emit(0, Opcode::Wait, 0, {});
     script.seal();
+    return script;
+}
 
-    // Header: [0, len0, len0+len1, total].
-    const auto& words = script.words();
-    EXPECT_EQ(words[0], 0u);
-    EXPECT_EQ(words[1], 4u); // tanh(3) + wait(1)
-    EXPECT_EQ(words[2], 4u); // vpp 1 empty
-    EXPECT_EQ(words[3], 5u);
+TEST(Script, PrefixSumHeaderIndexesStreams)
+{
+    const Script script = threeVppScript();
 
     auto [b0, e0] = script.vppStream(0);
-    EXPECT_EQ(e0 - b0, 4);
+    ASSERT_EQ(e0 - b0, 4); // tanh(3) + wait(1)
     EXPECT_EQ(vpps::preambleOpcode(b0[0]), Opcode::Tanh);
     EXPECT_EQ(b0[1], 100u);
     EXPECT_EQ(b0[2], 200u);
@@ -69,10 +72,37 @@ TEST(Script, PrefixSumHeaderIndexesStreams)
     EXPECT_EQ(b1, e1);
 
     auto [b2, e2] = script.vppStream(2);
-    EXPECT_EQ(e2 - b2, 1);
+    ASSERT_EQ(e2 - b2, 1);
+    EXPECT_EQ(vpps::preambleOpcode(b2[0]), Opcode::Signal);
 
     EXPECT_EQ(script.numInstructions(), 3u);
+    // Header (num_vpps + 1 prefix sums) plus 5 stream words.
     EXPECT_DOUBLE_EQ(script.bytes(), 4.0 * (4 + 5));
+}
+
+TEST(Script, ChecksumHashesTheConcatenatedBuffer)
+{
+    // The transferable buffer of Section III-B2: the prefix-sum
+    // header [0, len0, len0+len1, total], then the streams in VPP
+    // order. The digest covers num_vpps, the buffer's word count and
+    // every word, though the streams are never concatenated.
+    const Script script = threeVppScript();
+    std::vector<std::uint32_t> buffer = {0, 4, 4, 5};
+    for (int vpp = 0; vpp < script.numVpps(); ++vpp) {
+        auto [b, e] = script.vppStream(vpp);
+        buffer.insert(buffer.end(), b, e);
+    }
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    };
+    mix(3);
+    mix(buffer.size());
+    for (std::uint32_t w : buffer)
+        mix(w);
+    EXPECT_EQ(script.checksum(), h);
+    EXPECT_DOUBLE_EQ(script.bytes(), 4.0 * buffer.size());
 }
 
 TEST(Script, OperandArityIsEnforced)

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/rng.hpp"
@@ -293,6 +294,73 @@ TEST(ScriptGen, StatsAccountForBothDirections)
     // Tree-LSTM leaves are lookups, so there is no Input staging.
     EXPECT_DOUBLE_EQ(gb.stats.input_bytes, 0.0);
     EXPECT_GT(gb.stats.zeroed_bytes, 0.0);
+}
+
+/** Copies of every VPP stream of a sealed script. */
+std::vector<std::vector<std::uint32_t>>
+streamsOf(const vpps::Script& script)
+{
+    std::vector<std::vector<std::uint32_t>> out;
+    for (int vpp = 0; vpp < script.numVpps(); ++vpp) {
+        auto [begin, end] = script.vppStream(vpp);
+        out.emplace_back(begin, end);
+    }
+    return out;
+}
+
+/** Generates the batch of @p batch trees from tree @p start at a
+ *  fixed pool mark, so equal batches place equal offsets. */
+vpps::GeneratedBatch
+generateAt(ScriptRig& rig, std::size_t start, std::size_t batch)
+{
+    auto& mem = rig.device.memory();
+    const auto mark = mem.mark();
+    rig.cg.clear();
+    auto loss = train::buildSuperGraph(rig.model, rig.cg, start, batch);
+    const vpps::ScriptGenerator gen(rig.kernel, rig.host);
+    auto gb = gen.generate(rig.device, rig.model.model(), rig.cg, loss);
+    mem.resetTo(mark);
+    return gb;
+}
+
+TEST(ScriptGen, ReusedStreamBuffersReproduceTheScript)
+{
+    // A script takes the stream buffers of the last one destroyed on
+    // its thread. Batch B is emitted into A's buffers and A again
+    // into B's: the words must be A's, with nothing left of B.
+    ScriptRig rig;
+    std::uint64_t a_sum = 0;
+    std::vector<std::vector<std::uint32_t>> a_streams;
+    {
+        const auto a = generateAt(rig, 0, 2);
+        a_sum = a.script.checksum();
+        a_streams = streamsOf(a.script);
+    }
+    {
+        const auto b = generateAt(rig, 2, 4);
+        EXPECT_NE(b.script.checksum(), a_sum);
+    }
+    const auto again = generateAt(rig, 0, 2);
+    EXPECT_EQ(again.script.checksum(), a_sum);
+    EXPECT_EQ(streamsOf(again.script), a_streams);
+}
+
+TEST(ScriptGen, DestroyingOneScriptLeavesAnotherIntact)
+{
+    ScriptRig rig;
+    std::optional<vpps::GeneratedBatch> a = generateAt(rig, 0, 2);
+    const auto b = generateAt(rig, 2, 4);
+    const std::uint64_t b_sum = b.script.checksum();
+    const auto b_streams = streamsOf(b.script);
+
+    a.reset(); // its buffers go to the next script built here
+    EXPECT_EQ(b.script.checksum(), b_sum);
+    EXPECT_EQ(streamsOf(b.script), b_streams);
+
+    const auto c = generateAt(rig, 0, 2);
+    EXPECT_EQ(b.script.checksum(), b_sum);
+    EXPECT_EQ(streamsOf(b.script), b_streams);
+    EXPECT_NE(c.script.checksum(), b_sum);
 }
 
 } // namespace
