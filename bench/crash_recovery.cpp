@@ -23,7 +23,7 @@
 
 #include "bench_common.hpp"
 #include "common/logging.hpp"
-#include "serve/crash_explorer.hpp"
+#include "serve/explorer.hpp"
 
 int
 main(int argc, char** argv)

@@ -2,8 +2,8 @@
  * @file
  * Partition-tolerance bench: the networked fleet under link faults.
  *
- * Three measurements over the net explorer's fixed star-topology
- * serving scenario (serve/net_explorer.hpp):
+ * Three measurements over the link explorer's fixed star-topology
+ * serving scenario (serve/explorer.hpp):
  *
  *  1. Link-down sweep -- the headline invariant. Down windows cut
  *     the controller->replica link at instants swept across the
@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/net_explorer.hpp"
+#include "serve/explorer.hpp"
 
 namespace {
 
@@ -81,11 +81,11 @@ main(int argc, char** argv)
     // 1. The link-down sweep.
     const serve::NetExplorerConfig cfg = explorerConfig(cli, smoke);
     benchx::WallTimer timer;
-    const serve::NetExploreReport sweep =
+    const serve::ExploreReport sweep =
         serve::exploreLinkDownPoints(cfg);
     for (const auto& f : sweep.failures) {
         std::cerr << "partition_tolerance: down_at_us="
-                  << f.down_at_us << " violated:\n";
+                  << f.point << " violated:\n";
         extraViolations(f.violations);
     }
     ok = ok && sweep.passed();
@@ -95,7 +95,7 @@ main(int argc, char** argv)
             ",down_for_us=" + std::to_string(
                 static_cast<long long>(cfg.down_for_us)) +
             ",threads=" + std::to_string(cfg.host_threads),
-        static_cast<double>(sweep.baseline_end_us),
+        static_cast<double>(sweep.baseline_end),
         timer.elapsedMs(),
         {{"baseline_completed",
           static_cast<double>(sweep.baseline_completed)},

@@ -3,14 +3,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.hpp"
-#include "durable/wal.hpp"
 #include "graph/expr.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/durability.hpp"
 
 namespace serve {
 
@@ -200,7 +197,6 @@ Server::onArrival(const Request& req)
         decided("shed", "serve.shed");
         break;
     }
-    journalAdmit(req, dec);
 }
 
 void
@@ -216,7 +212,6 @@ Server::dispatch(int ep)
         ++counters_.cancelled_before_dispatch;
         count(device_, "serve.timed_out");
         count(device_, "serve.cancelled_before_dispatch");
-        journalOutcome(dead.req, Outcome::TimedOut, 0.0f, 0.0);
         if (tracer)
             tracer->instant(
                 obs::kLaneServe, "serve", "expire", now_,
@@ -301,7 +296,6 @@ Server::complete()
             if (fb.done_at_us > q.req.deadline_us) {
                 ++counters_.timed_out;
                 count(device_, "serve.timed_out");
-                journalOutcome(q.req, Outcome::TimedOut, 0.0f, 0.0);
                 if (tracer)
                     tracer->instant(
                         obs::kLaneServe, "serve", "timeout", now_,
@@ -311,8 +305,6 @@ Server::complete()
                 const double latency =
                     fb.done_at_us - q.req.arrival_us;
                 latencies_.push_back(latency);
-                journalOutcome(q.req, Outcome::Completed, 0.0f,
-                               latency);
                 count(device_, "serve.completed");
                 if (mx)
                     mx->histogram("serve.latency_us")
@@ -342,7 +334,6 @@ Server::complete()
         if (q.req.deadline_us <= now_) {
             ++counters_.timed_out;
             count(device_, "serve.timed_out");
-            journalOutcome(q.req, Outcome::TimedOut, 0.0f, 0.0);
             if (tracer)
                 tracer->instant(
                     obs::kLaneServe, "serve", "timeout", now_,
@@ -369,7 +360,6 @@ Server::complete()
         } else {
             ++counters_.failed;
             count(device_, "serve.failed");
-            journalOutcome(q.req, Outcome::Failed, 0.0f, 0.0);
             if (tracer)
                 tracer->instant(
                     obs::kLaneServe, "serve", "fail", now_,
@@ -444,81 +434,6 @@ Server::run(const std::vector<Request>& arrivals)
             break;
         }
     }
-    journalFlush(true);
-}
-
-void
-Server::journalAdmit(const Request& req,
-                     AdmissionController::Decision dec)
-{
-    if (cfg_.journal == nullptr)
-        return;
-    JournalAdmit a;
-    a.id = req.id;
-    a.cls = req.cls;
-    switch (dec) {
-    case AdmissionController::Decision::Admit:
-        a.decision = JournalDecision::Admit;
-        break;
-    case AdmissionController::Decision::RejectQueueFull:
-        a.decision = JournalDecision::RejectQueueFull;
-        break;
-    case AdmissionController::Decision::RejectInfeasible:
-        a.decision = JournalDecision::RejectInfeasible;
-        break;
-    case AdmissionController::Decision::Shed:
-        a.decision = JournalDecision::Shed;
-        break;
-    }
-    a.input_index = static_cast<std::uint64_t>(req.input_index);
-    a.arrival_us = req.arrival_us;
-    a.deadline_us = req.deadline_us;
-    if (auto st = cfg_.journal->append(kJournalAdmitType,
-                                       encodeAdmit(a));
-        !st.ok())
-        common::warn("Server: admit journal append failed: ",
-                     st.toString());
-    count(device_, "serve.journal_records");
-    journalFlush(false);
-}
-
-void
-Server::journalOutcome(const Request& req, Outcome outcome,
-                       float response, double latency)
-{
-    if (cfg_.journal == nullptr)
-        return;
-    JournalOutcome o;
-    o.id = req.id;
-    o.outcome = outcome;
-    o.cls = req.cls;
-    if (outcome == Outcome::Completed) {
-        std::memcpy(&o.response_bits, &response, 4);
-        o.latency_us = latency;
-    }
-    if (auto st = cfg_.journal->append(kJournalOutcomeType,
-                                       encodeOutcome(o));
-        !st.ok())
-        common::warn("Server: outcome journal append failed: ",
-                     st.toString());
-    count(device_, "serve.journal_records");
-    journalFlush(false);
-}
-
-void
-Server::journalFlush(bool force)
-{
-    if (cfg_.journal == nullptr ||
-        cfg_.journal->pendingRecords() == 0)
-        return;
-    const std::size_t batch =
-        std::max<std::size_t>(1, cfg_.journal_sync_batch);
-    if (!force && cfg_.journal->pendingRecords() < batch)
-        return;
-    if (auto st = cfg_.journal->sync(); !st.ok())
-        common::warn("Server: journal sync failed: ",
-                     st.toString());
-    count(device_, "serve.journal_syncs");
 }
 
 Report

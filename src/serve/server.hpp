@@ -37,10 +37,6 @@
 #include "serve/request.hpp"
 #include "vpps/handle.hpp"
 
-namespace durable {
-class WalWriter;
-} // namespace durable
-
 namespace serve {
 
 /** One served model: a name, its dataset/model wrapper, and the
@@ -64,15 +60,6 @@ struct ServerConfig
 
     /** Base retry backoff; attempt k waits backoff * 2^(k-1). */
     double retry_backoff_us = 1'000.0;
-
-    /** Optional admissions/outcomes journal (borrowed; null = off).
-     *  Every arrival's decision and every final disposition append a
-     *  serve/durability.hpp record; the server group-commits every
-     *  journal_sync_batch records and flushes at the end of run().
-     *  (The full recovery protocol lives in the Fleet; the Server
-     *  journal gives single-device serving a durable audit trail.) */
-    durable::WalWriter* journal = nullptr;
-    std::size_t journal_sync_batch = 8;
 };
 
 /** Per-endpoint breaker observability for reports. */
@@ -175,14 +162,6 @@ private:
     void onArrival(const Request& req);
     void dispatch(int ep);
     void complete();
-
-    /** @name Journal hooks (no-ops with a null journal) @{ */
-    void journalAdmit(const Request& req,
-                      AdmissionController::Decision dec);
-    void journalOutcome(const Request& req, Outcome outcome,
-                        float response, double latency);
-    void journalFlush(bool force);
-    /** @} */
 
     gpusim::Device& device_;
     std::vector<Endpoint> endpoints_;

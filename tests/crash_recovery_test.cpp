@@ -21,7 +21,7 @@
 #include "durable/stable_store.hpp"
 #include "gpusim/faults.hpp"
 #include "models/tree_lstm.hpp"
-#include "serve/crash_explorer.hpp"
+#include "serve/explorer.hpp"
 #include "serve/fleet.hpp"
 #include "vpps/handle.hpp"
 
@@ -226,6 +226,10 @@ TEST(CrashRecovery, ExplorerSweepHoldsAtOneHostThread)
     EXPECT_EQ(rep.baseline_completed, cfg.n_requests)
         << "the scenario must complete every arrival";
     EXPECT_GE(rep.points_tested.size(), 5u);
+    // Pinned: the scenario's event count and the sweep it spans.
+    EXPECT_EQ(rep.baseline_end, 142u);
+    EXPECT_EQ(rep.points_tested,
+              (std::vector<std::uint64_t>{0, 28, 56, 85, 113, 142}));
     EXPECT_TRUE(rep.passed()) << [&] {
         std::string msg = "violations:";
         for (const auto& f : rep.failures)
@@ -273,6 +277,28 @@ TEST(CrashRecovery, ExplorerHoldsUnderGroupCommitAndFrequentCheckpoints)
                 msg += "\n  " + v;
         return msg;
     }();
+}
+
+TEST(CrashRecovery, MeasureRecoveryIsPinned)
+{
+    // The bench/crash_recovery row at ckpt_every=4, sync_batch=1,
+    // bit for bit: the crash, restart and resume legs must not move.
+    serve::CrashExplorerConfig cfg;
+    cfg.checkpoint_every_completions = 4;
+    cfg.wal_sync_batch = 1;
+    const serve::RecoveryMeasurement m =
+        serve::measureRecovery(cfg, 0.6);
+    EXPECT_TRUE(m.violations.empty());
+    EXPECT_EQ(m.baseline_events, 199u);
+    EXPECT_EQ(m.crash_event, 119u);
+    EXPECT_EQ(m.wal_syncs, 51u);
+    EXPECT_EQ(m.checkpoints, 4u);
+    EXPECT_EQ(m.recovery_us, 0x1.6466970736829p+21); // 2919634.879
+    EXPECT_EQ(m.re_jit_us, 0x1.61ca29b6c68cfp+21);   // 2898245.214
+    EXPECT_EQ(m.replayed_records, 3u);
+    EXPECT_EQ(m.in_doubt, 15u);
+    EXPECT_EQ(m.redelivered_arrivals, 0u);
+    EXPECT_EQ(m.completed, 28u);
 }
 
 } // namespace

@@ -29,9 +29,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/arrival.hpp"
+#include "serve/explorer.hpp"
 #include "serve/fleet.hpp"
 #include "serve/net.hpp"
-#include "serve/net_explorer.hpp"
 #include "vpps/handle.hpp"
 
 namespace {
@@ -51,10 +51,15 @@ sweepConfig(int host_threads, std::size_t max_points)
 
 TEST(PartitionTolerance, SweepLosesNoHighAndStaysBitwise)
 {
-    const serve::NetExploreReport rep =
+    const serve::ExploreReport rep =
         serve::exploreLinkDownPoints(sweepConfig(1, 6));
     ASSERT_GT(rep.baseline_completed, 0u);
     ASSERT_GE(rep.points_tested.size(), 2u);
+    // Pinned: the fault-free run's end and the sweep it spans.
+    EXPECT_EQ(rep.baseline_end, 34681u);
+    EXPECT_EQ(rep.points_tested,
+              (std::vector<std::uint64_t>{0, 6936, 13872, 20808, 27744,
+                                          34681}));
     std::string why;
     for (const auto& f : rep.failures)
         for (const auto& v : f.violations)
@@ -67,11 +72,11 @@ TEST(PartitionTolerance, SweepIsThreadInvariant)
     // The whole sweep -- baseline end time, completion count, tested
     // instants, verdicts -- must be a pure function of the scenario
     // seeds, independent of the host interpreter thread count.
-    const serve::NetExploreReport r1 =
+    const serve::ExploreReport r1 =
         serve::exploreLinkDownPoints(sweepConfig(1, 4));
-    const serve::NetExploreReport r8 =
+    const serve::ExploreReport r8 =
         serve::exploreLinkDownPoints(sweepConfig(8, 4));
-    EXPECT_EQ(r1.baseline_end_us, r8.baseline_end_us);
+    EXPECT_EQ(r1.baseline_end, r8.baseline_end);
     EXPECT_EQ(r1.baseline_completed, r8.baseline_completed);
     EXPECT_EQ(r1.points_tested, r8.points_tested);
     EXPECT_TRUE(r1.passed());

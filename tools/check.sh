@@ -30,9 +30,10 @@
 # A fourth pass rebuilds with gcov instrumentation (-DVPPS_COVERAGE)
 # and gates line coverage of the observability layer (src/obs), the
 # topology/collective layer (src/gpusim/topology*), and the fleet
-# network layer (src/serve/net*): each must stay >= 90% covered by
-# its suites. Uses gcovr when available, else falls back to parsing
-# gcov itself.
+# network layer with the fault-point explorers (src/serve/net* and
+# src/serve/explorer*, one combined figure): each must stay >= 90%
+# covered by its suites. Uses gcovr when available, else falls back
+# to parsing gcov itself.
 #
 # Usage: tools/check.sh [--tier1] [build-dir]
 #        (default build-dir: build-tsan; the ASan pass uses
@@ -102,18 +103,18 @@ echo "== crash-point explorer smoke (8 boundaries under ASan) =="
 echo "== net-fault soak (mid-trace partition + 10% seeded loss) =="
 "$ASAN_DIR"/bench/partition_tolerance --faults
 
-echo "== coverage gate (src/obs, src/gpusim/topology, src/serve/net >= 90%) =="
+echo "== coverage gate (src/obs, src/gpusim/topology, src/serve/{net,explorer} >= 90%) =="
 cmake -B "$COV_DIR" -S . -DVPPS_COVERAGE=ON \
       -DCMAKE_BUILD_TYPE=Debug
 cmake --build "$COV_DIR" -j"$(nproc)" --target vpps_tests
 ctest --test-dir "$COV_DIR" --output-on-failure \
-      -R 'TraceUnit|GoldenTrace|MetricsUnit|MetricsReconcile|MetricsSoak|Topology|AllReduceCost|CollectiveEquivalence|CollectiveCostExtras|TopologyFuzz|DistDeterminism|PartitionTolerance|GoldenNetTrace|FleetFailover'
+      -R 'TraceUnit|GoldenTrace|MetricsUnit|MetricsReconcile|MetricsSoak|Topology|AllReduceCost|CollectiveEquivalence|CollectiveCostExtras|TopologyFuzz|DistDeterminism|PartitionTolerance|GoldenNetTrace|FleetFailover|CrashRecovery|ExploreBoundaries'
 if command -v gcovr >/dev/null 2>&1; then
     gcovr --root . --filter 'src/obs/' --print-summary \
           --fail-under-line 90 "$COV_DIR"
     gcovr --root . --filter 'src/gpusim/topology' --print-summary \
           --fail-under-line 90 "$COV_DIR"
-    gcovr --root . --filter 'src/serve/net' --print-summary \
+    gcovr --root . --filter 'src/serve/(net|explorer)' --print-summary \
           --fail-under-line 90 "$COV_DIR"
 else
     # CMake names the data files <src>.cpp.gcda, which gcov's -o
@@ -125,11 +126,11 @@ else
                  files="$COV_DIR/src/CMakeFiles/vpps_lib.dir/obs/*.cpp.gcda" ;;
             gpusim) match="src/gpusim/topology"
                  files="$COV_DIR/src/CMakeFiles/vpps_lib.dir/gpusim/topology*.cpp.gcda" ;;
-            serve) match="src/serve/net"
-                 files="$COV_DIR/src/CMakeFiles/vpps_lib.dir/serve/net*.cpp.gcda" ;;
+            serve) match="src/serve/(net|explorer)"
+                 files="$COV_DIR/src/CMakeFiles/vpps_lib.dir/serve/net*.cpp.gcda $COV_DIR/src/CMakeFiles/vpps_lib.dir/serve/explorer.cpp.gcda" ;;
         esac
         gcov -n $files | awk -v match_path="$match" '
-        /^File / { keep = index($0, match_path) > 0 }
+        /^File / { keep = $0 ~ match_path }
         keep && /^Lines executed:/ {
             split($0, parts, ":"); split(parts[2], a, "% of ")
             covered += a[1] / 100.0 * a[2]; total += a[2]; keep = 0

@@ -17,7 +17,7 @@
 #include <cstring>
 #include <string>
 
-#include "serve/crash_explorer.hpp"
+#include "serve/explorer.hpp"
 
 namespace {
 
@@ -69,10 +69,10 @@ main(int argc, char** argv)
         return 1;
     }
 
-    const serve::CrashExploreReport rep =
+    const serve::ExploreReport rep =
         serve::exploreCrashPoints(cfg);
     std::printf("baseline: %llu events, %llu completions\n",
-                static_cast<unsigned long long>(rep.baseline_events),
+                static_cast<unsigned long long>(rep.baseline_end),
                 static_cast<unsigned long long>(
                     rep.baseline_completed));
     std::printf("tested %zu crash boundaries (threads=%d, "
@@ -91,10 +91,10 @@ main(int argc, char** argv)
                 "failing event %llu\n",
                 rep.failures.size(),
                 static_cast<unsigned long long>(
-                    rep.min_failing_event));
+                    rep.min_failing));
     for (const auto& f : rep.failures) {
         std::printf("  event %llu:\n",
-                    static_cast<unsigned long long>(f.crash_event));
+                    static_cast<unsigned long long>(f.point));
         for (const std::string& v : f.violations)
             std::printf("    - %s\n", v.c_str());
     }
