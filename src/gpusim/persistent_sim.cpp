@@ -17,18 +17,6 @@ PersistentSim::PersistentSim(const DeviceSpec& spec, int num_vpps,
         common::panic("PersistentSim: num_vpps must be positive");
 }
 
-void
-PersistentSim::charge(int vpp, double us)
-{
-    vpp_time_.at(static_cast<std::size_t>(vpp)) += us;
-}
-
-void
-PersistentSim::chargeInstruction(int vpp, const KernelCost& cost)
-{
-    charge(vpp, vppInstructionUs(spec_, cost, ctas_per_sm_, num_vpps_));
-}
-
 PersistentSim::Barrier&
 PersistentSim::barrierAt(std::size_t barrier)
 {
@@ -72,15 +60,6 @@ int
 PersistentSim::arrivedAt(std::size_t barrier) const
 {
     return barrier < barriers_.size() ? barriers_[barrier].arrived : 0;
-}
-
-bool
-PersistentSim::barrierReady(std::size_t barrier) const
-{
-    if (barrier >= barriers_.size())
-        return false;
-    const Barrier& b = barriers_[barrier];
-    return b.expected > 0 && b.arrived >= b.expected;
 }
 
 void

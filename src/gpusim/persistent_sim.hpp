@@ -41,11 +41,28 @@ class PersistentSim
     int numVpps() const { return num_vpps_; }
     int ctasPerSm() const { return ctas_per_sm_; }
 
-    /** Charge @p us of execution time onto VPP @p vpp. */
-    void charge(int vpp, double us);
+    /** Charge @p us of execution time onto VPP @p vpp. Inline: the
+     *  interpreter calls it twice per instruction. */
+    void
+    charge(int vpp, double us)
+    {
+        vpp_time_.at(static_cast<std::size_t>(vpp)) += us;
+    }
+
+    /** @return the time one scripted instruction of cost @p cost
+     *  takes on any VPP of this kernel. */
+    double
+    instructionUs(const KernelCost& cost) const
+    {
+        return vppInstructionUs(spec_, cost, ctas_per_sm_, num_vpps_);
+    }
 
     /** Charge one scripted instruction's cost onto VPP @p vpp. */
-    void chargeInstruction(int vpp, const KernelCost& cost);
+    void
+    chargeInstruction(int vpp, const KernelCost& cost)
+    {
+        charge(vpp, instructionUs(cost));
+    }
 
     /** Current clock of VPP @p vpp, in us since kernel start. */
     double timeOf(int vpp) const { return vpp_time_[vpp]; }
@@ -59,8 +76,17 @@ class PersistentSim
      */
     void signal(std::size_t barrier, int vpp);
 
-    /** @return true if all expected signals for @p barrier arrived. */
-    bool barrierReady(std::size_t barrier) const;
+    /** @return true if all expected signals for @p barrier arrived.
+     *  Inline: the barrier fixpoint asks once per waiting VPP and
+     *  pass. */
+    bool
+    barrierReady(std::size_t barrier) const
+    {
+        if (barrier >= barriers_.size())
+            return false;
+        const Barrier& b = barriers_[barrier];
+        return b.expected > 0 && b.arrived >= b.expected;
+    }
 
     /**
      * Block VPP @p vpp on @p barrier. Must only be called once

@@ -120,7 +120,7 @@ trainDataParallel(const ReplicaFactory& factory,
         return Status::failure(ErrorCode::InvalidArgument,
                                "microbatch_size must be positive");
 
-    // Per-replica handles share one decoded-script cache; async off
+    // Per-replica handles share one validated-script cache; async off
     // because the driver consumes each microbatch's loss and gradient
     // immediately; rpw pinned so every replica runs one kernel shape.
     vpps::ScriptCache script_cache;

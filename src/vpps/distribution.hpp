@@ -129,11 +129,11 @@ struct VppsOptions
     /** @} */
 
     /**
-     * Optional decoded-script cache shared across handles (borrowed,
-     * must outlive the handle). Data-parallel replicas point every
-     * per-replica handle at one cache so each distinct script is
-     * decoded once for the whole job; null gives the handle a private
-     * cache (the single-device behavior).
+     * Optional validated-script cache shared across handles
+     * (borrowed, must outlive the handle). Data-parallel replicas
+     * point every per-replica handle at one cache so each distinct
+     * script is validated once for the whole job; null gives the
+     * handle a private cache (the single-device behavior).
      */
     class ScriptCache* script_cache = nullptr;
 };

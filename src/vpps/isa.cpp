@@ -45,18 +45,19 @@ constexpr OpcodeInfo kOpcodes[] = {
 };
 static_assert(indexedByOpcode(kOpcodes));
 
-// Operand word counts, derived from kOpcodes at compile time:
-// operandWords() runs for every emitted and decoded instruction.
-constexpr auto kOperandWords = [] {
-    std::array<int, std::size(kOpcodes)> words{};
-    for (std::size_t i = 0; i < words.size(); ++i)
-        words[i] = static_cast<int>(
-            std::ranges::count_if(kOpcodes[i].operands,
-                                  [](OperandKind k) { return k != None; }));
-    return words;
-}();
-
 } // namespace
+
+// Operand word counts, derived from kOpcodes at compile time:
+// operandWords() runs for every emitted and interpreted instruction.
+const std::array<std::uint8_t, std::size(kOpcodes)>
+    detail::kOperandWords = [] {
+        std::array<std::uint8_t, std::size(kOpcodes)> words{};
+        for (std::size_t i = 0; i < words.size(); ++i)
+            words[i] = static_cast<std::uint8_t>(std::ranges::count_if(
+                kOpcodes[i].operands,
+                [](OperandKind k) { return k != None; }));
+        return words;
+    }();
 
 const OpcodeInfo&
 opcodeInfo(Opcode op)
@@ -72,13 +73,10 @@ opcodeName(Opcode op)
     return op < Opcode::NumOpcodes ? opcodeInfo(op).name : "invalid";
 }
 
-int
-operandWords(Opcode op)
+void
+detail::invalidOperandWordsOpcode(Opcode op)
 {
-    if (op >= Opcode::NumOpcodes)
-        common::panic("operandWords: invalid opcode ",
-                      static_cast<int>(op));
-    return kOperandWords[static_cast<std::size_t>(op)];
+    common::panic("operandWords: invalid opcode ", static_cast<int>(op));
 }
 
 std::uint32_t
@@ -88,18 +86,6 @@ packPreamble(Opcode op, std::uint32_t imm)
         common::panic("packPreamble: immediate ", imm,
                       " exceeds 24 bits");
     return (static_cast<std::uint32_t>(op) << 24) | imm;
-}
-
-Opcode
-preambleOpcode(std::uint32_t word)
-{
-    return static_cast<Opcode>(word >> 24);
-}
-
-std::uint32_t
-preambleImm(std::uint32_t word)
-{
-    return word & 0x00FFFFFFu;
 }
 
 namespace {

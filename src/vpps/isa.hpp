@@ -17,6 +17,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -123,17 +124,46 @@ indexedByOpcode(const Row (&rows)[N])
 /** @return mnemonic for diagnostics and generated-source listings. */
 const char* opcodeName(Opcode op);
 
-/** @return the number of operand words following the preamble. */
-int operandWords(Opcode op);
+namespace detail {
+
+/** Operand word count per opcode, derived from the encoding table. */
+extern const std::array<std::uint8_t,
+                        static_cast<std::size_t>(Opcode::NumOpcodes)>
+    kOperandWords;
+
+[[noreturn]] void invalidOperandWordsOpcode(Opcode op);
+
+} // namespace detail
+
+/**
+ * @return the number of operand words following the preamble; panics
+ * on an invalid opcode. Inline: the emitter and the interpreter call
+ * it once per instruction.
+ */
+inline int
+operandWords(Opcode op)
+{
+    if (op >= Opcode::NumOpcodes) [[unlikely]]
+        detail::invalidOperandWordsOpcode(op);
+    return detail::kOperandWords[static_cast<std::size_t>(op)];
+}
 
 /** Pack a preamble word: opcode in the top 8 bits, imm in low 24. */
 std::uint32_t packPreamble(Opcode op, std::uint32_t imm);
 
 /** @return the opcode of a preamble word. */
-Opcode preambleOpcode(std::uint32_t word);
+inline Opcode
+preambleOpcode(std::uint32_t word)
+{
+    return static_cast<Opcode>(word >> 24);
+}
 
 /** @return the 24-bit immediate of a preamble word. */
-std::uint32_t preambleImm(std::uint32_t word);
+inline std::uint32_t
+preambleImm(std::uint32_t word)
+{
+    return word & 0x00FFFFFFu;
+}
 
 /**
  * The execution script for one kernel invocation: per-VPP instruction

@@ -1,18 +1,21 @@
 /**
  * @file
- * Shared decoded-script cache (DESIGN.md section 4.11).
+ * Shared validated-script cache (DESIGN.md section 4.11).
  *
  * Identical batches generate identical script words, so every
- * replica of a data-parallel job decodes the same programs. This
- * cache lifts the per-ScriptExecutor decode memo into a sharable,
- * mutex-guarded store of immutable `DecodedProgram`s: N replica
- * handles point at one ScriptCache and the first replica's decode
- * pays for all of them. Entries are `shared_ptr<const ...>` so a
- * program an executor is interpreting survives an evict-all
- * triggered by another replica mid-run.
+ * replica of a data-parallel job validates the same programs. This
+ * cache lifts the per-ScriptExecutor validation memo into a sharable,
+ * mutex-guarded store of immutable `ValidatedProgram`s: N replica
+ * handles point at one ScriptCache and the first replica's
+ * validation pays for all of them. An entry owns its validated copy
+ * of the script's words, so a hit never reads the new script's words:
+ * a digest collision can at worst run another validated program.
+ * Entries are `shared_ptr<const ...>` so a program an executor is
+ * interpreting survives an evict-all triggered by another replica
+ * mid-run.
  *
- * Keys fold in everything decoding and validation depend on: the
- * script's content checksum, the model's parameter count and every
+ * Keys fold in everything validation depends on: the script's
+ * content checksum, the model's parameter count and every
  * parameter's shape (param-id immediates are range-checked against
  * the count, matrix operands against the rows and cols), and the
  * device pool capacity (operand offsets are range-checked against
@@ -31,13 +34,13 @@
 
 namespace vpps {
 
-/** Thread-safe store of decoded programs, bounded by a total
+/** Thread-safe store of validated programs, bounded by a total
  *  instruction budget with evict-all semantics (the in-memory
  *  analogue of the on-disk kernel cache's replacement policy). */
 class ScriptCache
 {
   public:
-    /** Default instruction budget (~24 bytes per instruction). */
+    /** Default instruction budget (~12 bytes per instruction). */
     static constexpr std::size_t kDefaultMaxInstructions = 4u << 20;
 
     explicit ScriptCache(
@@ -49,8 +52,8 @@ class ScriptCache
     ScriptCache(const ScriptCache&) = delete;
     ScriptCache& operator=(const ScriptCache&) = delete;
 
-    /** Cache key over every decode input: the script, the shapes of
-     *  @p model's parameters, and the device memory capacity
+    /** Cache key over every validation input: the script, the shapes
+     *  of @p model's parameters, and the device memory capacity
      *  @p pool_floats the operands were validated against. */
     static std::uint64_t
     key(std::uint64_t script_checksum, const graph::Model& model,
@@ -75,7 +78,7 @@ class ScriptCache
     }
 
     /** @return the cached program for @p key, or nullptr (miss). */
-    std::shared_ptr<const DecodedProgram>
+    std::shared_ptr<const ValidatedProgram>
     find(std::uint64_t key)
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -93,12 +96,13 @@ class ScriptCache
      * instruction budget is exceeded the whole map is dropped first;
      * in-flight executors keep their programs alive through their
      * own shared_ptr. Losing a race with another inserter is fine:
-     * both decodings of one key are identical, last-write wins.
+     * both validated copies of one key are identical, last-write
+     * wins.
      */
-    std::shared_ptr<const DecodedProgram>
-    insert(std::uint64_t key, std::unique_ptr<DecodedProgram> prog)
+    std::shared_ptr<const ValidatedProgram>
+    insert(std::uint64_t key, std::unique_ptr<ValidatedProgram> prog)
     {
-        std::shared_ptr<const DecodedProgram> shared(std::move(prog));
+        std::shared_ptr<const ValidatedProgram> shared(std::move(prog));
         std::lock_guard<std::mutex> lock(mu_);
         if (cached_instructions_ > max_instructions_)
         {
@@ -139,7 +143,7 @@ class ScriptCache
 
     mutable std::mutex mu_;
     std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const DecodedProgram>>
+                       std::shared_ptr<const ValidatedProgram>>
         map_;
     std::size_t cached_instructions_ = 0;
     std::uint64_t hits_ = 0;

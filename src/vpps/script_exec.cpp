@@ -71,8 +71,8 @@ struct Stream
 /**
  * Simulated cost of an imm-length instruction per element of its
  * length. The matrix products' rows stay empty: their cost depends on
- * the rows each VPP caches, so the interpreter charges them in
- * explicit code. Nop and the sync instructions cost nothing beyond
+ * the rows each VPP caches, so the interpreter charges them from
+ * MatrixCostMemo. Nop and the sync instructions cost nothing beyond
  * the decode overhead.
  */
 struct OpCost
@@ -126,19 +126,17 @@ static_assert(indexedByOpcode(kOpCosts));
  * phase (the += family) go to @p sink's deferred scratch.
  */
 void
-vectorPayload(const DecodedInstr& in, gpusim::DeviceMemory& mem,
-              VppSink& sink, const graph::Model& model,
-              bool apply_updates)
+vectorPayload(Opcode op, std::uint32_t n, const std::uint32_t* w,
+              gpusim::DeviceMemory& mem, VppSink& sink,
+              const graph::Model& model, bool apply_updates)
 {
-    const std::uint32_t n = in.imm;
-    const std::uint32_t* w = in.operands;
     auto at = [&](int i) { return mem.data(w[i]); };
     auto factor = [&](int i) {
         float f;
         std::memcpy(&f, &w[i], sizeof(f));
         return f;
     };
-    switch (in.op) {
+    switch (op) {
       case Opcode::Copy:
         std::memcpy(at(0), at(1), static_cast<std::size_t>(n) *
                                       sizeof(float));
@@ -213,70 +211,156 @@ vectorPayload(const DecodedInstr& in, gpusim::DeviceMemory& mem,
     }
 }
 
-} // namespace
-
-ScriptExecutor::ScriptExecutor(gpusim::Device& device, int threads,
-                               ScriptCache* shared_cache)
-    : device_(device), threads_(common::resolveThreadCount(threads)),
-      cache_(shared_cache)
+/** Per-instruction cost of one matrix product on one VPP. */
+struct MatrixCost
 {
-    if (cache_ == nullptr) {
-        owned_cache_ = std::make_unique<ScriptCache>();
-        cache_ = owned_cache_.get();
+    double us = 0.0;        //!< vppInstructionUs of its KernelCost
+    double row_bytes = 0.0; //!< 4 bytes per row the VPP caches
+    double col_bytes = 0.0; //!< 4 bytes per column of the matrix
+    double atomics = 0.0;   //!< MatVecT's remote atomic stores
+};
+
+/**
+ * The cost of every matrix product a run can charge, computed once per
+ * run: a MatVec, MatVecT or Outer's cost depends only on (opcode,
+ * param, VPP). Filled for every param id and every VPP, since the
+ * validator accepts a matrix product on a VPP that caches no rows of
+ * it, and on a param that is not a weight matrix; both are charged as
+ * zero-row products. Each entry's time is vppInstructionUs of the
+ * instruction's KernelCost, the very double chargeInstruction() would
+ * add, so charging from the memo moves no bit.
+ */
+class MatrixCostMemo
+{
+  public:
+    MatrixCostMemo(const DistributionPlan& plan,
+                   const graph::Model& model,
+                   const gpusim::PersistentSim& psim)
+        : num_params_(model.numParams()),
+          costs_(static_cast<std::size_t>(plan.numVpps()) * kOps *
+                 num_params_)
+    {
+        auto rowsOf = [&](int vpp, graph::ParamId m, bool gradient) {
+            double rows = 0.0;
+            for (const auto& s : plan.slices(vpp, m, gradient))
+                rows += s.num_rows;
+            return rows;
+        };
+        for (int vpp = 0; vpp < plan.numVpps(); ++vpp) {
+            for (graph::ParamId m = 0; m < num_params_; ++m) {
+                const double cols = model.param(m).shape.cols();
+                const double rows = rowsOf(vpp, m, false);
+                const double grad_rows = rowsOf(vpp, m, true);
+
+                KernelCost fwd;
+                fwd.flops = 2.0 * rows * cols;
+                fwd.dram_load_bytes = 4.0 * cols;  // x (weights: regs)
+                fwd.dram_store_bytes = 4.0 * rows; // y
+                fwd.latency_hops = 2.0; // x load -> compute -> y store
+                costs_[index(vpp, Opcode::MatVec, m)] = {
+                    psim.instructionUs(fwd), 4.0 * rows, 4.0 * cols, 0.0};
+
+                KernelCost bwd;
+                const double warps = std::ceil(rows / plan.rpw());
+                bwd.flops = 2.0 * rows * cols;
+                bwd.dram_load_bytes = 4.0 * rows; // dy rows
+                // Remote atomic stores: one per column per warp; more
+                // rows per warp means fewer warps and fewer atomics
+                // (the rpw trade-off of Section III-A1).
+                bwd.atomic_ops = cols * warps;
+                bwd.latency_hops = 2.0;
+                costs_[index(vpp, Opcode::MatVecT, m)] = {
+                    psim.instructionUs(bwd), 4.0 * rows, 4.0 * cols,
+                    bwd.atomic_ops};
+
+                KernelCost outer;
+                outer.flops = 2.0 * grad_rows * cols;
+                outer.dram_load_bytes =
+                    4.0 * (grad_rows + cols); // dy rows + x
+                // dy and x were just touched by the transposed product
+                // in the same phase, so most of the latency is hidden.
+                outer.latency_hops = 0.3;
+                costs_[index(vpp, Opcode::Outer, m)] = {
+                    psim.instructionUs(outer), 4.0 * grad_rows,
+                    4.0 * cols, 0.0};
+            }
+        }
     }
-}
 
-ScriptExecutor::~ScriptExecutor() = default;
+    const MatrixCost&
+    at(int vpp, Opcode op, std::uint32_t param) const
+    {
+        return costs_[index(vpp, op, param)];
+    }
 
-common::Result<std::shared_ptr<const DecodedProgram>>
-ScriptExecutor::decoded(const Script& script,
-                        const graph::Model& model)
+  private:
+    static constexpr std::size_t kOps = 3; // MatVec, MatVecT, Outer
+
+    std::size_t
+    index(int vpp, Opcode op, std::uint32_t param) const
+    {
+        const auto k = static_cast<std::size_t>(op) -
+                       static_cast<std::size_t>(Opcode::MatVec);
+        return (static_cast<std::size_t>(vpp) * kOps + k) * num_params_ +
+               param;
+    }
+
+    std::size_t num_params_;
+    std::vector<MatrixCost> costs_;
+};
+
+/**
+ * Copy @p script's words and validate the copy in one read-only pass,
+ * recording each VPP's sync table. Errors name the VPP, the
+ * instruction index (pc) and, for barrier errors, the barrier.
+ */
+common::Result<std::unique_ptr<ValidatedProgram>>
+validate(const Script& script, const graph::Model& model,
+         std::uint64_t cap)
 {
     using common::ErrorCode;
     using common::Status;
 
-    // Content digest over the full sealed buffer (the same value the
-    // transfer checksum uses). Identical batches generate identical
-    // words, so replayed minibatches hit here and skip the whole
-    // decode-and-validate pass -- across all executors sharing the
-    // cache. The model's parameter shapes and the pool capacity fold
-    // into the key because operand validation depends on both.
-    const std::uint64_t h = ScriptCache::key(
-        script.checksum(), model, device_.memory().capacity());
-    if (auto hit = cache_->find(h))
-        return hit;
-
-    const auto& expected = script.expectedSignals();
+    auto prog = std::make_unique<ValidatedProgram>();
+    const int num_vpps = script.numVpps();
+    prog->sections.resize(static_cast<std::size_t>(num_vpps));
+    std::size_t total_words = 0;
+    for (int vpp = 0; vpp < num_vpps; ++vpp) {
+        const auto [begin, end] = script.vppStream(vpp);
+        total_words += static_cast<std::size_t>(end - begin);
+    }
+    prog->words.reserve(total_words);
+    for (int vpp = 0; vpp < num_vpps; ++vpp) {
+        const auto [begin, end] = script.vppStream(vpp);
+        auto& sec = prog->sections[static_cast<std::size_t>(vpp)];
+        sec.first_word = prog->words.size();
+        sec.num_words = static_cast<std::uint32_t>(end - begin);
+        prog->words.insert(prog->words.end(), begin, end);
+    }
+    prog->expected_signals = script.expectedSignals();
+    const auto& expected = prog->expected_signals;
     std::vector<std::uint64_t> emitted(expected.size(), 0);
 
-    const std::uint64_t cap = device_.memory().capacity();
-    auto prog = std::make_unique<DecodedProgram>();
-    const int num_vpps = script.numVpps();
-    prog->num_vpps = num_vpps;
-    prog->streams.resize(static_cast<std::size_t>(num_vpps));
-    prog->stream_words.resize(static_cast<std::size_t>(num_vpps));
-    prog->signals_per_vpp.resize(static_cast<std::size_t>(num_vpps), 0);
     for (int vpp = 0; vpp < num_vpps; ++vpp) {
-        auto [pc, end] = script.vppStream(vpp);
-        prog->stream_words[static_cast<std::size_t>(vpp)] =
-            static_cast<std::size_t>(end - pc);
-        auto& out = prog->streams[static_cast<std::size_t>(vpp)];
-        while (pc != end) {
-            const long long idx = static_cast<long long>(out.size());
-            DecodedInstr in;
-            in.op = preambleOpcode(pc[0]);
-            in.imm = preambleImm(pc[0]);
-            if (in.op >= Opcode::NumOpcodes)
+        auto& sec = prog->sections[static_cast<std::size_t>(vpp)];
+        sec.first_sync = prog->syncs.size();
+        const std::uint32_t* const begin =
+            prog->words.data() + sec.first_word;
+        const std::uint32_t* const end = begin + sec.num_words;
+        std::uint32_t idx = 0;
+        for (const std::uint32_t* pc = begin; pc != end; ++idx) {
+            const Opcode op = preambleOpcode(pc[0]);
+            const std::uint32_t imm = preambleImm(pc[0]);
+            if (op >= Opcode::NumOpcodes)
                 return Status::failure(
                            ErrorCode::MalformedScript,
                            common::detail::concat(
-                               "bad opcode ",
-                               static_cast<int>(in.op),
+                               "bad opcode ", static_cast<int>(op),
                                " in script stream"))
                     .withVpp(vpp)
                     .withPc(idx);
-            const OpcodeInfo& info = opcodeInfo(in.op);
-            const int n = operandWords(in.op);
+            const OpcodeInfo& info = opcodeInfo(op);
+            const int n = operandWords(op);
             if (end - pc < 1 + n)
                 return Status::failure(
                            ErrorCode::MalformedScript,
@@ -287,7 +371,7 @@ ScriptExecutor::decoded(const Script& script,
                     .withVpp(vpp)
                     .withPc(idx);
             if (info.imm == ImmKind::Barrier) {
-                if (in.imm >= expected.size())
+                if (imm >= expected.size())
                     return Status::failure(
                                ErrorCode::MalformedScript,
                                common::detail::concat(
@@ -296,15 +380,14 @@ ScriptExecutor::decoded(const Script& script,
                                    " barriers declared)"))
                         .withVpp(vpp)
                         .withPc(idx)
-                        .withBarrier(in.imm);
-                if (in.op == Opcode::Signal) {
-                    ++emitted[in.imm];
-                    ++prog->signals_per_vpp[
-                        static_cast<std::size_t>(vpp)];
-                }
+                        .withBarrier(imm);
+                if (op == Opcode::Signal)
+                    ++emitted[imm];
+                prog->syncs.push_back(
+                    {static_cast<std::uint32_t>(pc - begin), idx, imm,
+                     op});
             }
-            for (int i = 0; i < n; ++i)
-                in.operands[i] = pc[1 + i];
+            const std::uint32_t* const operands = pc + 1;
 
             // Range validation (decoder hardening): every param-id
             // immediate and operand offset/length pair is checked
@@ -323,27 +406,27 @@ ScriptExecutor::decoded(const Script& script,
             };
             std::uint64_t rows = 0, cols = 0;
             if (info.imm == ImmKind::Matrix) {
-                if (in.imm >= model.numParams())
+                if (imm >= model.numParams())
                     return fail_decode("param id out of range");
-                const auto& shape = model.param(in.imm).shape;
+                const auto& shape = model.param(imm).shape;
                 rows = shape.rows();
                 cols = shape.cols();
             }
             // A label indexes the imm-length logits; an empty vector
             // has no valid label.
-            if (in.imm == 0 &&
+            if (imm == 0 &&
                 std::ranges::count(info.operands, OperandKind::Label))
                 return fail_decode("empty logits vector");
             for (int i = 0; i < n; ++i) {
-                const std::uint64_t off = in.operands[i];
+                const std::uint64_t off = operands[i];
                 std::uint64_t len = 0;
                 switch (info.operands[i]) {
-                  case OperandKind::Vec: len = in.imm; break;
+                  case OperandKind::Vec: len = imm; break;
                   case OperandKind::Scalar: len = 1; break;
                   case OperandKind::Rows: len = rows; break;
                   case OperandKind::Cols: len = cols; break;
                   case OperandKind::Label:
-                    if (off >= in.imm)
+                    if (off >= imm)
                         return fail_decode("label out of range");
                     continue;
                   default: continue; // float bits: not an address
@@ -351,11 +434,12 @@ ScriptExecutor::decoded(const Script& script,
                 if (off >= cap || off + len > cap)
                     return fail_decode("operand out of pool range");
             }
-
-            out.push_back(in);
             pc += 1 + n;
         }
-        prog->total_instructions += out.size();
+        sec.num_instructions = idx;
+        sec.num_syncs =
+            static_cast<std::uint32_t>(prog->syncs.size() - sec.first_sync);
+        prog->total_instructions += idx;
     }
 
     // Whole-script barrier consistency: each barrier must receive
@@ -370,8 +454,46 @@ ScriptExecutor::decoded(const Script& script,
                            " signal(s) but the script emits ",
                            emitted[b]))
                 .withBarrier(static_cast<long long>(b));
+    return prog;
+}
 
-    return cache_->insert(h, std::move(prog));
+} // namespace
+
+ScriptExecutor::ScriptExecutor(gpusim::Device& device, int threads,
+                               ScriptCache* shared_cache)
+    : device_(device), threads_(common::resolveThreadCount(threads)),
+      cache_(shared_cache)
+{
+    if (cache_ == nullptr) {
+        owned_cache_ = std::make_unique<ScriptCache>();
+        cache_ = owned_cache_.get();
+    }
+}
+
+ScriptExecutor::~ScriptExecutor() = default;
+
+common::Result<std::shared_ptr<const ValidatedProgram>>
+ScriptExecutor::validated(const Script& script,
+                          const graph::Model& model)
+{
+    // Content digest over the full sealed buffer (the same value the
+    // transfer checksum uses). Identical batches generate identical
+    // words, so replayed minibatches hit here and skip the whole
+    // copy-and-validate pass -- across all executors sharing the
+    // cache. A hit runs the cache's own copy and never reads this
+    // script's words, so a digest collision can at worst run another
+    // validated program. The model's parameter shapes and the pool
+    // capacity fold into the key because operand validation depends
+    // on both.
+    const std::uint64_t cap = device_.memory().capacity();
+    const std::uint64_t h =
+        ScriptCache::key(script.checksum(), model, cap);
+    if (auto hit = cache_->find(h))
+        return hit;
+    auto prog = validate(script, model, cap);
+    if (!prog.ok())
+        return prog.takeStatus();
+    return cache_->insert(h, std::move(prog).value());
 }
 
 common::Result<RunResult>
@@ -386,26 +508,26 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     const auto& spec = device_.spec();
     const int num_vpps = plan.numVpps();
     auto& mem = device_.memory();
-    const Script& script = batch.script;
-    auto dec = decoded(script, model);
-    if (!dec.ok())
-        return dec.takeStatus();
+    auto val = validated(batch.script, model);
+    if (!val.ok())
+        return val.takeStatus();
     // Holding the shared_ptr keeps the program valid even if another
     // cache user triggers an evict-all while this run is in flight.
-    const std::shared_ptr<const DecodedProgram> prog_guard =
-        dec.value();
-    const DecodedProgram& prog = *prog_guard;
-    if (prog.num_vpps != num_vpps)
+    const std::shared_ptr<const ValidatedProgram> prog_guard =
+        val.value();
+    const ValidatedProgram& prog = *prog_guard;
+    if (prog.numVpps() != num_vpps)
         return Status::failure(
             ErrorCode::MalformedScript,
-            common::detail::concat("script has ", prog.num_vpps,
+            common::detail::concat("script has ", prog.numVpps(),
                                    " VPP streams but the plan runs ",
                                    num_vpps, " VPPs"));
 
     gpusim::PersistentSim psim(spec, num_vpps, plan.ctasPerSm());
-    for (std::size_t b = 0; b < script.expectedSignals().size(); ++b)
+    for (std::size_t b = 0; b < prog.expected_signals.size(); ++b)
         psim.setExpectedSignals(
-            b, static_cast<int>(script.expectedSignals()[b]));
+            b, static_cast<int>(prog.expected_signals[b]));
+    const MatrixCostMemo memo(plan, model, psim);
 
     // Tracing. VPP clocks restart at zero for every kernel; anchoring
     // them at the device's current busy time makes successive batches
@@ -434,7 +556,8 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     auto chargePrologue = [&](int vpp) {
         const double script_bytes =
             4.0 * static_cast<double>(
-                      prog.stream_words[static_cast<std::size_t>(vpp)]);
+                      prog.sections[static_cast<std::size_t>(vpp)]
+                          .num_words);
         const double weight_bytes = plan.cachedWeightBytes(vpp);
         const double fetch_rounds =
             std::max(1.0, std::ceil(script_bytes / shared_budget));
@@ -459,6 +582,24 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         }
     }
 
+    // Each VPP's place in its stream, and the rest of its sync table.
+    struct Cursor
+    {
+        std::uint32_t word = 0;  //!< offset in the VPP's section
+        std::uint32_t index = 0; //!< instruction index (pc)
+        const SyncPoint* sync = nullptr; //!< next sync point
+        const SyncPoint* sync_end = nullptr;
+
+        bool atSync() const { return sync != sync_end && sync->word == word; }
+    };
+    std::vector<Cursor> cursor(static_cast<std::size_t>(num_vpps));
+    for (int vpp = 0; vpp < num_vpps; ++vpp) {
+        const auto& sec = prog.sections[static_cast<std::size_t>(vpp)];
+        Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+        c.sync = prog.syncs.data() + sec.first_sync;
+        c.sync_end = c.sync + sec.num_syncs;
+    }
+
     // Injected hang: one VPP (drawn among those that signal at all)
     // permanently stops at its next Signal, which is therefore lost.
     // The schedule downstream of that barrier starves and the stall
@@ -466,9 +607,13 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     int hung_vpp = -1;
     if (gpusim::FaultInjector* inj = device_.faults()) {
         std::vector<int> eligible;
-        for (int vpp = 0; vpp < num_vpps; ++vpp)
-            if (prog.signals_per_vpp[static_cast<std::size_t>(vpp)] > 0)
+        for (int vpp = 0; vpp < num_vpps; ++vpp) {
+            const Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+            if (std::any_of(c.sync, c.sync_end, [](const SyncPoint& sp) {
+                    return sp.op == Opcode::Signal;
+                }))
                 eligible.push_back(vpp);
+        }
         if (auto hang = inj->drawHang(eligible))
             hung_vpp = *hang;
     }
@@ -476,145 +621,126 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     const bool func = device_.functional();
     std::vector<VppSink> sinks(static_cast<std::size_t>(num_vpps));
 
-    // Execute one non-sync instruction on behalf of @p vpp. Traffic
-    // and instruction counts go to the VPP's private sink; per-VPP
+    // Execute the non-sync instructions in words [pc, end) of @p
+    // vpp's section. Traffic goes to the VPP's private sink; per-VPP
     // timeline charges are contention-free by construction (each VPP
     // is interpreted by exactly one worker per round). Accumulations
     // whose target may be shared across VPPs within a phase (the
     // += family and the matrix products with cross-VPP outputs) are
     // computed into sink scratch and applied in fixed order by the
     // scheduler, so float reductions never depend on thread timing.
-    auto exec_instr = [&](int vpp, const DecodedInstr& in,
-                          VppSink& sink) {
-        const Opcode op = in.op;
-        const std::uint32_t imm = in.imm;
-        KernelCost cost;
-        cost.latency_hops = 0.0;
-        const double len = static_cast<double>(imm);
-        switch (op) {
-          case Opcode::MatVec: {
-            const auto& p = model.param(imm);
-            double rows = 0.0;
-            for (const auto& s : plan.slices(vpp, imm, false)) {
-                if (func)
-                    tensor::gemvRows(mem.data(p.value),
-                                     mem.data(in.operands[0]),
-                                     mem.data(in.operands[1]),
-                                     s.first_row,
-                                     s.first_row + s.num_rows,
-                                     p.shape.cols());
-                rows += s.num_rows;
-            }
-            const double cols = p.shape.cols();
-            cost.flops = 2.0 * rows * cols;
-            cost.dram_load_bytes = 4.0 * cols;       // x (weights: regs)
-            cost.dram_store_bytes = 4.0 * rows;      // y
-            cost.latency_hops = 2.0; // x load -> compute -> y store
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * cols);
-            sink.traffic.addStore(MemSpace::Activations, 4.0 * rows);
-            break;
-          }
-          case Opcode::MatVecT: {
-            const auto& p = model.param(imm);
-            const std::uint32_t cols_u =
-                static_cast<std::uint32_t>(p.shape.cols());
-            // dx is shared by every VPP holding rows of W (remote
-            // atomics on the GPU): accumulate this VPP's partial into
-            // scratch, reduced in VPP order at the phase boundary.
-            float* scratch =
-                func ? sink.claim(in.operands[1], cols_u) : nullptr;
-            double rows = 0.0;
-            for (const auto& s : plan.slices(vpp, imm, false)) {
-                if (func)
-                    tensor::gemvTransposedAccumRows(
-                        mem.data(p.value), mem.data(in.operands[0]),
-                        scratch, s.first_row,
-                        s.first_row + s.num_rows, p.shape.cols());
-                rows += s.num_rows;
-            }
-            const double cols = p.shape.cols();
-            const double warps = std::ceil(rows / plan.rpw());
-            cost.flops = 2.0 * rows * cols;
-            cost.dram_load_bytes = 4.0 * rows;       // dy rows
-            // Remote atomic stores: one per column per warp; more
-            // rows per warp means fewer warps and fewer atomics
-            // (the rpw trade-off of Section III-A1).
-            cost.atomic_ops = cols * warps;
-            cost.latency_hops = 2.0;
-            sink.traffic.addLoad(MemSpace::ActGrads, 4.0 * rows);
-            sink.traffic.addStore(MemSpace::ActGrads, 4.0 * cols);
-            sink.traffic.addAtomics(cost.atomic_ops);
-            break;
-          }
-          case Opcode::Outer: {
-            const auto& p = model.param(imm);
-            const std::uint32_t cols_u =
-                static_cast<std::uint32_t>(p.shape.cols());
-            double rows = 0.0;
-            for (const auto& s : plan.slices(vpp, imm, true)) {
+    // Each instruction adds two charges to its VPP's clock, in this
+    // order: the decode overhead, then the instruction's time.
+    auto exec_words = [&](int vpp, const std::uint32_t* pc,
+                          const std::uint32_t* end, VppSink& sink) {
+        while (pc != end) {
+            const Opcode op = preambleOpcode(pc[0]);
+            const std::uint32_t imm = preambleImm(pc[0]);
+            const std::uint32_t* const w = pc + 1;
+            pc = w + operandWords(op);
+            psim.charge(vpp, kDecodeUs);
+            switch (op) {
+              case Opcode::MatVec: {
+                const MatrixCost& c = memo.at(vpp, op, imm);
                 if (func) {
-                    // dW rows are per-VPP-disjoint, but p.grad is one
-                    // shared buffer also fed by the GEMM staging /
-                    // AccumParam paths; keep the register-cached
-                    // proxy on the same deferred-reduction rule.
-                    float* scratch = sink.claim(
-                        p.grad + s.first_row * cols_u,
-                        s.num_rows * cols_u);
-                    tensor::outerAccumRows(
-                        scratch,
-                        mem.data(in.operands[0]) + s.first_row,
-                        mem.data(in.operands[1]), 0, s.num_rows,
-                        p.shape.cols());
+                    const auto& p = model.param(imm);
+                    for (const auto& s : plan.slices(vpp, imm, false))
+                        tensor::gemvRows(mem.data(p.value),
+                                         mem.data(w[0]), mem.data(w[1]),
+                                         s.first_row,
+                                         s.first_row + s.num_rows,
+                                         p.shape.cols());
                 }
-                rows += s.num_rows;
+                sink.traffic.addLoad(MemSpace::Activations, c.col_bytes);
+                sink.traffic.addStore(MemSpace::Activations, c.row_bytes);
+                psim.charge(vpp, c.us);
+                break;
+              }
+              case Opcode::MatVecT: {
+                const MatrixCost& c = memo.at(vpp, op, imm);
+                if (func) {
+                    // dx is shared by every VPP holding rows of W
+                    // (remote atomics on the GPU): accumulate this
+                    // VPP's partial into scratch, reduced in VPP order
+                    // at the phase boundary.
+                    const auto& p = model.param(imm);
+                    float* scratch = sink.claim(w[1], p.shape.cols());
+                    for (const auto& s : plan.slices(vpp, imm, false))
+                        tensor::gemvTransposedAccumRows(
+                            mem.data(p.value), mem.data(w[0]), scratch,
+                            s.first_row, s.first_row + s.num_rows,
+                            p.shape.cols());
+                }
+                sink.traffic.addLoad(MemSpace::ActGrads, c.row_bytes);
+                sink.traffic.addStore(MemSpace::ActGrads, c.col_bytes);
+                sink.traffic.addAtomics(c.atomics);
+                psim.charge(vpp, c.us);
+                break;
+              }
+              case Opcode::Outer: {
+                const MatrixCost& c = memo.at(vpp, op, imm);
+                if (func) {
+                    const auto& p = model.param(imm);
+                    const std::uint32_t cols = p.shape.cols();
+                    for (const auto& s : plan.slices(vpp, imm, true)) {
+                        // dW rows are per-VPP-disjoint, but p.grad is
+                        // one shared buffer also fed by the GEMM
+                        // staging / AccumParam paths; keep the
+                        // register-cached proxy on the same
+                        // deferred-reduction rule.
+                        float* scratch =
+                            sink.claim(p.grad + s.first_row * cols,
+                                       s.num_rows * cols);
+                        tensor::outerAccumRows(
+                            scratch, mem.data(w[0]) + s.first_row,
+                            mem.data(w[1]), 0, s.num_rows, cols);
+                    }
+                }
+                sink.traffic.addLoad(MemSpace::ActGrads, c.row_bytes);
+                sink.traffic.addLoad(MemSpace::Activations, c.col_bytes);
+                psim.charge(vpp, c.us);
+                break;
+              }
+              default: {
+                // Every imm-length instruction is charged from its
+                // cost row: each field is a per-element coefficient
+                // times the length.
+                const OpCost& c = kOpCosts[static_cast<std::size_t>(op)];
+                const double len = static_cast<double>(imm);
+                KernelCost cost;
+                cost.latency_hops = 0.0;
+                cost.flops = c.flops * len;
+                cost.dram_load_bytes =
+                    (c.loads[0].bytes + c.loads[1].bytes) * len;
+                cost.dram_store_bytes =
+                    c.store.bytes * len + c.store_fixed;
+                for (const Stream& load : c.loads)
+                    sink.traffic.addLoad(load.space, load.bytes * len);
+                sink.traffic.addStore(c.store.space,
+                                      cost.dram_store_bytes);
+                if (func)
+                    vectorPayload(op, imm, w, mem, sink, model,
+                                  apply_updates);
+                psim.chargeInstruction(vpp, cost);
+              }
             }
-            const double cols = p.shape.cols();
-            cost.flops = 2.0 * rows * cols;
-            cost.dram_load_bytes = 4.0 * (rows + cols); // dy rows + x
-            // dy and x were just touched by the transposed product
-            // in the same phase, so most of the latency is hidden.
-            cost.latency_hops = 0.3;
-            sink.traffic.addLoad(MemSpace::ActGrads, 4.0 * rows);
-            sink.traffic.addLoad(MemSpace::Activations, 4.0 * cols);
-            break;
-          }
-          default: {
-            // Every imm-length instruction is charged from its cost
-            // row: each field is a per-element coefficient times the
-            // length.
-            const OpCost& c = kOpCosts[static_cast<std::size_t>(op)];
-            cost.flops = c.flops * len;
-            cost.dram_load_bytes =
-                (c.loads[0].bytes + c.loads[1].bytes) * len;
-            cost.dram_store_bytes = c.store.bytes * len + c.store_fixed;
-            for (const Stream& load : c.loads)
-                sink.traffic.addLoad(load.space, load.bytes * len);
-            sink.traffic.addStore(c.store.space, cost.dram_store_bytes);
-            if (func)
-                vectorPayload(in, mem, sink, model, apply_updates);
-          }
         }
-        psim.charge(vpp, kDecodeUs);
-        psim.chargeInstruction(vpp, cost);
-        ++sink.instructions;
     };
 
     // -- Phase-scheduled interpretation. Every round: resolve all
     // ready Signal/Wait traffic serially (barrier state and timeline
-    // clamps stay single-threaded), then slice each unblocked VPP's
-    // stream up to its next sync instruction and execute the slices
-    // concurrently. A slice only becomes runnable once every barrier
-    // ordered before it has fully released, which is exactly the
-    // inter-VPP dependency structure the script generator encodes --
-    // so functional results and per-VPP timelines match the serial
-    // round-robin interpreter.
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(num_vpps),
-                                    0);
+    // clamps stay single-threaded), then cut each unblocked VPP's
+    // stream at its next sync point and execute the segments
+    // concurrently. A segment only becomes runnable once every
+    // barrier ordered before it has fully released, which is exactly
+    // the inter-VPP dependency structure the script generator
+    // encodes -- so functional results and per-VPP timelines match
+    // the serial round-robin interpreter.
     struct Segment
     {
         int vpp;
-        std::size_t begin;
-        std::size_t end;
+        std::uint32_t begin_word, end_word;
+        std::uint32_t begin_index, end_index;
     };
     std::vector<Segment> segments;
 
@@ -688,13 +814,10 @@ ScriptExecutor::run(const CompiledKernel& kernel,
                     "barrier fixpoint failed to converge"));
             sync_progress = false;
             for (int vpp = 0; vpp < num_vpps; ++vpp) {
-                const auto& stream =
-                    prog.streams[static_cast<std::size_t>(vpp)];
-                std::size_t& pc =
-                    cursor[static_cast<std::size_t>(vpp)];
-                while (pc < stream.size()) {
-                    const DecodedInstr& in = stream[pc];
-                    if (in.op == Opcode::Signal) {
+                Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+                while (c.atSync()) {
+                    const SyncPoint& sp = *c.sync;
+                    if (sp.op == Opcode::Signal) {
                         if (vpp == hung_vpp) {
                             // The injected hang: the CTA died before
                             // the atomicAdd, so the signal is lost
@@ -702,43 +825,44 @@ ScriptExecutor::run(const CompiledKernel& kernel,
                             hang_triggered = true;
                             break;
                         }
-                        psim.signal(in.imm, vpp);
-                    } else if (in.op == Opcode::Wait &&
-                               psim.barrierReady(in.imm)) {
-                        psim.wait(in.imm, vpp);
+                        psim.signal(sp.barrier, vpp);
+                    } else if (psim.barrierReady(sp.barrier)) {
+                        psim.wait(sp.barrier, vpp);
                     } else {
                         break;
                     }
-                    ++pc;
+                    ++c.word;
+                    ++c.index;
+                    ++c.sync;
                     sync_progress = true;
                 }
             }
         }
 
-        // 2. Slice runnable per-VPP segments for this round.
+        // 2. Cut runnable per-VPP segments for this round: from the
+        // cursor to the VPP's next sync point, or to its end.
         segments.clear();
         bool all_done = true;
         std::size_t round_instructions = 0;
         for (int vpp = 0; vpp < num_vpps; ++vpp) {
-            const auto& stream =
-                prog.streams[static_cast<std::size_t>(vpp)];
-            const std::size_t pc =
-                cursor[static_cast<std::size_t>(vpp)];
-            if (pc >= stream.size())
+            const auto& sec = prog.sections[static_cast<std::size_t>(vpp)];
+            Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+            if (c.index >= sec.num_instructions)
                 continue;
             all_done = false;
-            if (stream[pc].op == Opcode::Wait)
-                continue; // blocked on an unready barrier
-            if (vpp == hung_vpp && stream[pc].op == Opcode::Signal)
-                continue; // hung at its lost signal; never resumes
-            std::size_t end = pc;
-            while (end < stream.size() &&
-                   stream[end].op != Opcode::Signal &&
-                   stream[end].op != Opcode::Wait)
-                ++end;
-            segments.push_back({vpp, pc, end});
-            round_instructions += end - pc;
-            cursor[static_cast<std::size_t>(vpp)] = end;
+            // Blocked on an unready barrier, or hung at its lost
+            // signal and never resuming.
+            if (c.atSync())
+                continue;
+            const bool last = c.sync == c.sync_end;
+            const Segment seg{vpp, c.word,
+                              last ? sec.num_words : c.sync->word,
+                              c.index,
+                              last ? sec.num_instructions : c.sync->index};
+            segments.push_back(seg);
+            round_instructions += seg.end_index - seg.begin_index;
+            c.word = seg.end_word;
+            c.index = seg.end_index;
         }
         if (segments.empty()) {
             if (all_done)
@@ -752,16 +876,17 @@ ScriptExecutor::run(const CompiledKernel& kernel,
             int stuck = 0, first_vpp = -1;
             long long first_pc = -1, first_barrier = -1;
             for (int vpp = 0; vpp < num_vpps; ++vpp) {
-                const auto& stream =
-                    prog.streams[static_cast<std::size_t>(vpp)];
-                const std::size_t pc =
-                    cursor[static_cast<std::size_t>(vpp)];
-                if (pc >= stream.size())
+                const Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+                if (c.index >=
+                    prog.sections[static_cast<std::size_t>(vpp)]
+                        .num_instructions)
                     continue;
-                const std::uint32_t b = stream[pc].imm;
+                // Every unfinished VPP stands at a sync point here.
+                const std::uint32_t pc = c.index;
+                const std::uint32_t b = c.sync->barrier;
                 if (stuck == 0) {
                     first_vpp = hang_triggered ? hung_vpp : vpp;
-                    first_pc = static_cast<long long>(pc);
+                    first_pc = pc;
                     first_barrier = b;
                 }
                 if (++stuck <= 6) {
@@ -795,11 +920,15 @@ ScriptExecutor::run(const CompiledKernel& kernel,
             const Segment& seg = segments[i];
             VppSink& sink =
                 sinks[static_cast<std::size_t>(seg.vpp)];
-            const auto& stream =
-                prog.streams[static_cast<std::size_t>(seg.vpp)];
+            const std::uint32_t* const words =
+                prog.words.data() +
+                prog.sections[static_cast<std::size_t>(seg.vpp)]
+                    .first_word;
             const double seg_start = psim.timeOf(seg.vpp);
-            for (std::size_t pc = seg.begin; pc < seg.end; ++pc)
-                exec_instr(seg.vpp, stream[pc], sink);
+            exec_words(seg.vpp, words + seg.begin_word,
+                       words + seg.end_word, sink);
+            const std::uint32_t count = seg.end_index - seg.begin_index;
+            sink.instructions += count;
             // Emitted from whichever worker ran the segment (the
             // per-thread shards absorb that); the event *content* is
             // thread-count independent because the VPP timeline is.
@@ -808,8 +937,8 @@ ScriptExecutor::run(const CompiledKernel& kernel,
                     seg.vpp, "vpp", "segment",
                     trace_base + seg_start,
                     psim.timeOf(seg.vpp) - seg_start,
-                    static_cast<std::int64_t>(seg.begin),
-                    static_cast<double>(seg.end - seg.begin));
+                    static_cast<std::int64_t>(seg.begin_index),
+                    static_cast<double>(count));
         };
         if (threads_ > 1 && segments.size() > 1 &&
             round_instructions >= kMinParallelInstructions) {

@@ -15,16 +15,16 @@
  * Host-parallel interpretation: the paper's VPPs execute their script
  * sections concurrently between signal/wait barriers, and the
  * interpreter exploits the same independence. Each VPP stream is
- * sliced at Signal/Wait boundaries into segments; all segments
- * runnable in one scheduling round belong to phases whose inputs are
- * already barrier-complete, so they execute concurrently on a worker
- * pool. Accounting (traffic, instruction counts) goes to per-VPP
- * sinks merged in VPP order, and cross-VPP accumulations (MatVecT,
- * Outer, the Accum family) are computed into per-VPP scratch and
- * applied by the scheduler in (VPP, program-order) order at the phase
- * boundary -- so results, traffic tables, and timings are bitwise
- * identical for any thread count. See DESIGN.md, "Host-parallel
- * interpretation".
+ * sliced into segments at the Signal/Wait points of its sync table;
+ * all segments runnable in one scheduling round belong to phases
+ * whose inputs are already barrier-complete, so they execute
+ * concurrently on a worker pool. Accounting (traffic, instruction
+ * counts) goes to per-VPP sinks merged in VPP order, and cross-VPP
+ * accumulations (MatVecT, Outer, the Accum family) are computed into
+ * per-VPP scratch and applied by the scheduler in (VPP,
+ * program-order) order at the phase boundary -- so results, traffic
+ * tables, and timings are bitwise identical for any thread count.
+ * See DESIGN.md, "Host-parallel interpretation".
  */
 #pragma once
 
@@ -74,35 +74,54 @@ struct RunResult
 };
 
 /**
- * One script instruction decoded into fixed-size fields, so the
- * interpreter's hot loop never re-parses preamble words or looks up
- * operand counts.
+ * One Signal or Wait in a VPP's stream. The interpreter cuts each
+ * stream into segments at these points without scanning the
+ * instructions in between.
  */
-struct DecodedInstr
+struct SyncPoint
 {
-    Opcode op = Opcode::Nop;
-    std::uint32_t imm = 0;
-    std::uint32_t operands[4] = {0, 0, 0, 0};
+    std::uint32_t word = 0;     //!< word offset in the VPP's section
+    std::uint32_t index = 0;    //!< instruction index (pc) in the stream
+    std::uint32_t barrier = 0;  //!< barrier it signals or waits on
+    Opcode op = Opcode::Signal; //!< Signal or Wait
 };
 
 /**
- * A script pre-decoded into flat per-VPP instruction arrays. Built
- * once per distinct script and reused across minibatch replays (the
- * in-memory analogue of the on-disk kernel cache: identical batches
- * produce identical script words, so re-decoding is pure waste).
+ * A script checked once and copied: the words of every VPP's stream
+ * exactly as validated, about 12 bytes per instruction, and each
+ * VPP's sync table. Built once per distinct script and reused across
+ * minibatch replays (the in-memory analogue of the on-disk kernel
+ * cache: identical batches produce identical script words, so
+ * validating them again is pure waste). The interpreter reads only
+ * this copy, never the Script it came from, whose stream buffers the
+ * next script built on the same thread takes over.
  */
-struct DecodedProgram
+struct ValidatedProgram
 {
-    int num_vpps = 0;
-    /** Per-VPP decoded instruction stream. */
-    std::vector<std::vector<DecodedInstr>> streams;
-    /** Per-VPP raw stream size in words (prologue fetch modeling). */
-    std::vector<std::size_t> stream_words;
-    /** Per-VPP count of Signal instructions (hang-injection
-     *  eligibility: a hang is modeled as a lost signal). */
-    std::vector<std::uint32_t> signals_per_vpp;
-    /** Total decoded instructions (cache budget accounting). */
+    /** Where one VPP's stream lies in `words` and its sync points in
+     *  `syncs`. */
+    struct Section
+    {
+        std::size_t first_word = 0;
+        std::uint32_t num_words = 0;
+        std::uint32_t num_instructions = 0;
+        std::size_t first_sync = 0;
+        std::uint32_t num_syncs = 0;
+    };
+
+    /** One section per VPP. */
+    std::vector<Section> sections;
+    /** Every VPP's stream, in VPP order. */
+    std::vector<std::uint32_t> words;
+    /** Every VPP's Signal/Wait points, in VPP then program order. */
+    std::vector<SyncPoint> syncs;
+    /** Signals each barrier expects; every barrier receives exactly
+     *  this many from the streams. */
+    std::vector<std::uint32_t> expected_signals;
+    /** Instructions across all VPPs (cache budget accounting). */
     std::size_t total_instructions = 0;
+
+    int numVpps() const { return static_cast<int>(sections.size()); }
 };
 
 /** Interprets generated scripts against the simulated device. */
@@ -115,8 +134,8 @@ class ScriptExecutor
      * independent per-VPP segments concurrently; <= 0 defers to the
      * VPPS_HOST_THREADS environment variable, else 1 (serial).
      * Results are bitwise identical for every thread count.
-     * @param shared_cache optional decoded-script cache shared with
-     * other executors (data-parallel replicas decode each script
+     * @param shared_cache optional validated-script cache shared with
+     * other executors (data-parallel replicas validate each script
      * once); when null the executor owns a private cache.
      */
     explicit ScriptExecutor(gpusim::Device& device, int threads = 0,
@@ -156,22 +175,22 @@ class ScriptExecutor
 
   private:
     /**
-     * Decode and statically validate @p script, or return the cached
-     * decoding of an identical earlier script. Invalid scripts are
-     * never cached.
+     * Copy and statically validate @p script, or return the cached
+     * copy of an identical earlier script. Invalid scripts are never
+     * cached, and a hit never reads @p script's words.
      *
      * Validation is exhaustive over everything the interpreter will
      * later dereference: opcodes, stream framing, barrier indices and
      * signal counts, param-id immediates (against @p model), and every
      * operand offset/length pair (against the device pool capacity).
-     * A script that decodes OK therefore cannot drive the interpreter
-     * out of bounds, no matter where its bytes came from.
+     * A program that validates OK therefore cannot drive the
+     * interpreter out of bounds, no matter where its bytes came from.
      *
      * The returned shared_ptr keeps the program alive across an
      * evict-all another cache user may trigger mid-run.
      */
-    common::Result<std::shared_ptr<const DecodedProgram>>
-    decoded(const Script& script, const graph::Model& model);
+    common::Result<std::shared_ptr<const ValidatedProgram>>
+    validated(const Script& script, const graph::Model& model);
 
     gpusim::Device& device_;
     int threads_;
@@ -179,7 +198,7 @@ class ScriptExecutor
 
     /** Private cache backing `cache_` when none was shared in. */
     std::unique_ptr<ScriptCache> owned_cache_;
-    /** Decoded programs keyed by script/model/pool content hash. */
+    /** Validated programs keyed by script/model/pool content hash. */
     ScriptCache* cache_;
 };
 

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "vpps/script_cache.hpp"
 #include "vpps/script_exec.hpp"
 
 namespace {
@@ -20,19 +21,23 @@ namespace {
 using gpusim::DeviceMemory;
 using vpps::Opcode;
 
-/** Fixture: a device, a 2-matrix model, and a compiled kernel. */
+/** Fixture: a device, a one-matrix model (plus, on request, a bias),
+ *  and a compiled kernel. */
 struct InterpRig
 {
     gpusim::Device device{gpusim::DeviceSpec{}, 4u << 20};
     graph::Model model;
     graph::ParamId w;
+    graph::ParamId bias = graph::kNoParam;
     vpps::CompiledKernel kernel;
     graph::ComputationGraph cg;
     graph::NodeId loss_node;
 
-    InterpRig()
+    explicit InterpRig(bool with_bias = false)
     {
         w = model.addWeightMatrix("W", 8, 4);
+        if (with_bias)
+            bias = model.addBias("b", 8);
         common::Rng rng(111);
         model.allocate(device, rng);
         vpps::VppsOptions opts;
@@ -445,5 +450,152 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<CostPin>& info) {
         return std::string(vpps::opcodeName(info.param.op));
     });
+
+// -- Zero-row matrix products ---------------------------------------
+// The validator accepts a matrix product on any VPP and on any param
+// id, including a VPP that caches no rows of the matrix and a bias,
+// which is cached nowhere. Both are charged as zero-row products: no
+// flops, but the vector traffic and latency hops of the opcode. These
+// pins keep the charge of each case; the mean VPP time is pinned too,
+// so the pin holds whether or not the instruction's VPP is the
+// critical one.
+
+struct ZeroRowPin
+{
+    const char* name;
+    Opcode op;
+    /** Name the rig's bias instead of W in the immediate. */
+    bool on_bias;
+    double kernel_us;
+    double mean_vpp_us;
+    const char* traffic;
+};
+
+const ZeroRowPin kZeroRowPins[] = {
+    {"mvm_uncached", Opcode::MatVec, false, 0x1.0341414141414p+3,
+     0x1.34aaf7c4915d7p+0,
+     "weights 128/128 activations 16/0 script 12/0 atomics 0"},
+    {"mvm_t_uncached", Opcode::MatVecT, false, 0x1.0339393939394p+3,
+     0x1.34aa90f75dc37p+0,
+     "weights 128/128 act-grads 0/16 script 12/0 atomics 0"},
+    {"outer_uncached", Opcode::Outer, false, 0x1.dafd63ca3097p+2,
+     0x1.339470998f513p+0,
+     "weights 128/128 activations 16/0 script 12/0 atomics 0"},
+    {"mvm_bias", Opcode::MatVec, true, 0x1.035b5b5b5b5b6p+3,
+     0x1.34aaaaaaaaa9fp+0,
+     "weights 128/128 activations 4/0 script 12/0 atomics 0"},
+};
+
+void PrintTo(const ZeroRowPin& pin, std::ostream* os) { *os << pin.name; }
+
+class InterpreterZeroRowPin : public testing::TestWithParam<ZeroRowPin>
+{
+};
+
+TEST_P(InterpreterZeroRowPin, KernelTimeAndTrafficAreUnchanged)
+{
+    const ZeroRowPin& pin = GetParam();
+    InterpRig rig(pin.on_bias);
+    auto& mem = rig.device.memory();
+    const auto in = mem.allocate(64, gpusim::MemSpace::Activations);
+    const auto out = mem.allocate(64, gpusim::MemSpace::Activations);
+    for (int i = 0; i < 64; ++i)
+        mem.data(in)[i] = 0.125f * static_cast<float>(i % 5) - 0.25f;
+
+    // The bias product runs where the vector pins run; the uncached
+    // products run on the first VPP holding no row of W or of dW.
+    const auto& plan = rig.kernel.plan;
+    auto caches_w = [&](int vpp) {
+        return !plan.slices(vpp, rig.w, false).empty() ||
+               !plan.slices(vpp, rig.w, true).empty();
+    };
+    int vpp = plan.vppsOf(rig.w, false).front();
+    if (!pin.on_bias) {
+        vpp = 0;
+        while (caches_w(vpp))
+            ++vpp;
+    }
+    auto batch = rig.fresh();
+    batch.script.emit(vpp, pin.op, pin.on_bias ? rig.bias : rig.w,
+                      {in, out});
+    const auto result = rig.run(batch);
+    EXPECT_EQ(result.kernel_us, pin.kernel_us)
+        << std::hexfloat << result.kernel_us;
+    EXPECT_EQ(result.mean_vpp_us, pin.mean_vpp_us)
+        << std::hexfloat << result.mean_vpp_us;
+    EXPECT_EQ(trafficText(rig.device.traffic()), pin.traffic);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MatrixOps, InterpreterZeroRowPin, testing::ValuesIn(kZeroRowPins),
+    [](const testing::TestParamInfo<ZeroRowPin>& info) {
+        return std::string(info.param.name);
+    });
+
+// -- Script cache hits -----------------------------------------------
+
+/** Traffic, kernel time, instructions and loss of one run. */
+struct RunPrint
+{
+    float loss;
+    double kernel_us;
+    std::uint64_t instructions;
+    std::string traffic;
+};
+
+TEST(InterpreterCacheHit, RunsTheCachedCopyNotAReusedScriptBuffer)
+{
+    // A script's stream buffers pass to the next script built on the
+    // same thread. Script A runs (a miss) and is destroyed; script B,
+    // the same size but different words, takes A's buffers and stays
+    // alive; A rebuilt is then a hit. The hit must run the cache's
+    // own copy of A: a cache that kept pointers into A's streams would
+    // run B's words here, which ASan cannot see because the buffers
+    // stay allocated.
+    InterpRig rig;
+    auto& mem = rig.device.memory();
+    const auto x = rig.vec({0.5f, -1.0f, 2.0f, 0.25f});
+    const auto y = rig.vec({1.5f, 0.5f, -0.5f, 1.0f});
+    const auto u = rig.vec({0, 0, 0, 0});
+    const auto z = rig.vec({0, 0, 0, 0});
+    const auto h = mem.allocate(8, gpusim::MemSpace::Activations);
+    const auto probs = rig.vec({0, 0, 0, 0});
+    const std::uint32_t loss = rig.cg.node(rig.loss_node).fwd;
+    const auto& w_vpps = rig.kernel.plan.vppsOf(rig.w, false);
+
+    vpps::ScriptCache cache;
+    vpps::ScriptExecutor executor(rig.device, 1, &cache);
+    auto run = [&](bool a) {
+        vpps::GeneratedBatch batch = rig.fresh();
+        for (int vpp : w_vpps)
+            batch.script.emit(vpp, a ? Opcode::MatVec : Opcode::MatVecT,
+                              rig.w, {a ? x : h, a ? h : z});
+        batch.script.emit(0, a ? Opcode::Add2 : Opcode::Mul, 4,
+                          {u, x, y});
+        batch.script.emit(0, Opcode::PickNLS, 4,
+                          {u, probs, loss, a ? 1u : 2u});
+        batch.loss_node = rig.loss_node;
+        batch.script.seal();
+        rig.device.traffic().reset();
+        const auto r =
+            executor.run(rig.kernel, batch, rig.model, rig.cg).value();
+        return std::pair{
+            RunPrint{r.loss, r.kernel_us, r.instructions,
+                     trafficText(rig.device.traffic())},
+            std::move(batch)};
+    };
+
+    const RunPrint first = run(true).first; // A: a miss, destroyed
+    auto [b_print, b_alive] = run(false);    // B takes A's buffers
+    const RunPrint again = run(true).first;  // A again: a hit
+
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_NE(b_print.loss, first.loss) << "B must differ from A";
+    EXPECT_EQ(std::memcmp(&again.loss, &first.loss, sizeof(float)), 0);
+    EXPECT_EQ(again.kernel_us, first.kernel_us);
+    EXPECT_EQ(again.instructions, first.instructions);
+    EXPECT_EQ(again.traffic, first.traffic);
+}
 
 } // namespace

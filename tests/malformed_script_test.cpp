@@ -196,6 +196,39 @@ TEST_P(MalformedScriptTest, RuntimeDeadlockIsDiagnosedNotHung)
     EXPECT_EQ(r.error().barrier, 0);
 }
 
+TEST_P(MalformedScriptTest, DeadlockReportsInstructionIndexNotWordOffset)
+{
+    MalformedRig rig;
+    auto batch = rig.fresh();
+    const auto src = rig.device.memory().allocate(
+        4, gpusim::MemSpace::Activations);
+    const auto dst = rig.device.memory().allocate(
+        4, gpusim::MemSpace::Activations);
+    // VPP 0's stuck Wait is its third instruction (pc 2) but starts at
+    // word 4, after a three-word Copy and a one-word Nop: locations
+    // are instruction indices.
+    batch.script.emit(0, vpps::Opcode::Copy, 4, {dst, src});
+    batch.script.emit(0, vpps::Opcode::Nop, 0, {});
+    batch.script.emit(0, vpps::Opcode::Wait, 0, {});
+    batch.script.emit(0, vpps::Opcode::Signal, 1, {});
+    batch.script.emit(1, vpps::Opcode::Wait, 1, {});
+    batch.script.emit(1, vpps::Opcode::Signal, 0, {});
+    batch.script.setExpectedSignals(0, 1);
+    batch.script.setExpectedSignals(1, 1);
+    const auto r = rig.run(batch, GetParam());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::BarrierDeadlock);
+    EXPECT_EQ(r.error().vpp, 0);
+    EXPECT_EQ(r.error().pc, 2);
+    EXPECT_EQ(r.error().barrier, 0);
+    EXPECT_NE(r.error().message.find("vpp 0 at pc 2 on barrier 0"),
+              std::string::npos)
+        << r.error().toString();
+    EXPECT_NE(r.error().message.find("vpp 1 at pc 0 on barrier 1"),
+              std::string::npos)
+        << r.error().toString();
+}
+
 // -- Fuzzer-promoted regressions --------------------------------
 // Shapes the decoder fuzzer (decoder_fuzz_test) surfaced often
 // enough to deserve named, deterministic cases: each models one

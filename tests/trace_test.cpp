@@ -13,11 +13,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 
 #include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "data/treebank.hpp"
 #include "data/vocab.hpp"
 #include "models/tree_lstm.hpp"
@@ -251,6 +253,19 @@ TEST(GoldenTrace, TreeLstmRunIsIdenticalAcrossHostThreads)
     // And the whole pipeline is a pure function of its seeds.
     EXPECT_EQ(serial, treeLstmGolden(1));
     EXPECT_EQ(parallel, treeLstmGolden(8));
+}
+
+TEST(GoldenTrace, TreeLstmCanonicalTextIsPinned)
+{
+    // The comparisons above hold for any deterministic stream; this
+    // pins the stream itself, so a change to what an event carries
+    // (a vpp.segment's first instruction and count, say) fails here.
+    const std::string text = treeLstmGolden(1);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 19611);
+    EXPECT_EQ(common::fnv1a64(
+                  reinterpret_cast<const std::uint8_t*>(text.data()),
+                  text.size()),
+              15909155278065760912ull);
 }
 
 TEST(GoldenTrace, TracingDoesNotPerturbTraining)
