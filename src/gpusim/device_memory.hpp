@@ -16,8 +16,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
-#include <vector>
 
 namespace gpusim {
 
@@ -92,6 +93,10 @@ class TrafficStats
  * The device global-memory pool: one flat array of floats with bump
  * allocation and a stack-style per-batch reset mark.
  *
+ * The array comes from calloc, so the OS hands out zeroed pages on
+ * first touch and a pool costs only what its allocations use: a
+ * multi-GB pool is not written up front.
+ *
  * Offsets are 32-bit element indices, matching the paper's choice of
  * 4-byte tensor addresses inside script instructions (with 4-byte
  * floats this addresses up to 16 GB, the bound the paper states).
@@ -144,10 +149,16 @@ class DeviceMemory
     std::size_t used() const { return frontier_; }
 
     /** @return pool capacity in floats. */
-    std::size_t capacity() const { return pool_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
   private:
-    std::vector<float> pool_;
+    struct Free
+    {
+        void operator()(float* p) const { std::free(p); }
+    };
+
+    std::size_t capacity_;
+    std::unique_ptr<float[], Free> pool_;
     Offset frontier_ = 0;
     bool zero_fill_ = true;
 };

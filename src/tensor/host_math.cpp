@@ -2,8 +2,60 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace tensor {
+
+namespace {
+
+/** Four floats in one 16-byte vector register. */
+using Vec4 = float __attribute__((vector_size(16)));
+
+/** Unaligned load and store: pool offsets are arbitrary. */
+inline Vec4
+load4(const float* p)
+{
+    Vec4 v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+inline void
+store4(float* p, Vec4 v)
+{
+    std::memcpy(p, &v, sizeof(v));
+}
+
+/** y[r..r+R) of gemvRows, one float sum per row. */
+template <int R>
+inline void
+gemvRowChains(const float* w, const float* x, float* y, std::size_t r,
+              std::size_t cols)
+{
+    const float* wr[R];
+    float acc[R];
+    for (int k = 0; k < R; ++k) {
+        wr[k] = w + (r + k) * cols;
+        acc[k] = 0.0f;
+    }
+    std::size_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+        const Vec4 xv = load4(x + c);
+        Vec4 p[R];
+        for (int k = 0; k < R; ++k)
+            p[k] = load4(wr[k] + c) * xv;
+        for (int j = 0; j < 4; ++j)
+            for (int k = 0; k < R; ++k)
+                acc[k] += p[k][j];
+    }
+    for (; c < cols; ++c)
+        for (int k = 0; k < R; ++k)
+            acc[k] += wr[k][c] * x[c];
+    for (int k = 0; k < R; ++k)
+        y[r + k] = acc[k];
+}
+
+} // namespace
 
 void
 gemv(const float* w, const float* x, float* y, std::size_t rows,
@@ -16,13 +68,15 @@ void
 gemvRows(const float* w, const float* x, float* y, std::size_t row_begin,
          std::size_t row_end, std::size_t cols)
 {
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        const float* wr = w + r * cols;
-        float acc = 0.0f;
-        for (std::size_t c = 0; c < cols; ++c)
-            acc += wr[c] * x[c];
-        y[r] = acc;
-    }
+    // Every row sums w[r][c] * x[c] from c = 0 upward into a float
+    // that starts at zero, exactly as a scalar loop would: only the
+    // products are vectorized, and rows run two to a pass, so no row's
+    // sum is split.
+    std::size_t r = row_begin;
+    for (; r + 2 <= row_end; r += 2)
+        gemvRowChains<2>(w, x, y, r, cols);
+    if (r < row_end)
+        gemvRowChains<1>(w, x, y, r, cols);
 }
 
 void
@@ -37,11 +91,37 @@ gemvTransposedAccumRows(const float* w, const float* dy, float* dx,
                         std::size_t row_begin, std::size_t row_end,
                         std::size_t cols)
 {
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        const float* wr = w + r * cols;
-        const float d = dy[r];
-        for (std::size_t c = 0; c < cols; ++c)
-            dx[c] += wr[c] * d;
+    // Vectorized over columns. Each column chunk loops over all rows
+    // of the range, so every dx[c] still adds w[r][c] * dy[r] in
+    // ascending r.
+    std::size_t c = 0;
+    for (; c + 16 <= cols; c += 16) {
+        Vec4 a0 = load4(dx + c), a1 = load4(dx + c + 4);
+        Vec4 a2 = load4(dx + c + 8), a3 = load4(dx + c + 12);
+        for (std::size_t r = row_begin; r < row_end; ++r) {
+            const float* wr = w + r * cols + c;
+            const float d = dy[r];
+            a0 += load4(wr) * d;
+            a1 += load4(wr + 4) * d;
+            a2 += load4(wr + 8) * d;
+            a3 += load4(wr + 12) * d;
+        }
+        store4(dx + c, a0);
+        store4(dx + c + 4, a1);
+        store4(dx + c + 8, a2);
+        store4(dx + c + 12, a3);
+    }
+    for (; c + 4 <= cols; c += 4) {
+        Vec4 acc = load4(dx + c);
+        for (std::size_t r = row_begin; r < row_end; ++r)
+            acc += load4(w + r * cols + c) * dy[r];
+        store4(dx + c, acc);
+    }
+    for (; c < cols; ++c) {
+        float acc = dx[c];
+        for (std::size_t r = row_begin; r < row_end; ++r)
+            acc += w[r * cols + c] * dy[r];
+        dx[c] = acc;
     }
 }
 
@@ -57,10 +137,21 @@ outerAccumRows(float* dw, const float* dy, const float* x,
                std::size_t row_begin, std::size_t row_end,
                std::size_t cols)
 {
+    // Two vectors per pass: a one-vector loop ran at half speed in
+    // some code placements.
     for (std::size_t r = row_begin; r < row_end; ++r) {
         float* dwr = dw + r * cols;
         const float d = dy[r];
-        for (std::size_t c = 0; c < cols; ++c)
+        std::size_t c = 0;
+        for (; c + 8 <= cols; c += 8) {
+            const Vec4 lo = load4(dwr + c) + d * load4(x + c);
+            const Vec4 hi = load4(dwr + c + 4) + d * load4(x + c + 4);
+            store4(dwr + c, lo);
+            store4(dwr + c + 4, hi);
+        }
+        for (; c + 4 <= cols; c += 4)
+            store4(dwr + c, load4(dwr + c) + d * load4(x + c));
+        for (; c < cols; ++c)
             dwr[c] += d * x[c];
     }
 }
@@ -100,7 +191,16 @@ addN(const float* const* ins, std::size_t n_in, float* out,
 void
 accum(float* out, const float* in, std::size_t len)
 {
-    for (std::size_t i = 0; i < len; ++i)
+    std::size_t i = 0; // two vectors per pass, as in outerAccumRows
+    for (; i + 8 <= len; i += 8) {
+        const Vec4 lo = load4(out + i) + load4(in + i);
+        const Vec4 hi = load4(out + i + 4) + load4(in + i + 4);
+        store4(out + i, lo);
+        store4(out + i + 4, hi);
+    }
+    for (; i + 4 <= len; i += 4)
+        store4(out + i, load4(out + i) + load4(in + i));
+    for (; i < len; ++i)
         out[i] += in[i];
 }
 

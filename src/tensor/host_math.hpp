@@ -1,12 +1,20 @@
 /**
  * @file
- * Scalar math routines that serve as the functional payloads of
+ * Float math routines that serve as the functional payloads of
  * simulated kernels.
  *
  * Every executor (the naive baseline, the batching baselines, and the
  * VPPS script interpreter) computes through these same routines, so
  * numerical equivalence between execution strategies is exact up to
  * floating-point reassociation -- which the tests rely on.
+ *
+ * accum, gemvRows, gemvTransposedAccumRows and outerAccumRows are
+ * 4-wide vector loops with scalar tails. Each keeps every output
+ * float's sequence of operations of the plain scalar loop, so results
+ * are bitwise those of the scalar loop: a gemv row sums its products
+ * from column 0 upward, a transposed gemv adds rows into each column
+ * in ascending order, and the rest is element-wise. The library is
+ * built with -ffp-contract=off so no multiply-add is fused.
  */
 #pragma once
 

@@ -626,9 +626,9 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     // timeline charges are contention-free by construction (each VPP
     // is interpreted by exactly one worker per round). Accumulations
     // whose target may be shared across VPPs within a phase (the
-    // += family and the matrix products with cross-VPP outputs) are
-    // computed into sink scratch and applied in fixed order by the
-    // scheduler, so float reductions never depend on thread timing.
+    // += family and MatVecT's dx) are computed into sink scratch and
+    // applied in fixed order by the scheduler, so float reductions
+    // never depend on thread timing.
     // Each instruction adds two charges to its VPP's clock, in this
     // order: the decode overhead, then the instruction's time.
     auto exec_words = [&](int vpp, const std::uint32_t* pc,
@@ -680,21 +680,17 @@ ScriptExecutor::run(const CompiledKernel& kernel,
               case Opcode::Outer: {
                 const MatrixCost& c = memo.at(vpp, op, imm);
                 if (func) {
+                    // dW lives in registers: the plan gives each of
+                    // its row blocks to exactly one VPP, and no other
+                    // instruction in the kernel touches a weight
+                    // matrix's p.grad, so the product accumulates
+                    // straight into this VPP's own rows of it.
                     const auto& p = model.param(imm);
-                    const std::uint32_t cols = p.shape.cols();
-                    for (const auto& s : plan.slices(vpp, imm, true)) {
-                        // dW rows are per-VPP-disjoint, but p.grad is
-                        // one shared buffer also fed by the GEMM
-                        // staging / AccumParam paths; keep the
-                        // register-cached proxy on the same
-                        // deferred-reduction rule.
-                        float* scratch =
-                            sink.claim(p.grad + s.first_row * cols,
-                                       s.num_rows * cols);
+                    for (const auto& s : plan.slices(vpp, imm, true))
                         tensor::outerAccumRows(
-                            scratch, mem.data(w[0]) + s.first_row,
-                            mem.data(w[1]), 0, s.num_rows, cols);
-                    }
+                            mem.data(p.grad), mem.data(w[0]),
+                            mem.data(w[1]), s.first_row,
+                            s.first_row + s.num_rows, p.shape.cols());
                 }
                 sink.traffic.addLoad(MemSpace::ActGrads, c.row_bytes);
                 sink.traffic.addLoad(MemSpace::Activations, c.col_bytes);

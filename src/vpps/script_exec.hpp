@@ -20,11 +20,12 @@
  * whose inputs are already barrier-complete, so they execute
  * concurrently on a worker pool. Accounting (traffic, instruction
  * counts) goes to per-VPP sinks merged in VPP order, and cross-VPP
- * accumulations (MatVecT, Outer, the Accum family) are computed into
+ * accumulations (MatVecT's dx, the Accum family) are computed into
  * per-VPP scratch and applied by the scheduler in (VPP,
- * program-order) order at the phase boundary -- so results, traffic
- * tables, and timings are bitwise identical for any thread count.
- * See DESIGN.md, "Host-parallel interpretation".
+ * program-order) order at the phase boundary. Outer accumulates
+ * straight into its VPP's own rows of dW, which no other VPP holds --
+ * so results, traffic tables, and timings are bitwise identical for
+ * any thread count. See DESIGN.md, "Host-parallel interpretation".
  */
 #pragma once
 

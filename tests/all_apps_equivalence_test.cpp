@@ -5,14 +5,17 @@
  * produces the same losses as the per-node baseline -- and this holds
  * on non-default device geometries (fewer SMs, smaller register
  * files), where the distribution plan and script differ entirely.
- * One timing-only batch per app also pins its simulated time.
+ * One timing-only batch per app also pins its simulated time, and two
+ * functional batches pin its losses and trained parameters.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <ios>
 
 #include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "data/ner_corpus.hpp"
 #include "data/treebank.hpp"
 #include "data/vocab.hpp"
@@ -201,6 +204,81 @@ TEST_P(AllAppsEquivalenceTest, TimingOnlyBatchIsPinned)
         << std::hex << std::showbase << gb.script.checksum();
     EXPECT_EQ(gb.script.bytes(), pin->script_bytes)
         << std::fixed << gb.script.bytes();
+}
+
+/** Float results of two functional batches of an app. */
+struct FunctionalPin
+{
+    const char* app;
+    bool cache_gradients;
+    std::uint32_t loss_bits[2];
+    std::uint64_t params_digest; //!< FNV-1a of every parameter's bytes
+};
+
+const FunctionalPin kFunctionalPins[] = {
+    {"Tree-LSTM", true, {0x40887154, 0x4021856c}, 0xc817090990f6ce6cull},
+    {"Tree-LSTM", false, {0x40887154, 0x4021856c}, 0x70e189078f82c0b2ull},
+    {"BiLSTM", true, {0x4251d908, 0x41ebeb7f}, 0xa8e758e3d91c5cd0ull},
+    {"BiLSTMwChar", true, {0x420772e7, 0x421ce11c}, 0xdc32e9fc6422b082ull},
+    {"BiGRU", true, {0x4229a908, 0x4200d658}, 0xa334026087ed32c3ull},
+    {"TD-RNN", true, {0x403edf1a, 0x40dc85ba}, 0xb93637ebc3e0e5eeull},
+    {"TD-LSTM", true, {0x4082d074, 0x407c49e9}, 0x604b612ff257b27full},
+    {"RvNN", true, {0x40168f68, 0x409793f3}, 0x44a0ea92ba7e5747ull},
+};
+
+TEST_P(AllAppsEquivalenceTest, FunctionalBatchIsPinned)
+{
+    // The float results must not move under host-side refactors
+    // either: losses and trained parameters of two functional batches
+    // per app are pinned bit for bit at 1 and at 8 host threads, so a
+    // reduction-order change that every thread count shares still
+    // fails here. Tree-LSTM also runs its GEMM-fallback kernel.
+    int checked = 0;
+    for (const FunctionalPin& pin : kFunctionalPins) {
+        if (std::string(pin.app) != GetParam())
+            continue;
+        for (int threads : {1, 8}) {
+            SCOPED_TRACE(testing::Message()
+                         << "cache_gradients " << pin.cache_gradients
+                         << ", " << threads << " host threads");
+            Factory f(gpusim::DeviceSpec{});
+            auto m = f.make(GetParam());
+            vpps::VppsOptions opts;
+            opts.rpw = 2;
+            opts.async = false;
+            opts.cache_gradients = pin.cache_gradients;
+            opts.host_threads = threads;
+            vpps::Handle handle(m->model(), f.device, opts);
+            ASSERT_EQ(handle.kernel().plan.gradientsCached(),
+                      pin.cache_gradients);
+            for (int step = 0; step < 2; ++step) {
+                graph::ComputationGraph cg;
+                const float loss = handle.fb(
+                    m->model(), cg,
+                    train::buildSuperGraph(
+                        *m, cg, static_cast<std::size_t>(step) * 2, 2));
+                std::uint32_t bits;
+                std::memcpy(&bits, &loss, sizeof(bits));
+                EXPECT_EQ(bits, pin.loss_bits[step])
+                    << "step " << step << std::hex << std::showbase
+                    << ": " << bits;
+            }
+            std::vector<std::uint8_t> bytes;
+            const auto& model = m->model();
+            for (graph::ParamId id = 0; id < model.numParams(); ++id) {
+                const auto& p = model.param(id);
+                const auto* data = reinterpret_cast<const std::uint8_t*>(
+                    f.device.memory().data(p.value));
+                bytes.insert(bytes.end(), data,
+                             data + p.shape.size() * sizeof(float));
+            }
+            const std::uint64_t digest = common::fnv1a64(bytes);
+            EXPECT_EQ(digest, pin.params_digest)
+                << std::hex << std::showbase << digest;
+        }
+        ++checked;
+    }
+    EXPECT_GT(checked, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(SevenApps, AllAppsEquivalenceTest,

@@ -63,23 +63,39 @@ TEST(Distribution, Footnote6MaxRpwExample)
 
 TEST(Distribution, EveryRowCachedExactlyOnce)
 {
-    DistRig rig(300, 128, 3); // rows not divisible by rpw
+    // In-place Outer relies on this for the gradient slices: each VPP
+    // accumulates straight into the rows of p.grad it caches, so no
+    // row may have two owners or none. Checked at every rpw the budget
+    // allows and at one and two CTAs per SM.
+    DistRig rig(300, 128, 3); // rows not divisible by most rpw
     VppsOptions opts;
-    auto plan = DistributionPlan::tryBuild(
-        rig.model, rig.device.spec(), opts, 7, 2, true);
-    ASSERT_TRUE(plan.has_value());
-    for (graph::ParamId m : rig.model.weightMatrices()) {
-        for (bool grad : {false, true}) {
-            std::vector<int> covered(300, 0);
-            for (int vpp = 0; vpp < plan->numVpps(); ++vpp)
-                for (const auto& s : plan->slices(vpp, m, grad))
-                    for (std::uint32_t r = s.first_row;
-                         r < s.first_row + s.num_rows; ++r)
-                        ++covered[r];
-            for (int c : covered)
-                EXPECT_EQ(c, 1) << "every row in exactly one warp";
+    const int max_rpw =
+        DistributionPlan::maxRpw(rig.model, rig.device.spec(), opts);
+    int plans = 0;
+    for (int rpw = 1; rpw <= max_rpw; ++rpw) {
+        for (int ctas : {1, 2}) {
+            auto plan = DistributionPlan::tryBuild(
+                rig.model, rig.device.spec(), opts, rpw, ctas, true);
+            if (!plan)
+                continue; // over the register budget at this CTA count
+            ++plans;
+            for (graph::ParamId m : rig.model.weightMatrices()) {
+                for (bool grad : {false, true}) {
+                    std::vector<int> covered(300, 0);
+                    for (int vpp = 0; vpp < plan->numVpps(); ++vpp)
+                        for (const auto& s : plan->slices(vpp, m, grad))
+                            for (std::uint32_t r = s.first_row;
+                                 r < s.first_row + s.num_rows; ++r)
+                                ++covered[r];
+                    for (int c : covered)
+                        EXPECT_EQ(c, 1) << "every row in exactly one warp"
+                                        << " (rpw " << rpw << ", " << ctas
+                                        << " CTAs, grad " << grad << ")";
+                }
+            }
         }
     }
+    EXPECT_GE(plans, 2 * 7) << "rpw 1..7 fit at one and two CTAs";
 }
 
 TEST(Distribution, RoundRobinBalancesCtas)

@@ -7,10 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iomanip>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "vpps/script_cache.hpp"
@@ -33,9 +35,10 @@ struct InterpRig
     graph::ComputationGraph cg;
     graph::NodeId loss_node;
 
-    explicit InterpRig(bool with_bias = false)
+    explicit InterpRig(bool with_bias = false, std::uint32_t rows = 8,
+                       std::uint32_t cols = 4)
     {
-        w = model.addWeightMatrix("W", 8, 4);
+        w = model.addWeightMatrix("W", rows, cols);
         if (with_bias)
             bias = model.addBias("b", 8);
         common::Rng rng(111);
@@ -70,12 +73,13 @@ struct InterpRig
     }
 
     common::Result<vpps::RunResult>
-    tryRun(vpps::GeneratedBatch& batch)
+    tryRun(vpps::GeneratedBatch& batch, int threads = 0,
+           bool apply_updates = true)
     {
         batch.loss_node = loss_node;
         batch.script.seal();
-        vpps::ScriptExecutor executor(device);
-        return executor.run(kernel, batch, model, cg);
+        vpps::ScriptExecutor executor(device, threads);
+        return executor.run(kernel, batch, model, cg, apply_updates);
     }
 
     vpps::RunResult
@@ -531,6 +535,154 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<ZeroRowPin>& info) {
         return std::string(info.param.name);
     });
+
+// -- Deferred merge and in-place Outer -------------------------------
+// MatVecT's dx and the += family defer into per-VPP scratch that the
+// scheduler adds onto the pool at the phase boundary, in (VPP,
+// program) order. Outer accumulates straight into its VPP's own rows
+// of dW. Both must give the bits of a serial (VPP, program)-order
+// reference computed here, at every thread count.
+
+constexpr int kMergeThreadCounts[] = {1, 2, 3, 4, 8};
+
+/** Fill @p n pool floats at @p off with magnitudes over 2^-8..2^8, so
+ *  a changed summation order changes bits. */
+void
+fillMixed(DeviceMemory& mem, DeviceMemory::Offset off, std::size_t n,
+          common::Rng& rng)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        mem.data(off)[i] =
+            std::ldexp(rng.nextFloat(-1.0f, 1.0f), rng.nextInt(-8, 8));
+}
+
+TEST(InterpreterMerge, DeferredMergeKeepsVppProgramOrder)
+{
+    // 48 VPPs in one phase: three Accums each and, on the 32 VPPs
+    // caching rows of the 64 x 150 W, a MatVecT. Every target lies in
+    // one 701-float region placed at an odd offset, so the targets
+    // overlap and start at odd offsets.
+    InterpRig rig(false, 64, 150);
+    auto& mem = rig.device.memory();
+    const auto& plan = rig.kernel.plan;
+    common::Rng rng(71);
+    mem.allocate(37, gpusim::MemSpace::Activations);
+    constexpr std::uint32_t kRegion = 701, kCols = 150;
+    const auto region = mem.allocate(kRegion, gpusim::MemSpace::ActGrads);
+    const auto src = mem.allocate(4096, gpusim::MemSpace::ActGrads);
+    const auto dy = mem.allocate(64, gpusim::MemSpace::ActGrads);
+    fillMixed(mem, rig.model.param(rig.w).value, 64 * kCols, rng);
+    fillMixed(mem, region, kRegion, rng);
+    fillMixed(mem, src, 4096, rng);
+    fillMixed(mem, dy, 64, rng);
+    const std::vector<float> initial(mem.data(region),
+                                     mem.data(region) + kRegion);
+
+    struct Op
+    {
+        int vpp;
+        Opcode op;
+        std::uint32_t at;  //!< target offset in the region
+        std::uint32_t len; //!< floats accumulated
+        std::uint32_t from; //!< Accum source offset in src
+    };
+    std::vector<Op> ops; // (VPP, program) order
+    for (int vpp = 0; vpp < 48; ++vpp) {
+        for (int k = 0; k < 3; ++k) {
+            const auto u = static_cast<std::uint32_t>(vpp * 3 + k);
+            ops.push_back({vpp, Opcode::Accum, (u * 37) % 451 + 1,
+                           63 + (u * 53) % 187, (u * 61) % 3800});
+            if (k == 0 && !plan.slices(vpp, rig.w, false).empty())
+                ops.push_back({vpp, Opcode::MatVecT,
+                               (u * 41) % 549 + 3, kCols, 0});
+        }
+    }
+    std::vector<float> want = initial;
+    const float* w = mem.data(rig.model.param(rig.w).value);
+    for (const Op& o : ops) {
+        std::vector<float> part(o.len, 0.0f); // the VPP's scratch
+        if (o.op == Opcode::Accum) {
+            for (std::uint32_t i = 0; i < o.len; ++i)
+                part[i] += mem.data(src)[o.from + i];
+        } else {
+            for (const auto& s : plan.slices(o.vpp, rig.w, false))
+                for (std::uint32_t r = s.first_row;
+                     r < s.first_row + s.num_rows; ++r)
+                    for (std::uint32_t c = 0; c < kCols; ++c)
+                        part[c] += w[r * kCols + c] * mem.data(dy)[r];
+        }
+        for (std::uint32_t i = 0; i < o.len; ++i)
+            want[o.at + i] += part[i];
+    }
+
+    for (int threads : kMergeThreadCounts) {
+        std::copy(initial.begin(), initial.end(), mem.data(region));
+        auto batch = rig.fresh();
+        for (const Op& o : ops) {
+            if (o.op == Opcode::Accum)
+                batch.script.emit(o.vpp, Opcode::Accum, o.len,
+                                  {region + o.at, src + o.from});
+            else
+                batch.script.emit(o.vpp, Opcode::MatVecT, rig.w,
+                                  {dy, region + o.at});
+        }
+        // Gradient-only: the epilogue's SGD step would move W and
+        // clear p.grad.
+        ASSERT_TRUE(rig.tryRun(batch, threads, false).ok());
+        EXPECT_EQ(std::memcmp(mem.data(region), want.data(),
+                              kRegion * sizeof(float)),
+                  0)
+            << threads << " host threads";
+    }
+}
+
+TEST(InterpreterMerge, OutersAccumulateInPlaceInProgramOrder)
+{
+    // Every VPP caching rows of dW runs two Outers in one phase. They
+    // accumulate into its own rows of p.grad, in program order.
+    InterpRig rig(false, 64, 150);
+    auto& mem = rig.device.memory();
+    const auto& plan = rig.kernel.plan;
+    const auto& p = rig.model.param(rig.w);
+    constexpr std::uint32_t kRows = 64, kCols = 150;
+    common::Rng rng(72);
+    DeviceMemory::Offset dy[2], x[2];
+    for (int k = 0; k < 2; ++k) {
+        dy[k] = mem.allocate(kRows, gpusim::MemSpace::ActGrads);
+        x[k] = mem.allocate(kCols, gpusim::MemSpace::Activations);
+        fillMixed(mem, dy[k], kRows, rng);
+        fillMixed(mem, x[k], kCols, rng);
+    }
+    fillMixed(mem, p.grad, kRows * kCols, rng);
+    const std::vector<float> initial(mem.data(p.grad),
+                                     mem.data(p.grad) + kRows * kCols);
+
+    std::vector<float> want = initial;
+    for (int vpp : plan.vppsOf(rig.w, true))
+        for (int k = 0; k < 2; ++k)
+            for (const auto& s : plan.slices(vpp, rig.w, true))
+                for (std::uint32_t r = s.first_row;
+                     r < s.first_row + s.num_rows; ++r)
+                    for (std::uint32_t c = 0; c < kCols; ++c)
+                        want[r * kCols + c] +=
+                            mem.data(dy[k])[r] * mem.data(x[k])[c];
+
+    for (int threads : kMergeThreadCounts) {
+        std::copy(initial.begin(), initial.end(), mem.data(p.grad));
+        auto batch = rig.fresh();
+        for (int vpp : plan.vppsOf(rig.w, true))
+            for (int k = 0; k < 2; ++k)
+                batch.script.emit(vpp, Opcode::Outer, rig.w,
+                                  {dy[k], x[k]});
+        // Gradient-only: the epilogue's SGD step would move W and
+        // clear p.grad.
+        ASSERT_TRUE(rig.tryRun(batch, threads, false).ok());
+        EXPECT_EQ(std::memcmp(mem.data(p.grad), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << threads << " host threads";
+    }
+}
 
 // -- Script cache hits -----------------------------------------------
 

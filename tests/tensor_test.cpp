@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -250,6 +252,194 @@ TEST(HostMath, AddNAndAccum)
     EXPECT_FLOAT_EQ(out[0], 111.0f);
     tensor::accum(out.data(), a.data(), 2);
     EXPECT_FLOAT_EQ(out[0], 112.0f);
+}
+
+// -- Vector kernels against the scalar loops they replaced ----------
+// accum, gemvRows, gemvTransposedAccumRows and outerAccumRows are
+// 4-wide vector loops with scalar tails that must keep every output
+// float's sequence of operations. Each is compared bit for bit with
+// the plain scalar loop, kept below as the reference, over every
+// column count up to 67 (so every tail length occurs), row ranges of
+// 1, 2, 3 and 5 rows that start past row 0, operands one float past
+// vector alignment, and inputs salted with -0.0, subnormals,
+// infinities and 3e38.
+
+namespace scalar {
+
+void
+gemvRows(const float* w, const float* x, float* y, std::size_t row_begin,
+         std::size_t row_end, std::size_t cols)
+{
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+        const float* wr = w + r * cols;
+        float acc = 0.0f;
+        for (std::size_t c = 0; c < cols; ++c)
+            acc += wr[c] * x[c];
+        y[r] = acc;
+    }
+}
+
+void
+gemvTransposedAccumRows(const float* w, const float* dy, float* dx,
+                        std::size_t row_begin, std::size_t row_end,
+                        std::size_t cols)
+{
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+        const float* wr = w + r * cols;
+        const float d = dy[r];
+        for (std::size_t c = 0; c < cols; ++c)
+            dx[c] += wr[c] * d;
+    }
+}
+
+void
+outerAccumRows(float* dw, const float* dy, const float* x,
+               std::size_t row_begin, std::size_t row_end,
+               std::size_t cols)
+{
+    for (std::size_t r = row_begin; r < row_end; ++r) {
+        float* dwr = dw + r * cols;
+        const float d = dy[r];
+        for (std::size_t c = 0; c < cols; ++c)
+            dwr[c] += d * x[c];
+    }
+}
+
+void
+accum(float* out, const float* in, std::size_t len)
+{
+    for (std::size_t i = 0; i < len; ++i)
+        out[i] += in[i];
+}
+
+} // namespace scalar
+
+constexpr std::size_t kMaxCols = 67;
+constexpr std::size_t kRowCounts[] = {1, 2, 3, 5};
+constexpr std::size_t kFirstRow = 1;
+
+/**
+ * @p n kernel operands after one padding float, so data() + 1 is one
+ * float past the allocation's alignment. Magnitudes span 2^-12..2^12,
+ * so a changed summation order changes bits; with @p special, every
+ * fifth value is -0.0, +0.0, a subnormal, +-inf or +-3e38.
+ */
+std::vector<float>
+kernelOperand(common::Rng& rng, std::size_t n, bool special)
+{
+    const float specials[] = {-0.0f,
+                              0.0f,
+                              std::numeric_limits<float>::denorm_min(),
+                              -1e-40f,
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              3e38f,
+                              -3e38f};
+    std::vector<float> v(n + 1);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        v[i] = std::ldexp(rng.nextFloat(-1.0f, 1.0f), rng.nextInt(-12, 12));
+        if (special && i % 5 == 0)
+            v[i] = specials[rng.nextBelow(std::size(specials))];
+    }
+    return v;
+}
+
+bool
+sameBits(const std::vector<float>& a, const std::vector<float>& b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/** Call @p check(cols, rows, special) for every kernel case. */
+template <typename Check>
+void
+forEachKernelCase(Check check)
+{
+    for (bool special : {false, true})
+        for (std::size_t cols = 1; cols <= kMaxCols; ++cols)
+            for (std::size_t rows : kRowCounts)
+                check(cols, rows, special);
+}
+
+TEST(HostMath, GemvRowsMatchesScalarLoopBitwise)
+{
+    common::Rng rng(401);
+    forEachKernelCase([&](std::size_t cols, std::size_t rows,
+                          bool special) {
+        const std::size_t all_rows = kFirstRow + rows + 1;
+        const auto w = kernelOperand(rng, all_rows * cols, special);
+        const auto x = kernelOperand(rng, cols, special);
+        auto want = kernelOperand(rng, all_rows, special);
+        auto got = want;
+        scalar::gemvRows(w.data() + 1, x.data() + 1, want.data() + 1,
+                         kFirstRow, kFirstRow + rows, cols);
+        tensor::gemvRows(w.data() + 1, x.data() + 1, got.data() + 1,
+                         kFirstRow, kFirstRow + rows, cols);
+        EXPECT_TRUE(sameBits(got, want))
+            << "cols " << cols << ", rows " << rows
+            << (special ? ", special values" : "");
+    });
+}
+
+TEST(HostMath, GemvTransposedAccumRowsMatchesScalarLoopBitwise)
+{
+    common::Rng rng(402);
+    forEachKernelCase([&](std::size_t cols, std::size_t rows,
+                          bool special) {
+        const std::size_t all_rows = kFirstRow + rows + 1;
+        const auto w = kernelOperand(rng, all_rows * cols, special);
+        const auto dy = kernelOperand(rng, all_rows, special);
+        auto want = kernelOperand(rng, cols, special);
+        auto got = want;
+        scalar::gemvTransposedAccumRows(w.data() + 1, dy.data() + 1,
+                                        want.data() + 1, kFirstRow,
+                                        kFirstRow + rows, cols);
+        tensor::gemvTransposedAccumRows(w.data() + 1, dy.data() + 1,
+                                        got.data() + 1, kFirstRow,
+                                        kFirstRow + rows, cols);
+        EXPECT_TRUE(sameBits(got, want))
+            << "cols " << cols << ", rows " << rows
+            << (special ? ", special values" : "");
+    });
+}
+
+TEST(HostMath, OuterAccumRowsMatchesScalarLoopBitwise)
+{
+    common::Rng rng(403);
+    forEachKernelCase([&](std::size_t cols, std::size_t rows,
+                          bool special) {
+        const std::size_t all_rows = kFirstRow + rows + 1;
+        const auto dy = kernelOperand(rng, all_rows, special);
+        const auto x = kernelOperand(rng, cols, special);
+        auto want = kernelOperand(rng, all_rows * cols, special);
+        auto got = want;
+        scalar::outerAccumRows(want.data() + 1, dy.data() + 1,
+                               x.data() + 1, kFirstRow,
+                               kFirstRow + rows, cols);
+        tensor::outerAccumRows(got.data() + 1, dy.data() + 1,
+                               x.data() + 1, kFirstRow,
+                               kFirstRow + rows, cols);
+        EXPECT_TRUE(sameBits(got, want))
+            << "cols " << cols << ", rows " << rows
+            << (special ? ", special values" : "");
+    });
+}
+
+TEST(HostMath, AccumMatchesScalarLoopBitwise)
+{
+    common::Rng rng(404);
+    for (bool special : {false, true}) {
+        for (std::size_t len = 1; len <= kMaxCols; ++len) {
+            const auto in = kernelOperand(rng, len, special);
+            auto want = kernelOperand(rng, len, special);
+            auto got = want;
+            scalar::accum(want.data() + 1, in.data() + 1, len);
+            tensor::accum(got.data() + 1, in.data() + 1, len);
+            EXPECT_TRUE(sameBits(got, want))
+                << "len " << len << (special ? ", special values" : "");
+        }
+    }
 }
 
 TEST(TensorRef, ViewsIntoPool)
