@@ -45,10 +45,4 @@ setVerbose(bool verbose)
     verbose_enabled = verbose;
 }
 
-bool
-verbose()
-{
-    return verbose_enabled;
-}
-
 } // namespace common

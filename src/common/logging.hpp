@@ -76,7 +76,4 @@ warn(Args&&... args)
 /** Enable/disable inform() output (benchmarks silence it). */
 void setVerbose(bool verbose);
 
-/** @return whether inform() output is currently enabled. */
-bool verbose();
-
 } // namespace common

@@ -61,13 +61,6 @@ struct StorePlan
     double read_us_per_kb = 1.0;
     double rename_us = 50.0; //!< journaled metadata commit
     /** @} */
-
-    bool
-    anyFaults() const
-    {
-        return torn_write_rate > 0.0 || short_write_rate > 0.0 ||
-               bit_rot_rate > 0.0;
-    }
 };
 
 /** Operation counts plus accumulated modeled latency. */

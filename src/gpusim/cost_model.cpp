@@ -5,18 +5,6 @@
 
 namespace gpusim {
 
-KernelCost&
-KernelCost::operator+=(const KernelCost& other)
-{
-    flops += other.flops;
-    dram_load_bytes += other.dram_load_bytes;
-    dram_store_bytes += other.dram_store_bytes;
-    atomic_ops += other.atomic_ops;
-    parallel_threads += other.parallel_threads;
-    latency_hops = std::max(latency_hops, other.latency_hops);
-    return *this;
-}
-
 double
 kernelBodyUs(const DeviceSpec& spec, const KernelCost& cost)
 {

@@ -39,9 +39,6 @@ struct KernelCost
 
     /** Number of serial dependent phases (each pays DRAM latency). */
     double latency_hops = 1.0;
-
-    /** Accumulate another cost into this one (batched kernels). */
-    KernelCost& operator+=(const KernelCost& other);
 };
 
 /**

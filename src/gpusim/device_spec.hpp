@@ -97,14 +97,6 @@ struct DeviceSpec
     {
         return dram_bandwidth_gbps * 1e3;
     }
-
-    /** @return total registers (4-byte) across the whole device. */
-    std::size_t
-    totalRegisters() const
-    {
-        return static_cast<std::size_t>(num_sms) *
-               (regfile_bytes_per_sm / 4);
-    }
 };
 
 /**

@@ -26,29 +26,6 @@ insideWindow(double at, double length, double t)
 
 } // namespace
 
-void
-FaultPlan::addPartition(const std::vector<std::size_t>& island,
-                        std::size_t num_devices, double at_us,
-                        double for_us)
-{
-    std::vector<bool> in_island(num_devices, false);
-    for (const std::size_t d : island)
-        if (d < num_devices)
-            in_island[d] = true;
-    for (std::size_t a = 0; a < num_devices; ++a) {
-        for (std::size_t b = a + 1; b < num_devices; ++b) {
-            if (in_island[a] == in_island[b])
-                continue;
-            LinkFault cut;
-            cut.a = a;
-            cut.b = b;
-            cut.down_at_us = at_us;
-            cut.down_for_us = for_us;
-            link_faults.push_back(cut);
-        }
-    }
-}
-
 FaultPlan
 FaultPlan::uniform(double rate, std::uint64_t seed)
 {

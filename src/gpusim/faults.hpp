@@ -172,16 +172,6 @@ struct FaultPlan
     /** Seed of the dedicated message-loss stream. */
     std::uint64_t link_seed = 1;
 
-    /**
-     * Schedule a partition: cut every link between @p island and the
-     * rest of a @p num_devices fleet at @p at_us, healing after
-     * @p for_us (<= 0 keeps the cut permanent). Membership is
-     * pairwise, so multi-hop routes through the island break too.
-     */
-    void addPartition(const std::vector<std::size_t>& island,
-                      std::size_t num_devices, double at_us,
-                      double for_us);
-
     /** @} */
 
     /** Same rate for every transient category. */

@@ -41,7 +41,6 @@ PersistentSim::signal(std::size_t barrier, int vpp)
     if (b.arrived > b.expected && b.expected > 0)
         common::panic("PersistentSim: barrier ", barrier, " over-signaled");
     b.release_time = std::max(b.release_time, timeOf(vpp));
-    ++barrier_ops_;
     if (tracer_)
         tracer_->instant(vpp, "barrier", "signal",
                          trace_base_us_ + timeOf(vpp),

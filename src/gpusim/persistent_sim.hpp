@@ -101,9 +101,6 @@ class PersistentSim
     /** @return mean VPP busy time (for load-balance diagnostics). */
     double meanVppTime() const;
 
-    /** Total signal+wait pairs resolved (diagnostics). */
-    std::uint64_t barrierOps() const { return barrier_ops_; }
-
     /** @name Stall diagnostics (barrier watchdog)
      * Signals expected/arrived at @p barrier; 0 for barriers the sim
      * has never seen. Used by the script executor to report *which*
@@ -141,7 +138,6 @@ class PersistentSim
     int ctas_per_sm_;
     std::vector<double> vpp_time_;
     std::vector<Barrier> barriers_;
-    std::uint64_t barrier_ops_ = 0;
     obs::Tracer* tracer_ = nullptr; //!< borrowed, may be null
     double trace_base_us_ = 0.0;
 

@@ -658,17 +658,6 @@ Topology::parse(const std::string& text)
     return topo;
 }
 
-const char*
-collectiveName(Collective algo)
-{
-    switch (algo)
-    {
-        case Collective::RingAllReduce: return "ring";
-        case Collective::TreeAllReduce: return "tree";
-    }
-    return "unknown";
-}
-
 namespace {
 
 /** ceil(log2 r) for r >= 1. */

@@ -188,9 +188,6 @@ enum class Collective : std::uint8_t
     TreeAllReduce  //!< reduce + broadcast over a binary tree
 };
 
-/** @return a short stable name ("ring", "tree"). */
-const char* collectiveName(Collective algo);
-
 /** What one modeled all-reduce costs. */
 struct CollectiveCost
 {

@@ -5,7 +5,7 @@ namespace models {
 LstmBuilder::LstmBuilder(graph::Model& model, const std::string& prefix,
                          std::uint32_t input_dim,
                          std::uint32_t hidden_dim)
-    : input_(input_dim), hidden_(hidden_dim)
+    : hidden_(hidden_dim)
 {
     wx_ = model.addWeightMatrix(prefix + ".Wx", 4 * hidden_dim,
                                 input_dim);

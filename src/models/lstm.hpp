@@ -41,13 +41,11 @@ class LstmBuilder
                graph::Expr x) const;
 
     std::uint32_t hiddenDim() const { return hidden_; }
-    std::uint32_t inputDim() const { return input_; }
 
   private:
     graph::ParamId wx_;
     graph::ParamId wh_;
     graph::ParamId b_;
-    std::uint32_t input_;
     std::uint32_t hidden_;
 };
 

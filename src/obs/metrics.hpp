@@ -131,10 +131,6 @@ class MetricsRegistry
     {
         return counters_;
     }
-    const std::map<std::string, Gauge>& gauges() const
-    {
-        return gauges_;
-    }
     const std::map<std::string, Histogram>& histograms() const
     {
         return histograms_;

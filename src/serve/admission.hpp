@@ -8,7 +8,7 @@
  * degradation level, and each level sheds progressively more load
  *
  *   Normal       -> full batching window, everything admitted
- *   ShrunkWindow -> batching window multiplied by shrink_factor
+ *   ShrunkWindow -> batching window cut to a quarter
  *                   (lower latency, worse amortization)
  *   ShedLowClass -> Low-priority arrivals are shed outright
  *   RejectAll    -> every arrival is rejected (queue saturated)
@@ -33,9 +33,6 @@ enum class BrownoutLevel : int
     RejectAll = 3,
 };
 
-/** @return a short stable name for a brown-out level. */
-const char* brownoutLevelName(BrownoutLevel level);
-
 struct AdmissionConfig
 {
     /** Hard bound on queued requests per endpoint. */
@@ -46,10 +43,6 @@ struct AdmissionConfig
 
     /** Backlog at which Low-class arrivals are shed. */
     std::size_t shed_watermark = 32;
-
-    /** Multiplier on the estimated service time in the feasibility
-     *  check; > 1 leaves headroom for estimation error. */
-    double safety_factor = 1.25;
 };
 
 /**
@@ -89,10 +82,16 @@ public:
     };
 
     /**
+     * Multiplier on the estimated service time in the feasibility
+     * check; > 1 leaves headroom for estimation error.
+     */
+    static constexpr double kSafetyFactor = 1.25;
+
+    /**
      * Decide @p req's fate.
      *
      * The feasibility test is
-     *   est_start + est_service * safety_factor > deadline
+     *   est_start + est_service * kSafetyFactor > deadline
      * -- the safety factor pads only the cost-model estimate, never
      * the absolute start instant.
      *
@@ -112,7 +111,7 @@ public:
         if (level >= BrownoutLevel::ShedLowClass &&
             req.cls == RequestClass::Low)
             return Decision::Shed;
-        if (est_start_us + est_service_us * cfg_.safety_factor >
+        if (est_start_us + est_service_us * kSafetyFactor >
             req.deadline_us)
             return Decision::RejectInfeasible;
         return Decision::Admit;

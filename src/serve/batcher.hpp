@@ -33,9 +33,6 @@ struct BatchPolicy
      *  the oldest queued request never waits longer before its batch
      *  forms. */
     double window_us = 2'000.0;
-
-    /** Window multiplier under BrownoutLevel::ShrunkWindow. */
-    double shrink_factor = 0.25;
 };
 
 /** A queued, admitted request plus its retry bookkeeping. */
@@ -53,12 +50,15 @@ public:
 
     const BatchPolicy& policy() const { return policy_; }
 
+    /** Window multiplier under BrownoutLevel::ShrunkWindow. */
+    static constexpr double kShrinkFactor = 0.25;
+
     /** Effective batching window at @p level. */
     double
     windowUs(BrownoutLevel level) const
     {
         return level >= BrownoutLevel::ShrunkWindow
-                   ? policy_.window_us * policy_.shrink_factor
+                   ? policy_.window_us * kShrinkFactor
                    : policy_.window_us;
     }
 

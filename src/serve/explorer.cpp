@@ -278,11 +278,14 @@ struct CrashRun : FleetRun
 
 using CrashContext = Context<CrashExplorerConfig, CrashRun>;
 
+/** Seed of the stable store's fault stream. */
+constexpr std::uint64_t kStoreSeed = 7;
+
 durable::StorePlan
 storePlan(const CrashExplorerConfig& cfg)
 {
     durable::StorePlan plan;
-    plan.seed = cfg.store_seed;
+    plan.seed = kStoreSeed;
     plan.torn_write_rate = cfg.torn_write_rate;
     plan.short_write_rate = cfg.short_write_rate;
     return plan;

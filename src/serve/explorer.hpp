@@ -132,9 +132,6 @@ struct CrashExplorerConfig
     /** Stable-store short-write (partial sync) injection rate. */
     double short_write_rate = 0.05;
 
-    /** Stable-store fault seed. */
-    std::uint64_t store_seed = 7;
-
     /** Sweep budget: crash boundaries tested across [0, E], evenly
      *  spaced, endpoints included (0 = every boundary). */
     std::size_t max_points = 16;

@@ -23,23 +23,16 @@ namespace {
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-} // namespace
+/** @name Control-message sizes on the wire, bytes @{ */
+constexpr std::uint64_t kProbeBytes = 64;
+constexpr std::uint64_t kDispatchBytes = 512;
+constexpr std::uint64_t kCompletionBytes = 128;
+/** @} */
 
-const char*
-replicaStateName(ReplicaState s)
-{
-    switch (s) {
-    case ReplicaState::Active:
-        return "active";
-    case ReplicaState::Standby:
-        return "standby";
-    case ReplicaState::Joining:
-        return "joining";
-    case ReplicaState::Dead:
-        return "dead";
-    }
-    return "?";
-}
+/** Modeled CPU cost of replaying one journal record, us. */
+constexpr double kReplayUsPerRecord = 5.0;
+
+} // namespace
 
 Fleet::Fleet(std::vector<FleetReplica> replicas, FleetConfig cfg,
              obs::Tracer* tracer, obs::MetricsRegistry* metrics)
@@ -47,7 +40,7 @@ Fleet::Fleet(std::vector<FleetReplica> replicas, FleetConfig cfg,
       // max_batch 1, window 0: requests route individually and
       // immediately, which is what makes responses bitwise
       // comparable across replicas.
-      queue_(BatchPolicy{1, 0.0, 1.0}),
+      queue_(BatchPolicy{1, 0.0}),
       health_(cfg_.health, replicas.size(), 0.0), tracer_(tracer),
       metrics_(metrics)
 {
@@ -328,7 +321,7 @@ Fleet::execute(std::size_t s, Queued q, bool as_hedge)
     const std::size_t ctrl = cfg_.net.controller_node;
     if (net_.enabled() && sl.node != ctrl) {
         const NetworkModel::SendOutcome out = net_.send(
-            ctrl, sl.node, cfg_.net.dispatch_bytes, now_, "dispatch");
+            ctrl, sl.node, kDispatchBytes, now_, "dispatch");
         if (!out.delivered) {
             // Blocked or lost in flight: the replica never hears of
             // this dispatch. The controller sees a busy slot and a
@@ -377,7 +370,7 @@ Fleet::execute(std::size_t s, Queued q, bool as_hedge)
         // ladder until it gets through; +inf (partition outlives the
         // ladder) leaves a zombie for the fence timeout.
         fl.done_at_us = net_.reliableDeliveryAtUs(
-            sl.node, ctrl, cfg_.net.completion_bytes, start + dur);
+            sl.node, ctrl, kCompletionBytes, start + dur);
     if (net_.enabled())
         // The timeout is armed relative to the dispatch's modeled
         // completion instant (the controller's service-model
@@ -661,8 +654,7 @@ Fleet::promoteStandby(std::size_t lost)
         }
         sl.owned = std::move(hr.value());
         const double delay =
-            std::max(1.0, sl.owned->jitSeconds() * 1e6 +
-                              cfg_.standby_extra_delay_us);
+            std::max(1.0, sl.owned->jitSeconds() * 1e6);
         sl.join_at_us = ready_at + delay;
         sl.state = ReplicaState::Joining;
         fleetInstant("standby_promote", 0, static_cast<double>(idx),
@@ -709,7 +701,7 @@ Fleet::processProbe(std::size_t r)
         // by the first probe through the healed link.
         const NetworkModel::SendOutcome out =
             net_.send(cfg_.net.controller_node, sl.node,
-                      cfg_.net.probe_bytes, now_, "probe");
+                      kProbeBytes, now_, "probe");
         if (!out.delivered)
             alive = false; // blocked or lost: silence, phi grows
         else
@@ -729,7 +721,7 @@ Fleet::processProbe(std::size_t r)
     if (alive && wired) {
         const NetworkModel::SendOutcome back =
             net_.send(sl.node, cfg_.net.controller_node,
-                      cfg_.net.probe_bytes, t_arr, "probe_reply");
+                      kProbeBytes, t_arr, "probe_reply");
         if (!back.delivered) {
             alive = false; // reply dropped on the way home
         } else {
@@ -1353,8 +1345,7 @@ Fleet::recoverFromStore()
             re_jit_us = std::max(
                 re_jit_us, handleOf(sl)->jitSeconds() * 1e6);
     const double replay_us =
-        d.replay_us_per_record *
-        static_cast<double>(rr.records.size());
+        kReplayUsPerRecord * static_cast<double>(rr.records.size());
     now_ += d.store->stats().sim_us - sim_before + replay_us +
             re_jit_us;
 

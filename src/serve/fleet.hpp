@@ -118,9 +118,6 @@ struct DurabilityConfig
 
     /** Host fault domain (host_crash_at_event). */
     gpusim::FaultPlan host_faults;
-
-    /** Modeled CPU cost of replaying one journal record, us. */
-    double replay_us_per_record = 5.0;
 };
 
 /** What a recovery did, for reports and the crash-point explorer. */
@@ -169,10 +166,6 @@ struct FleetConfig
      *  second replica once the primary has been in flight this
      *  long); negative disables hedging. One hedge per request. */
     double hedge_delay_us = -1.0;
-
-    /** Extra simulated delay added to a promoted standby's re-JIT
-     *  time before it joins the rotation. */
-    double standby_extra_delay_us = 0.0;
 
     /** Handle options for standby rebuilds (use the same options the
      *  active replicas' handles were built with). */
@@ -260,9 +253,6 @@ enum class ReplicaState : std::uint8_t
     Joining, //!< promoted, rebuilding (restore + re-JIT)
     Dead,    //!< confirmed device loss (or failed promotion)
 };
-
-/** @return a short stable name for a replica state. */
-const char* replicaStateName(ReplicaState s);
 
 struct ReplicaReport
 {

@@ -72,8 +72,6 @@ public:
         return phi(now_us) >= cfg_.phi_threshold;
     }
 
-    double lastHeartbeatUs() const { return last_us_; }
-
 private:
     double meanGapUs() const;
 

@@ -14,6 +14,24 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/** @name Exponential backoff ladder (both ships and retransmits):
+ *  the k-th wait is min(kRetryBackoffUs * kBackoffFactor^k,
+ *  kMaxBackoffUs). @{ */
+constexpr double kRetryBackoffUs = 50.0;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kMaxBackoffUs = 5'000.0;
+/** @} */
+
+/** Pipeline chunks for the initial parameter broadcast. */
+constexpr std::size_t kBroadcastChunks = 8;
+
+/** The wait after one that lasted @p backoff_us. */
+double
+nextBackoffUs(double backoff_us)
+{
+    return std::min(backoff_us * kBackoffFactor, kMaxBackoffUs);
+}
+
 } // namespace
 
 NetworkModel::NetworkModel(NetConfig cfg, obs::Tracer* tracer,
@@ -197,7 +215,7 @@ NetworkModel::reliableDeliveryAtUs(std::size_t a, std::size_t b,
                                    double send_us)
 {
     double t = send_us;
-    double backoff = cfg_.retry_backoff_us;
+    double backoff = kRetryBackoffUs;
     for (int attempt = 0; attempt <= cfg_.max_retransmits;
          ++attempt) {
         t = std::max(t, pathUpAtUs(a, b, t));
@@ -218,8 +236,7 @@ NetworkModel::reliableDeliveryAtUs(std::size_t a, std::size_t b,
         ++stats_.messages_lost;
         count("messages_lost");
         t += backoff;
-        backoff = std::min(backoff * cfg_.backoff_factor,
-                           cfg_.max_backoff_us);
+        backoff = nextBackoffUs(backoff);
     }
     return kInf;
 }
@@ -241,7 +258,7 @@ NetworkModel::ship(std::size_t a, std::size_t b, std::uint64_t bytes,
     while (offset < bytes) {
         const std::uint64_t this_chunk =
             std::min(chunk_size, bytes - offset);
-        double backoff = cfg_.retry_backoff_us;
+        double backoff = kRetryBackoffUs;
         int attempt = 0;
         for (;; ++attempt) {
             const double up = pathUpAtUs(a, b, t);
@@ -274,8 +291,7 @@ NetworkModel::ship(std::size_t a, std::size_t b, std::uint64_t bytes,
             ++stats_.ship_retries;
             count("ship_retries");
             t += backoff;
-            backoff = std::min(backoff * cfg_.backoff_factor,
-                               cfg_.max_backoff_us);
+            backoff = nextBackoffUs(backoff);
         }
         offset += this_chunk;
     }
@@ -302,7 +318,7 @@ NetworkModel::paramBroadcastUs(std::uint64_t bytes, double now_us)
     common::Result<gpusim::CollectiveCost> cost =
         train::paramBroadcastCost(cfg_.topology, bytes,
                                   cfg_.topology.numDevices(),
-                                  cfg_.broadcast_chunks);
+                                  kBroadcastChunks);
     if (!cost.ok())
         return cost.takeStatus();
     const double dur_us = cost.value().totalUs();

@@ -60,12 +60,6 @@ struct NetConfig
      *  consulted here. */
     gpusim::FaultPlan faults;
 
-    /** @name Control-message sizes (bytes) @{ */
-    std::uint64_t probe_bytes = 64;
-    std::uint64_t dispatch_bytes = 512;
-    std::uint64_t completion_bytes = 128;
-    /** @} */
-
     /** Chunk size for bulk parameter/checkpoint shipping. */
     std::uint64_t ship_chunk_bytes = 64 * 1024;
 
@@ -75,13 +69,6 @@ struct NetConfig
     /** Retransmit attempts before a reliable delivery gives up (the
      *  path then counts as unreachable until it heals). */
     int max_retransmits = 64;
-
-    /** @name Exponential backoff ladder (both ships and
-     *  retransmits): delay_k = min(base * factor^k, max). @{ */
-    double retry_backoff_us = 50.0;
-    double backoff_factor = 2.0;
-    double max_backoff_us = 5'000.0;
-    /** @} */
 
     /**
      * How much later than its modeled completion instant a
@@ -94,9 +81,6 @@ struct NetConfig
      * at dispatch time. Only meaningful with networking on.
      */
     double inflight_timeout_us = -1.0;
-
-    /** Pipeline chunks for the initial parameter broadcast. */
-    std::size_t broadcast_chunks = 8;
 };
 
 /**
@@ -219,8 +203,8 @@ class NetworkModel
                      std::uint64_t bytes, double now_us);
 
     /** Price the initial parameter broadcast (controller to every
-     *  node) with the pipelined tree closed form; @return its
-     *  duration in us (0 for a single-node topology). */
+     *  node) with the pipelined tree closed form over 8 chunks;
+     *  @return its duration in us (0 for a single-node topology). */
     common::Result<double> paramBroadcastUs(std::uint64_t bytes,
                                             double now_us);
 

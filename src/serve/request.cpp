@@ -5,12 +5,6 @@
 
 namespace serve {
 
-const char*
-requestClassName(RequestClass cls)
-{
-    return cls == RequestClass::High ? "high" : "low";
-}
-
 LatencyStats
 latencyStats(const std::vector<double>& latencies_us)
 {

@@ -27,9 +27,6 @@ enum class RequestClass : std::uint8_t
     Low = 1,
 };
 
-/** @return a short stable name for a request class. */
-const char* requestClassName(RequestClass cls);
-
 /** One inference request. */
 struct Request
 {

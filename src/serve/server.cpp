@@ -13,6 +13,10 @@ namespace serve {
 
 namespace {
 
+/** Base retry backoff, us: retry k of a failed batch's requests
+ *  waits kRetryBackoffUs * 2^(k-1). */
+constexpr double kRetryBackoffUs = 1'000.0;
+
 /** Bump a registry counter iff a registry is attached. */
 inline void
 count(gpusim::Device& device, const char* name)
@@ -369,8 +373,7 @@ Server::complete()
     }
     if (deepest_attempt > 0) {
         const double backoff =
-            cfg_.retry_backoff_us *
-            std::ldexp(1.0, deepest_attempt - 1);
+            kRetryBackoffUs * std::ldexp(1.0, deepest_attempt - 1);
         not_before_[i] = std::max(not_before_[i], now_ + backoff);
     }
 }

@@ -54,12 +54,10 @@ struct ServerConfig
     BatchPolicy batch;
     BreakerConfig breaker;
 
-    /** Retry budget (re-dispatches after a failed batch). */
+    /** Retry budget (re-dispatches after a failed batch); retry k
+     *  waits 1000 us * 2^(k-1). */
     int max_retries_high = 2;
     int max_retries_low = 0;
-
-    /** Base retry backoff; attempt k waits backoff * 2^(k-1). */
-    double retry_backoff_us = 1'000.0;
 };
 
 /** Per-endpoint breaker observability for reports. */

@@ -45,13 +45,6 @@ class TensorRef
         return mem.data(offset_);
     }
 
-    /** @return const element pointer within the pool. */
-    const float*
-    cdata(const gpusim::DeviceMemory& mem) const
-    {
-        return mem.data(offset_);
-    }
-
     /** @return size of the tensor in bytes (fp32). */
     double bytes() const { return 4.0 * static_cast<double>(shape_.size()); }
 

@@ -8,18 +8,25 @@ namespace vpps {
 
 namespace {
 
-constexpr int kWarpsPerCta = 8; // CTA width 256 / warp size 32
+/** Threads per CTA; the paper fixes 256 (footnote 5). */
+constexpr int kCtaWidth = 256;
+
+/** Registers reserved per thread for the interpreter (footnote 6). */
+constexpr int kInterpRegs = 31;
+
+/** Registers reserved per thread for staging vectors during matrix
+ *  ops (footnote 6). */
+constexpr int kVectorRegs = 32;
 
 /** Registers per thread available for caching under a CTA count. */
 int
-computeCacheRegs(const gpusim::DeviceSpec& spec, const VppsOptions& opts,
-                 int ctas_per_sm)
+computeCacheRegs(const gpusim::DeviceSpec& spec, int ctas_per_sm)
 {
     const int hw_regs = static_cast<int>(
         spec.regfile_bytes_per_sm / 4 /
-        (static_cast<std::size_t>(opts.cta_width) * ctas_per_sm));
+        (static_cast<std::size_t>(kCtaWidth) * ctas_per_sm));
     const int addressable = std::min(hw_regs, spec.max_regs_per_thread);
-    return addressable - opts.interp_regs - opts.vector_regs;
+    return addressable - kInterpRegs - kVectorRegs;
 }
 
 } // namespace
@@ -27,7 +34,7 @@ computeCacheRegs(const gpusim::DeviceSpec& spec, const VppsOptions& opts,
 std::optional<DistributionPlan>
 DistributionPlan::tryBuild(const graph::Model& model,
                            const gpusim::DeviceSpec& spec,
-                           const VppsOptions& opts, int rpw,
+                           const VppsOptions& /*opts*/, int rpw,
                            int ctas_per_sm, bool cache_gradients)
 {
     const auto matrices = model.weightMatrices();
@@ -41,9 +48,8 @@ DistributionPlan::tryBuild(const graph::Model& model,
     plan.ctas_per_sm_ = ctas_per_sm;
     plan.num_vpps_ = spec.num_sms * ctas_per_sm;
     plan.grads_cached_ = cache_gradients;
-    plan.cta_width_ = opts.cta_width;
     plan.row_max_ = model.maxWeightRowLength();
-    plan.cache_regs_ = computeCacheRegs(spec, opts, ctas_per_sm);
+    plan.cache_regs_ = computeCacheRegs(spec, ctas_per_sm);
     if (plan.cache_regs_ <= 0)
         return std::nullopt;
 
@@ -59,8 +65,9 @@ DistributionPlan::tryBuild(const graph::Model& model,
 
     // Slot capacity: every partition of every CTA has one slot per
     // warp, each holding one rpw-row block.
+    const int warps_per_cta = kCtaWidth / spec.warp_size;
     plan.total_slots_ = static_cast<std::size_t>(plan.partitions_per_cta_) *
-                        plan.num_vpps_ * kWarpsPerCta;
+                        plan.num_vpps_ * warps_per_cta;
 
     std::size_t blocks_needed = 0;
     const int copies = cache_gradients ? 2 : 1;
@@ -76,6 +83,7 @@ DistributionPlan::tryBuild(const graph::Model& model,
     // Round-robin assignment over (partition, warp, CTA) with the CTA
     // index fastest: consecutive blocks of a matrix land on distinct
     // CTAs, spreading each matrix-vector product device-wide (Fig 4).
+    // Slot s therefore belongs to CTA (VPP) s mod num_vpps.
     const std::size_t num_matrices = model.numParams();
     plan.slices_.assign(
         2, std::vector<std::vector<std::vector<RowSlice>>>(
@@ -87,45 +95,31 @@ DistributionPlan::tryBuild(const graph::Model& model,
         static_cast<std::size_t>(plan.num_vpps_), 0.0);
 
     std::size_t slot = 0;
-    auto next_slot = [&](int& vpp, int& partition, int& warp) {
-        const std::size_t per_partition =
-            static_cast<std::size_t>(plan.num_vpps_) * kWarpsPerCta;
-        partition = static_cast<int>(slot / per_partition);
-        const std::size_t rem = slot % per_partition;
-        warp = static_cast<int>(rem / plan.num_vpps_);
-        vpp = static_cast<int>(rem % plan.num_vpps_);
-        ++slot;
-    };
-
     for (int g = 0; g < copies; ++g) {
         for (graph::ParamId m : matrices) {
             const auto& p = model.param(m);
             const std::uint32_t rows = p.shape.rows();
             for (std::uint32_t r = 0; r < rows; r += rpw) {
-                BlockAssignment b;
-                b.matrix = m;
-                b.is_gradient = (g == 1);
-                b.first_row = r;
-                b.num_rows = std::min<std::uint32_t>(rpw, rows - r);
-                next_slot(b.vpp, b.partition, b.warp);
+                const std::uint32_t num_rows =
+                    std::min<std::uint32_t>(rpw, rows - r);
+                const int vpp = static_cast<int>(
+                    slot++ % static_cast<std::size_t>(plan.num_vpps_));
 
-                auto& vec = plan.slices_[g][m][
-                    static_cast<std::size_t>(b.vpp)];
+                auto& vec =
+                    plan.slices_[g][m][static_cast<std::size_t>(vpp)];
                 if (!vec.empty() &&
-                    vec.back().first_row + vec.back().num_rows ==
-                        b.first_row) {
-                    vec.back().num_rows += b.num_rows;
+                    vec.back().first_row + vec.back().num_rows == r) {
+                    vec.back().num_rows += num_rows;
                 } else {
                     if (vec.empty())
-                        plan.vpps_of_[g][m].push_back(b.vpp);
-                    vec.push_back({b.first_row, b.num_rows});
+                        plan.vpps_of_[g][m].push_back(vpp);
+                    vec.push_back({r, num_rows});
                 }
                 if (g == 0) {
                     plan.cached_weight_bytes_[
-                        static_cast<std::size_t>(b.vpp)] +=
-                        4.0 * b.num_rows * p.shape.cols();
+                        static_cast<std::size_t>(vpp)] +=
+                        4.0 * num_rows * p.shape.cols();
                 }
-                plan.blocks_.push_back(b);
             }
         }
     }
@@ -207,7 +201,7 @@ DistributionPlan::maxRpw(const graph::Model& model,
 std::uint32_t
 DistributionPlan::partitionSizeElems() const
 {
-    return static_cast<std::uint32_t>(cta_width_) *
+    return static_cast<std::uint32_t>(kCtaWidth) *
            static_cast<std::uint32_t>(regs_per_partition_);
 }
 

@@ -26,7 +26,15 @@
 
 namespace vpps {
 
-/** User-facing knobs (all have paper defaults). */
+/**
+ * User-facing knobs (all have paper defaults). What the paper fixes
+ * is not a knob: the 256-thread CTA (footnote 5) and the 31
+ * interpreter plus 32 staging registers reserved per thread
+ * (footnote 6) are constants of the distribution plan. Faults are
+ * armed on the device, not here: Device::installFaults, or the
+ * VPPS_FAULT_RATE / VPPS_FAULT_SEED environment variables, which
+ * the handle reads when the device has no injector yet.
+ */
 struct VppsOptions
 {
     /**
@@ -49,17 +57,6 @@ struct VppsOptions
      *  (Section III-C1). */
     bool async = true;
 
-    /** CTA width; the paper fixes 256 (footnote 5). */
-    int cta_width = 256;
-
-    /** Registers reserved per thread for the interpreter (paper
-     *  footnote 6). */
-    int interp_regs = 31;
-
-    /** Registers reserved per thread for staging vectors during
-     *  matrix ops (paper footnote 6). */
-    int vector_regs = 32;
-
     /**
      * Directory for the on-disk kernel cache (Section IV-F's
      * suggested extension); empty disables caching. Hits skip
@@ -80,7 +77,8 @@ struct VppsOptions
 
     /**
      * Kernel relaunch budget per batch. A failed launch is retried
-     * with exponential backoff; once the budget is spent the handle
+     * with exponential backoff (the n-th retry of a batch waits
+     * 50 us * 2^(n-1)); once the budget is spent the handle
      * degrades to another specialization (untried rpw, then the
      * GEMM-fallback kernel) and replays the batch.
      */
@@ -93,10 +91,6 @@ struct VppsOptions
      * RetryExhausted / OutOfMemory error from fbTry().
      */
     int max_retransmits = 5;
-
-    /** Base of the exponential relaunch backoff, simulated us; the
-     *  n-th retry of a batch waits base * 2^(n-1). */
-    double relaunch_backoff_us = 50.0;
 
     /**
      * Skip batches whose loss is non-finite: parameters are rolled
@@ -114,17 +108,6 @@ struct VppsOptions
      * a LaunchFailure instead of silently switching kernels.
      */
     bool degrade_on_failure = true;
-
-    /**
-     * >= 0 installs a uniform-rate FaultInjector on the device at
-     * handle construction (unless one is already installed); < 0
-     * defers to VPPS_FAULT_RATE / VPPS_FAULT_SEED (tools/check.sh's
-     * soak pass), and if those are unset too, runs fault-free.
-     */
-    double fault_rate = -1.0;
-
-    /** Seed for fault_rate-installed injectors; < 0 means 1. */
-    long long fault_seed = -1;
 
     /** @} */
 
@@ -145,18 +128,6 @@ struct RowSlice
     std::uint32_t num_rows = 0;
 };
 
-/** One rpw-row block's placement. */
-struct BlockAssignment
-{
-    graph::ParamId matrix = graph::kNoParam;
-    bool is_gradient = false;
-    std::uint32_t first_row = 0;
-    std::uint32_t num_rows = 0;
-    int vpp = 0;
-    int partition = 0;
-    int warp = 0;
-};
-
 /**
  * The complete placement of cached matrices (and gradients) onto the
  * register files of the persistent CTAs.
@@ -165,7 +136,8 @@ class DistributionPlan
 {
   public:
     /**
-     * Attempt to build a plan with explicit knobs.
+     * Attempt to build a plan with explicit knobs (@p opts is not
+     * read: rpw, CTA count and gradient caching are all explicit).
      * @return std::nullopt if the model has no weight matrices, or if
      * the matrices (plus gradients when requested) do not fit in the
      * register budget.
@@ -234,9 +206,6 @@ class DistributionPlan
     /** @return total rows of matrix @p m (or grad) on VPP @p vpp. */
     std::uint32_t rowsOn(int vpp, graph::ParamId m, bool gradient) const;
 
-    /** @return every block assignment (tests, codegen listings). */
-    const std::vector<BlockAssignment>& blocks() const { return blocks_; }
-
     /** @return bytes of weights cached per given VPP. */
     double cachedWeightBytes(int vpp) const;
 
@@ -259,11 +228,9 @@ class DistributionPlan
     int regs_per_partition_ = 0;
     int partitions_per_cta_ = 0;
     int cache_regs_ = 0;
-    int cta_width_ = 256;
     std::size_t total_slots_ = 0;
     std::size_t used_slots_ = 0;
 
-    std::vector<BlockAssignment> blocks_;
     /** Indexed [gradient][matrix][vpp] -> row slices. */
     std::vector<std::vector<std::vector<std::vector<RowSlice>>>> slices_;
     std::vector<std::vector<std::vector<int>>> vpps_of_;     // [g][m]

@@ -12,33 +12,51 @@ namespace vpps {
 
 namespace {
 
+/** Base of the exponential relaunch backoff, simulated us: the n-th
+ *  retry of a batch waits kRelaunchBackoffUs * 2^(n-1). */
+constexpr double kRelaunchBackoffUs = 50.0;
+
 /** Specialize (or load from the cache) the kernel for one rpw. */
 common::Result<CompiledKernel>
 tryObtainKernel(graph::Model& model, gpusim::Device& device,
                 const VppsOptions& opts, int rpw)
 {
+    std::optional<KernelCache> cache;
     if (!opts.kernel_cache_dir.empty()) {
-        const KernelCache cache(opts.kernel_cache_dir);
-        if (auto hit = cache.load(model, device.spec(), opts, rpw)) {
+        cache.emplace(opts.kernel_cache_dir);
+        if (auto hit = cache->load(model, device.spec(), opts, rpw)) {
             common::inform("vpps::Handle: kernel cache hit for rpw ",
                            rpw, " (module load only)");
             return std::move(*hit);
         }
-        const KernelSpecializer specializer(device.spec());
-        auto plan = DistributionPlan::tryBuildAuto(model, device.spec(),
-                                                   opts, rpw);
-        if (!plan.ok())
-            return plan.takeStatus();
-        auto kernel = specializer.specialize(model, plan.value());
-        cache.store(kernel, model, device.spec());
-        return kernel;
     }
-    const KernelSpecializer specializer(device.spec());
     auto plan =
         DistributionPlan::tryBuildAuto(model, device.spec(), opts, rpw);
     if (!plan.ok())
         return plan.takeStatus();
-    return specializer.specialize(model, plan.value());
+    auto kernel =
+        KernelSpecializer(device.spec()).specialize(model, plan.value());
+    if (cache)
+        cache->store(kernel, model, device.spec());
+    return kernel;
+}
+
+/** Specialize the GEMM-fallback kernel (no gradient caching,
+ *  automatic CTA count) at @p rpw. */
+common::Result<CompiledKernel>
+tryObtainFallback(graph::Model& model, gpusim::Device& device,
+                  VppsOptions opts, int rpw)
+{
+    opts.cache_gradients = false;
+    opts.ctas_per_sm = 0;
+    return tryObtainKernel(model, device, opts, rpw);
+}
+
+/** Modeled JIT time of one kernel, s. */
+double
+jitSecondsOf(const CompiledKernel& k)
+{
+    return k.prog_compile_s + k.module_load_s;
 }
 
 } // namespace
@@ -103,38 +121,33 @@ Handle::init(graph::Model& model)
         tuner_ = std::make_unique<ProfileGuidedTuner>(max_rpw);
     }
     for (const auto& [rpw, k] : kernels_)
-        jit_seconds_ += k.prog_compile_s + k.module_load_s;
+        jit_seconds_ += jitSecondsOf(k);
     common::inform("vpps::Handle: compiled ", kernels_.size(),
                    " kernel(s) in ", jit_seconds_, " s (modeled NVRTC)");
 
     // Fault-injection plumbing: an injector already installed on the
-    // device wins; otherwise opts.fault_rate >= 0 installs a uniform
-    // plan, and failing that the VPPS_FAULT_RATE / VPPS_FAULT_SEED
+    // device wins; otherwise the VPPS_FAULT_RATE / VPPS_FAULT_SEED
     // environment variables (the tools/check.sh soak pass) apply.
     if (!device_.faults()) {
-        if (opts_.fault_rate >= 0.0) {
-            device_.installFaults(gpusim::FaultPlan::uniform(
-                opts_.fault_rate,
-                opts_.fault_seed >= 0
-                    ? static_cast<std::uint64_t>(opts_.fault_seed)
-                    : 1u));
-        } else if (auto plan = gpusim::FaultPlan::fromEnv()) {
+        if (auto plan = gpusim::FaultPlan::fromEnv())
             device_.installFaults(*plan);
-        }
     }
     return common::Status();
+}
+
+int
+Handle::currentRpw() const
+{
+    return forced_rpw_ > 0 ? forced_rpw_
+                           : (tuner_ ? tuner_->candidate() : opts_.rpw);
 }
 
 const CompiledKernel&
 Handle::kernel() const
 {
-    if (fallback_kernel_)
-        return *fallback_kernel_;
-    if (route_to_fallback_ && prepared_fallback_)
-        return *prepared_fallback_;
-    const int rpw = forced_rpw_ > 0
-                        ? forced_rpw_
-                        : (tuner_ ? tuner_->candidate() : opts_.rpw);
+    if (fallback_ && (degraded_ || route_to_fallback_))
+        return *fallback_;
+    const int rpw = currentRpw();
     auto it = kernels_.find(rpw);
     if (it == kernels_.end())
         common::panic("vpps::Handle: no kernel for rpw ", rpw);
@@ -144,41 +157,30 @@ Handle::kernel() const
 common::Status
 Handle::prepareFallback(graph::Model& model)
 {
-    if (prepared_fallback_ || fallback_kernel_)
+    if (fallback_)
         return common::Status();
-    VppsOptions fopts = opts_;
-    fopts.cache_gradients = false;
-    fopts.ctas_per_sm = 0;
-    const int rpw = opts_.rpw > 0 ? opts_.rpw : 1;
-    auto k = tryObtainKernel(model, device_, fopts, rpw);
+    auto k = tryObtainFallback(model, device_, opts_,
+                               opts_.rpw > 0 ? opts_.rpw : 1);
     if (!k.ok())
         return k.takeStatus();
-    prepared_fallback_ = std::move(k).value();
-    jit_seconds_ += prepared_fallback_->prog_compile_s +
-                    prepared_fallback_->module_load_s;
+    fallback_ = std::move(k).value();
+    jit_seconds_ += jitSecondsOf(*fallback_);
     return common::Status();
 }
 
 void
 Handle::setRouteToFallback(bool on)
 {
-    if (on && !prepared_fallback_ && !fallback_kernel_)
+    if (on && !fallback_)
         common::panic("vpps::Handle::setRouteToFallback: call "
                       "prepareFallback first");
     route_to_fallback_ = on;
 }
 
 bool
-Handle::routedToFallback() const
-{
-    return fallback_kernel_.has_value() ||
-           (route_to_fallback_ && prepared_fallback_.has_value());
-}
-
-bool
 Handle::degrade(graph::Model& model)
 {
-    if (fallback_kernel_)
+    if (degraded_)
         return false; // nothing healthier left to switch to
     ++stats_.recovery.degradations;
     const int bad_rpw = kernel().plan.rpw();
@@ -200,16 +202,10 @@ Handle::degrade(graph::Model& model)
     // Last resort: the uncached-gradient GEMM strategy (Section
     // III-C2). Its kernel keeps only weights in registers, so a
     // register-file fault that the gradient-cached specializations
-    // keep tripping over cannot reach it.
-    VppsOptions fopts = opts_;
-    fopts.cache_gradients = false;
-    fopts.ctas_per_sm = 0;
-    if (prepared_fallback_) {
-        // The serving layer JITed the fallback up front; adopt it.
-        fallback_kernel_ = std::move(prepared_fallback_);
-        prepared_fallback_.reset();
-    } else {
-        auto k = tryObtainKernel(model, device_, fopts, bad_rpw);
+    // keep tripping over cannot reach it. A fallback the serving
+    // layer JITed up front is adopted as it is.
+    if (!fallback_) {
+        auto k = tryObtainFallback(model, device_, opts_, bad_rpw);
         if (!k.ok()) {
             common::warn("vpps::Handle: GEMM-fallback specialization "
                          "failed (",
@@ -217,10 +213,10 @@ Handle::degrade(graph::Model& model)
                          "); nothing left to degrade to");
             return false;
         }
-        fallback_kernel_ = std::move(k).value();
-        jit_seconds_ += fallback_kernel_->prog_compile_s +
-                        fallback_kernel_->module_load_s;
+        fallback_ = std::move(k).value();
+        jit_seconds_ += jitSecondsOf(*fallback_);
     }
+    degraded_ = true;
     forced_rpw_ = 0;
     common::inform("vpps::Handle: degrading to the GEMM-fallback "
                    "kernel after repeated launch failures");
@@ -233,27 +229,12 @@ Handle::rederiveAfterShrink(graph::Model& model)
     ++stats_.recovery.plan_rederivations;
     double rejit_s = 0.0;
 
-    VppsOptions fopts = opts_;
-    fopts.cache_gradients = false;
-    fopts.ctas_per_sm = 0;
-
-    if (fallback_kernel_) {
-        auto k = tryObtainKernel(model, device_, fopts,
-                                 fallback_kernel_->plan.rpw());
-        if (!k.ok())
-            return k.takeStatus();
-        fallback_kernel_ = std::move(k).value();
-        rejit_s += fallback_kernel_->prog_compile_s +
-                   fallback_kernel_->module_load_s;
-    } else {
+    if (!degraded_) {
         // Rebuild only the specialization currently routed to and pin
         // it: the other candidates' plans are stale against the
         // shrunken spec, and profile measurements taken on the full
         // device no longer apply.
-        const int rpw =
-            forced_rpw_ > 0
-                ? forced_rpw_
-                : (tuner_ ? tuner_->candidate() : opts_.rpw);
+        const int rpw = currentRpw();
         auto k = tryObtainKernel(model, device_, opts_, rpw);
         if (!k.ok())
             return k.takeStatus();
@@ -261,23 +242,21 @@ Handle::rederiveAfterShrink(graph::Model& model)
         auto [it, inserted] = kernels_.emplace(rpw,
                                                std::move(k).value());
         (void)inserted;
-        rejit_s +=
-            it->second.prog_compile_s + it->second.module_load_s;
+        rejit_s += jitSecondsOf(it->second);
         tuner_.reset();
         forced_rpw_ = rpw;
     }
 
-    // The breaker's pre-JITted fallback must stay launchable (the
-    // serving layer routes to it without re-checking), so it is
-    // re-derived under the same shrink.
-    if (prepared_fallback_) {
-        auto k = tryObtainKernel(model, device_, fopts,
-                                 prepared_fallback_->plan.rpw());
+    // The fallback must stay launchable (the serving layer routes to
+    // it without re-checking), so it is re-derived under the same
+    // shrink.
+    if (fallback_) {
+        auto k = tryObtainFallback(model, device_, opts_,
+                                   fallback_->plan.rpw());
         if (!k.ok())
             return k.takeStatus();
-        prepared_fallback_ = std::move(k).value();
-        rejit_s += prepared_fallback_->prog_compile_s +
-                   prepared_fallback_->module_load_s;
+        fallback_ = std::move(k).value();
+        rejit_s += jitSecondsOf(*fallback_);
     }
 
     jit_seconds_ += rejit_s;
@@ -522,9 +501,12 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
 
         // Host-to-device transfer: one pinned-buffer copy for the
         // whole script (prefix-sum header + per-VPP sections) plus
-        // the staged inputs. The device-side copy is verified against
-        // the host-side FNV digest (Script::checksum()); a detected
-        // ECC corruption retransmits the buffer, up to the budget.
+        // the staged inputs. A detected ECC corruption of the copy
+        // retransmits the buffer, up to the budget. No digest is
+        // computed here: the injector's corruptScriptTransfer() draw
+        // stands in for the device-side check, and the script's one
+        // digest is the executor's script-cache key
+        // (ScriptExecutor::validated()).
         const double copy_us =
             host_.pcie_copy_fixed_us +
             (gb.script.bytes() + gb.stats.input_bytes) /
@@ -592,7 +574,7 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
             const double launch_cost =
                 device_.launchKernel(failed_launch);
             const double backoff =
-                opts_.relaunch_backoff_us *
+                kRelaunchBackoffUs *
                 static_cast<double>(1u << (launch_attempts - 1));
             device_.chargeTime(backoff);
             rec.recovery_us += launch_cost + backoff;

@@ -239,18 +239,20 @@ class Handle
     /**
      * JIT the GEMM-fallback kernel (cache_gradients = false) up
      * front so the circuit breaker can route to it without paying
-     * compilation inside a request. Idempotent; a no-op when the
-     * handle already degraded onto the fallback.
+     * compilation inside a request. Idempotent; a no-op once the
+     * handle holds a fallback (prepared earlier, or built by a
+     * degradation).
      */
     common::Status prepareFallback(graph::Model& model);
 
     /**
-     * Route subsequent batches to the prepared fallback kernel (the
-     * circuit breaker's open-state path) or back to the primary
-     * specialization. panic()s if enabling without prepareFallback().
+     * Route subsequent batches to the fallback kernel (the circuit
+     * breaker's open-state path) or back to the primary
+     * specialization. panic()s if enabling without a fallback (call
+     * prepareFallback() first). A degraded handle runs the fallback
+     * either way.
      */
     void setRouteToFallback(bool on);
-    bool routedToFallback() const;
 
     /** Wait for the in-flight kernel and return its loss. */
     float sync_get_latest_loss();
@@ -284,12 +286,19 @@ class Handle
      * Graceful degradation after an exhausted relaunch budget: stop
      * the tuner, retire the failing rpw, and switch to an untried
      * specialization; once every cached-gradient rpw has failed,
-     * JIT the GEMM-fallback kernel (cache_gradients = false -- the
-     * Section III-C2 strategy, which a permanent register-file fault
-     * cannot touch). @return false when already on the fallback
-     * (nothing left to degrade to).
+     * adopt the GEMM-fallback kernel for good (cache_gradients =
+     * false -- the Section III-C2 strategy, which a permanent
+     * register-file fault cannot touch), JITing it at the failing
+     * rpw unless prepareFallback() already did. @return false when
+     * already degraded onto the fallback (nothing left to degrade
+     * to).
      */
     bool degrade(graph::Model& model);
+
+    /** The primary kernel's rpw: pinned after a degradation or a
+     *  plan re-derivation, else the tuner's candidate, else
+     *  opts.rpw. */
+    int currentRpw() const;
 
     /** Copy every parameter's master values out of device memory. */
     void captureParamSnapshot(const graph::Model& model);
@@ -299,10 +308,10 @@ class Handle
 
     /**
      * Re-derive every live DistributionPlan against the (shrunken)
-     * current device spec after a hot SM disable: re-JITs the kernel
-     * currently routed to (plus the prepared breaker fallback, if
-     * any) and pins it, discarding stale plans and the tuner. The
-     * re-JIT cost is charged as simulated time.
+     * current device spec after a hot SM disable: re-JITs the primary
+     * kernel currently selected (unless degraded) and pins it,
+     * discarding stale plans and the tuner, then re-JITs the fallback
+     * if there is one. The re-JIT cost is charged as simulated time.
      */
     common::Status rederiveAfterShrink(graph::Model& model);
 
@@ -321,16 +330,19 @@ class Handle
      *  (but not their time charges) so gradients survive the batch. */
     bool apply_updates_ = true;
 
-    /** @name Degradation state
+    /** @name Degradation and fallback state
      *  @{ */
     std::vector<int> degraded_rpws_;
     int forced_rpw_ = 0; //!< > 0 pins kernel() after a degradation
-    std::optional<CompiledKernel> fallback_kernel_;
-    /** @} */
 
-    /** @name Breaker routing state (serving layer)
-     *  @{ */
-    std::optional<CompiledKernel> prepared_fallback_;
+    /** The GEMM-fallback kernel, once prepareFallback() or degrade()
+     *  has built it. */
+    std::optional<CompiledKernel> fallback_;
+
+    /** degrade() adopted fallback_: every later batch runs on it. */
+    bool degraded_ = false;
+
+    /** The serving breaker routes batches to fallback_. */
     bool route_to_fallback_ = false;
     /** @} */
 

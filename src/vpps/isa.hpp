@@ -225,10 +225,10 @@ class Script
 
     /**
      * FNV-1a digest of the sealed buffer: num_vpps, the word count,
-     * the header, then the streams in VPP order. The transfer path
-     * verifies the device-side copy against this host-side value
-     * (the detected ECC / retransmit policy), and the executor keys
-     * its decode cache on it.
+     * the header, then the streams in VPP order. The executor keys
+     * its validated-program cache on it (ScriptExecutor::validated()),
+     * the one place a batch computes it; the modeled transfer path
+     * computes no digest.
      */
     std::uint64_t checksum() const;
 

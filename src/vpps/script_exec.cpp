@@ -476,11 +476,11 @@ common::Result<std::shared_ptr<const ValidatedProgram>>
 ScriptExecutor::validated(const Script& script,
                           const graph::Model& model)
 {
-    // Content digest over the full sealed buffer (the same value the
-    // transfer checksum uses). Identical batches generate identical
-    // words, so replayed minibatches hit here and skip the whole
-    // copy-and-validate pass -- across all executors sharing the
-    // cache. A hit runs the cache's own copy and never reads this
+    // Content digest over the full sealed buffer, the one digest a
+    // batch computes of its script. Identical batches generate
+    // identical words, so replayed minibatches hit here and skip the
+    // whole copy-and-validate pass -- across all executors sharing
+    // the cache. A hit runs the cache's own copy and never reads this
     // script's words, so a digest collision can at worst run another
     // validated program. The model's parameter shapes and the pool
     // capacity fold into the key because operand validation depends

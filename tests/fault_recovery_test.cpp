@@ -239,6 +239,29 @@ TEST(FaultRecovery, PermanentLaunchFaultsDegradeToFallback)
               f.device.faults()->injected().launch_failures);
 }
 
+TEST(FaultRecovery, RelaunchBackoffIsPinned)
+{
+    // Three failed launches (50, 100 and 200 us of backoff after
+    // them), then the GEMM fallback: the recovery time, bit for bit.
+    Factory f;
+    auto m = f.make("Tree-LSTM");
+    gpusim::FaultPlan plan;
+    plan.permanent_launch_faults = true;
+    f.device.installFaults(plan);
+
+    vpps::VppsOptions opts;
+    opts.rpw = 2;
+    opts.async = false;
+    vpps::Handle handle(m->model(), f.device, opts);
+    trainBatches(handle, *m, 2);
+
+    const auto& rec = handle.stats().recovery;
+    EXPECT_EQ(rec.relaunches, 3u);
+    EXPECT_EQ(rec.degradations, 1u);
+    EXPECT_EQ(rec.recovery_us, 0x1.7p+8) // 368 = 350 + 3 launches
+        << std::hexfloat << rec.recovery_us;
+}
+
 TEST(FaultRecovery, CheckpointRestoreReplaysDeterministically)
 {
     Factory clean_f, faulty_f;
@@ -359,18 +382,6 @@ TEST(FaultRecovery, EnvAndOptionPlumbingInstallInjectors)
     }
     unsetenv("VPPS_FAULT_RATE");
     unsetenv("VPPS_FAULT_SEED");
-
-    {
-        Factory f;
-        auto m = f.make("RvNN");
-        auto opts = recoveryOptions();
-        opts.fault_rate = 0.05;
-        opts.fault_seed = 21;
-        vpps::Handle handle(m->model(), f.device, opts);
-        ASSERT_NE(f.device.faults(), nullptr);
-        EXPECT_EQ(f.device.faults()->plan().seed, 21u);
-        EXPECT_DOUBLE_EQ(f.device.faults()->plan().hang_rate, 0.05);
-    }
 
     {
         // No env, no option: fault-free.

@@ -212,6 +212,46 @@ TEST(PartitionTolerance, TransportEdgeCases)
     EXPECT_EQ(bc.status().code(), common::ErrorCode::Unavailable);
 }
 
+TEST(PartitionTolerance, LostChunkBackoffLadderIsPinned)
+{
+    // A link that drops every message: the chunk is lost on each of
+    // its max_chunk_retries + 1 attempts, and the ship is abandoned
+    // after the last backoff. The waits are 50, 100, ..., 3200 us,
+    // then the 5000 us cap twice, so the elapsed time fixes the
+    // ladder's base, factor and cap.
+    serve::NetConfig nc;
+    nc.topology = gpusim::Topology::uniform(2, gpusim::LinkType::NVLink);
+    gpusim::LinkFault lossy;
+    lossy.a = 0;
+    lossy.b = 1;
+    lossy.loss_rate = 1.0;
+    nc.faults.link_faults = {lossy};
+    serve::NetworkModel net(nc, nullptr, nullptr);
+
+    const double now = 250.0;
+    const auto ship = net.ship(0, 1, 4096, now);
+    EXPECT_FALSE(ship.ok);
+    EXPECT_EQ(ship.chunks, 0u);
+    EXPECT_EQ(ship.retries, 9u);
+    EXPECT_EQ(ship.done_at_us - now, 16350.0)
+        << std::hexfloat << ship.done_at_us - now;
+}
+
+TEST(PartitionTolerance, ParamBroadcastIsPinned)
+{
+    // The pipelined tree broadcast over four PCIe-linked devices, bit
+    // for bit: the pipeline's chunk count sets the duration. Each of
+    // the three receivers gets the whole blob once.
+    serve::NetConfig nc;
+    nc.topology = gpusim::Topology::uniform(4, gpusim::LinkType::PCIe);
+    serve::NetworkModel net(nc, nullptr, nullptr);
+    const auto bc = net.paramBroadcastUs(1 << 20, 0.0);
+    ASSERT_TRUE(bc.ok()) << bc.status().toString();
+    EXPECT_EQ(bc.value(), 0x1.1e9d2f1a9fbe8p+7) // 143.307
+        << std::hexfloat << bc.value();
+    EXPECT_EQ(net.stats().bytes_on_wire, 3u << 20);
+}
+
 // ---------------------------------------------------------------
 // Rack-locality-aware promotion
 // ---------------------------------------------------------------
@@ -401,6 +441,41 @@ TEST(GoldenNetTrace, TracingOnOffDoesNotPerturbTheFleet)
         std::memcpy(&bb, &off.responses[i].second, 4);
         EXPECT_EQ(ba, bb) << "response bits diverged at " << i;
     }
+}
+
+TEST(GoldenNetTrace, FaultFreeWireTrafficIsPinned)
+{
+    // A clean two-replica fleet: every probe, probe reply, dispatch
+    // and completion is delivered first time, so the message count
+    // and the bytes on the wire pin the three control-message sizes
+    // (with the initial parameter broadcast).
+    NetRig r0(1), r1(1);
+    serve::FleetConfig cfg;
+    cfg.standby_opts = netOpts(1);
+    auto topo = gpusim::Topology::parse("devices 3\n"
+                                        "link 0 1 nvlink\n"
+                                        "link 0 2 pcie\n");
+    ASSERT_TRUE(topo.ok()) << topo.status().toString();
+    cfg.net.topology = std::move(topo).value();
+
+    serve::Fleet fleet({r0.slot("r0", 1), r1.slot("r1", 2)}, cfg,
+                       nullptr, nullptr);
+    serve::ArrivalConfig ac;
+    ac.rate_per_sec = 600.0;
+    ac.count = 12;
+    ac.deadline_slack_us = 1.0e9;
+    ac.low_deadline_slack_us = 1.0e9;
+    ac.seed = 5;
+    fleet.run(serve::generateOpenLoopArrivals(
+        ac, 1.0, r0.bm->datasetSize()));
+
+    const serve::NetStats& net = fleet.netStats();
+    EXPECT_EQ(fleet.counters().completed, 12u);
+    EXPECT_GT(net.probe_replies, 0u);
+    EXPECT_EQ(net.messages_lost + net.sends_blocked + net.retransmits,
+              0u);
+    EXPECT_EQ(net.messages, 64u);
+    EXPECT_EQ(net.bytes_on_wire, 146048u);
 }
 
 } // namespace

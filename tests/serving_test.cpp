@@ -431,4 +431,71 @@ TEST(Serving, BatcherDrainsHighClassFirstAndExpiresDead)
     EXPECT_TRUE(b.empty());
 }
 
+TEST(Serving, AdmissionSafetyFactorIsPinned)
+{
+    // The service estimate is padded by 1.25x: 800 us of service
+    // starting at t = 0 just fits a 1000 us deadline and misses a
+    // 999 us one.
+    const serve::AdmissionController ctl;
+    serve::Request req;
+    req.deadline_us = 1'000.0;
+    using D = serve::AdmissionController::Decision;
+    EXPECT_EQ(ctl.decide(req, 0, 0.0, 800.0), D::Admit);
+    req.deadline_us = 999.0;
+    EXPECT_EQ(ctl.decide(req, 0, 0.0, 800.0), D::RejectInfeasible);
+}
+
+TEST(Serving, ShrunkWindowIsPinned)
+{
+    // Brown-out shrinks the default 2000 us window to a quarter.
+    const serve::Batcher b;
+    EXPECT_EQ(b.windowUs(serve::BrownoutLevel::Normal), 2'000.0);
+    EXPECT_EQ(b.windowUs(serve::BrownoutLevel::ShrunkWindow), 500.0);
+    EXPECT_EQ(b.windowUs(serve::BrownoutLevel::RejectAll), 500.0);
+}
+
+TEST(Serving, RetryBackoffIsPinned)
+{
+    // The first batch fails on the primary kernel and trips the
+    // breaker (threshold 1); its request is retried on the fallback
+    // once the retry backoff has passed. A zero batching window
+    // leaves the backoff as the only gate, so the clock and the
+    // latencies fix it (and the handle's relaunch backoff, which the
+    // failed batch's duration includes).
+    ServeRig rig;
+    gpusim::FaultPlan plan;
+    plan.permanent_launch_faults = true;
+    rig.device.installFaults(plan);
+
+    serve::ServerConfig cfg;
+    cfg.batch.window_us = 0.0;
+    cfg.breaker.failure_threshold = 1;
+    cfg.breaker.cooldown_us = 1.0e9; // no probe of the primary
+    serve::Server server = rig.makeServer(cfg);
+    serve::ArrivalConfig ac;
+    ac.rate_per_sec = 200.0;
+    ac.count = 3;
+    ac.deadline_slack_us = 1.0e9;
+    ac.low_deadline_slack_us = 1.0e9;
+    ac.low_fraction = 0.0;
+    ac.seed = 3;
+    server.run(serve::generateOpenLoopArrivals(
+        ac, server.nowUs(), rig.bm->datasetSize()));
+
+    const auto rep = server.report();
+    EXPECT_EQ(rep.counters.completed, 3u);
+    EXPECT_EQ(rep.counters.retries, 1u);
+    EXPECT_EQ(rep.breakers.front().trips, 1u);
+    EXPECT_EQ(server.nowUs(), 0x1.8cebb9cacf19ep+14) // 25402.9
+        << std::hexfloat << server.nowUs();
+    const std::vector<double> pinned = {0x1.27dd2117c8a7cp+12,
+                                        0x1.3312067a9376ap+12,
+                                        0x1.3a082af22916p+11};
+    ASSERT_EQ(server.latencies().size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); ++i)
+        EXPECT_EQ(server.latencies()[i], pinned[i])
+            << "latency " << i << ": " << std::hexfloat
+            << server.latencies()[i];
+}
+
 } // namespace
