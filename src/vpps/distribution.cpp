@@ -33,8 +33,7 @@ computeCacheRegs(const gpusim::DeviceSpec& spec, int ctas_per_sm)
 
 std::optional<DistributionPlan>
 DistributionPlan::tryBuild(const graph::Model& model,
-                           const gpusim::DeviceSpec& spec,
-                           const VppsOptions& /*opts*/, int rpw,
+                           const gpusim::DeviceSpec& spec, int rpw,
                            int ctas_per_sm, bool cache_gradients)
 {
     const auto matrices = model.weightMatrices();
@@ -123,6 +122,28 @@ DistributionPlan::tryBuild(const graph::Model& model,
             }
         }
     }
+
+    // FNV-1a over the configuration, then every VPP's slices of every
+    // matrix and gradient; the VPP lists (vppsOf) follow from them.
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v;
+        h *= 1099511628211ull;
+    };
+    mix(static_cast<std::uint64_t>(plan.rpw_));
+    mix(static_cast<std::uint64_t>(plan.ctas_per_sm_));
+    mix(static_cast<std::uint64_t>(plan.num_vpps_));
+    mix(plan.grads_cached_ ? 1 : 0);
+    for (const auto& per_matrix : plan.slices_)
+        for (const auto& per_vpp : per_matrix)
+            for (const auto& slices : per_vpp) {
+                mix(slices.size());
+                for (const RowSlice& sl : slices) {
+                    mix(sl.first_row);
+                    mix(sl.num_rows);
+                }
+            }
+    plan.digest_ = h;
     return plan;
 }
 
@@ -143,7 +164,7 @@ DistributionPlan::tryBuildAuto(const graph::Model& model,
             continue;
         if (!opts.cache_gradients && a.grads)
             continue;
-        auto plan = tryBuild(model, spec, opts, rpw, a.ctas, a.grads);
+        auto plan = tryBuild(model, spec, rpw, a.ctas, a.grads);
         if (plan)
             return std::move(*plan);
     }
@@ -187,7 +208,7 @@ DistributionPlan::maxRpw(const graph::Model& model,
             for (bool grads : {true, false}) {
                 if (!opts.cache_gradients && grads)
                     continue;
-                if (tryBuild(model, spec, opts, rpw, ctas, grads))
+                if (tryBuild(model, spec, rpw, ctas, grads))
                     any = true;
             }
         }

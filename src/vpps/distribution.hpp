@@ -136,16 +136,14 @@ class DistributionPlan
 {
   public:
     /**
-     * Attempt to build a plan with explicit knobs (@p opts is not
-     * read: rpw, CTA count and gradient caching are all explicit).
+     * Attempt to build a plan with explicit knobs.
      * @return std::nullopt if the model has no weight matrices, or if
      * the matrices (plus gradients when requested) do not fit in the
      * register budget.
      */
     static std::optional<DistributionPlan>
     tryBuild(const graph::Model& model, const gpusim::DeviceSpec& spec,
-             const VppsOptions& opts, int rpw, int ctas_per_sm,
-             bool cache_gradients);
+             int rpw, int ctas_per_sm, bool cache_gradients);
 
     /**
      * Automatic configuration (Sections III-A1 and III-C2): prefer
@@ -184,6 +182,12 @@ class DistributionPlan
     int numVpps() const { return num_vpps_; }
     bool gradientsCached() const { return grads_cached_; }
     /** @} */
+
+    /** @return a digest of everything script emission reads from the
+     *  plan: rpw, CTAs per SM, VPP count, gradient caching and every
+     *  row slice. Computed once, when the plan is built; part of the
+     *  script-cache key (ScriptGenerator::generate). */
+    std::uint64_t digest() const { return digest_; }
 
     /** @name Partition geometry (Eq 1)
      *  @{ */
@@ -230,6 +234,7 @@ class DistributionPlan
     int cache_regs_ = 0;
     std::size_t total_slots_ = 0;
     std::size_t used_slots_ = 0;
+    std::uint64_t digest_ = 0;
 
     /** Indexed [gradient][matrix][vpp] -> row slices. */
     std::vector<std::vector<std::vector<std::vector<RowSlice>>>> slices_;

@@ -487,10 +487,12 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
             continue;
         }
 
-        // Host: graph construction + script generation.
+        // Host: graph construction + script generation. A batch the
+        // script cache already holds is placed but not emitted, and is
+        // charged exactly what its first generation was.
         const ScriptGenerator generator(k, host_);
-        GeneratedBatch gb = generator.generate(device_, model, cg,
-                                               loss);
+        GeneratedBatch gb = generator.generate(device_, model, cg, loss,
+                                               &executor_.cache());
 
         const double ws = host_.workingSetFactor(gb.stats.live_nodes);
         graph_us +=
@@ -501,18 +503,20 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
 
         // Host-to-device transfer: one pinned-buffer copy for the
         // whole script (prefix-sum header + per-VPP sections) plus
-        // the staged inputs. A detected ECC corruption of the copy
-        // retransmits the buffer, up to the budget. No digest is
-        // computed here: the injector's corruptScriptTransfer() draw
-        // stands in for the device-side check, and the script's one
-        // digest is the executor's script-cache key
-        // (ScriptExecutor::validated()).
+        // the staged inputs, charged on a cache hit too (the modeled
+        // host writes every batch's script). A detected ECC
+        // corruption of the copy retransmits the buffer, up to the
+        // budget. No digest of the script is computed in fb(): the
+        // injector's corruptScriptTransfer() draw stands in for the
+        // device-side check, and the script-cache key is the
+        // generator's digest of its inputs.
+        const double script_bytes = gb.stats.script_bytes;
         const double copy_us =
             host_.pcie_copy_fixed_us +
-            (gb.script.bytes() + gb.stats.input_bytes) /
+            (script_bytes + gb.stats.input_bytes) /
                 (host_.pcie_bandwidth_gbps * 1e3);
         transfer_us += copy_us;
-        device_.addStore(gpusim::MemSpace::Script, gb.script.bytes());
+        device_.addStore(gpusim::MemSpace::Script, script_bytes);
         int retransmits = 0;
         bool transfer_dead = false;
         while (inj && inj->corruptScriptTransfer()) {
@@ -525,8 +529,7 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
             }
             transfer_us += copy_us;
             rec.recovery_us += copy_us;
-            device_.addStore(gpusim::MemSpace::Script,
-                             gb.script.bytes());
+            device_.addStore(gpusim::MemSpace::Script, script_bytes);
         }
         if (transfer_dead) {
             mem.resetTo(mark);

@@ -225,10 +225,12 @@ class Script
 
     /**
      * FNV-1a digest of the sealed buffer: num_vpps, the word count,
-     * the header, then the streams in VPP order. The executor keys
-     * its validated-program cache on it (ScriptExecutor::validated()),
-     * the one place a batch computes it; the modeled transfer path
-     * computes no digest.
+     * the header, then the streams in VPP order. The executor keys a
+     * script no generator made (hand-built and fuzzed scripts) on it
+     * in its validated-program cache (ScriptExecutor::validated()). A
+     * generated batch is keyed by the generator's digest of its
+     * inputs instead, so fb() never computes this one, and the
+     * modeled transfer path computes no digest.
      */
     std::uint64_t checksum() const;
 

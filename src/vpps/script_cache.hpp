@@ -3,22 +3,25 @@
  * Shared validated-script cache (DESIGN.md section 4.11).
  *
  * Identical batches generate identical script words, so every
- * replica of a data-parallel job validates the same programs. This
- * cache lifts the per-ScriptExecutor validation memo into a sharable,
- * mutex-guarded store of immutable `ValidatedProgram`s: N replica
- * handles point at one ScriptCache and the first replica's
- * validation pays for all of them. An entry owns its validated copy
- * of the script's words, so a hit never reads the new script's words:
- * a digest collision can at worst run another validated program.
- * Entries are `shared_ptr<const ...>` so a program an executor is
- * interpreting survives an evict-all triggered by another replica
- * mid-run.
+ * replica of a data-parallel job, and every repeat of a batch,
+ * validates the same programs. This cache lifts the per-ScriptExecutor
+ * validation memo into a sharable, mutex-guarded store of immutable
+ * `ValidatedProgram`s: N replica handles point at one ScriptCache and
+ * the first replica's validation pays for all of them. An entry owns
+ * its validated copy of the script's words, so a hit never reads a
+ * new script's words: a key collision can at worst run another
+ * validated program. Entries are `shared_ptr<const ...>` so a program
+ * an executor is interpreting, or a generated batch holds, survives
+ * an evict-all triggered by another replica mid-run.
  *
- * Keys fold in everything validation depends on: the script's
- * content checksum, the model's parameter count and every
- * parameter's shape (param-id immediates are range-checked against
- * the count, matrix operands against the rows and cols), and the
- * device pool capacity (operand offsets are range-checked against
+ * A generated batch is keyed by what the generator reads, not by the
+ * words it writes (ScriptGenerator::generate), so a hit skips
+ * emission as well as validation. A script no generator made is keyed
+ * by its content checksum. Either digest is folded here with
+ * everything validation depends on: the model's parameter count and
+ * every parameter's shape (param-id immediates are range-checked
+ * against the count, matrix operands against the rows and cols), and
+ * the device pool capacity (operand offsets are range-checked against
  * it). Sharing across replicas is therefore only a hit when the
  * replicas really are clones.
  */
@@ -52,11 +55,13 @@ class ScriptCache
     ScriptCache(const ScriptCache&) = delete;
     ScriptCache& operator=(const ScriptCache&) = delete;
 
-    /** Cache key over every validation input: the script, the shapes
-     *  of @p model's parameters, and the device memory capacity
-     *  @p pool_floats the operands were validated against. */
+    /** Cache key over every validation input: @p script_digest (the
+     *  generator's emission digest, or Script::checksum() for a
+     *  script no generator made), the shapes of @p model's parameters,
+     *  and the device memory capacity @p pool_floats the operands are
+     *  validated against. */
     static std::uint64_t
-    key(std::uint64_t script_checksum, const graph::Model& model,
+    key(std::uint64_t script_digest, const graph::Model& model,
         std::size_t pool_floats)
     {
         // FNV-1a over the parameter count and every (rows, cols).
@@ -70,7 +75,7 @@ class ScriptCache
             mix(model.param(p).shape.rows());
             mix(model.param(p).shape.cols());
         }
-        std::uint64_t h = script_checksum;
+        std::uint64_t h = script_digest;
         h ^= 0x9E3779B97F4A7C15ull * (shapes + 1);
         h ^= 0xC2B2AE3D27D4EB4Full *
              (static_cast<std::uint64_t>(pool_floats) + 1);
@@ -92,26 +97,31 @@ class ScriptCache
     }
 
     /**
-     * Store @p prog under @p key and return it as shared. If the
-     * instruction budget is exceeded the whole map is dropped first;
-     * in-flight executors keep their programs alive through their
-     * own shared_ptr. Losing a race with another inserter is fine:
-     * both validated copies of one key are identical, last-write
-     * wins.
+     * Store @p prog under @p key and return the cached program. If
+     * the insert would take the cache past its instruction budget the
+     * whole map is dropped first; a lone program larger than the
+     * budget is still cached. In-flight executors and generated
+     * batches keep their programs alive through their own shared_ptr.
+     * Losing a race with another inserter is fine: both validated
+     * copies of one key are identical, and the first one stays.
      */
     std::shared_ptr<const ValidatedProgram>
     insert(std::uint64_t key, std::unique_ptr<ValidatedProgram> prog)
     {
         std::shared_ptr<const ValidatedProgram> shared(std::move(prog));
         std::lock_guard<std::mutex> lock(mu_);
-        if (cached_instructions_ > max_instructions_)
+        if (auto it = map_.find(key); it != map_.end())
+            return it->second;
+        if (!map_.empty() && cached_instructions_ +
+                                     shared->total_instructions >
+                                 max_instructions_)
         {
             map_.clear();
             cached_instructions_ = 0;
             ++evictions_;
         }
         cached_instructions_ += shared->total_instructions;
-        map_[key] = shared;
+        map_.emplace(key, shared);
         return shared;
     }
 

@@ -473,27 +473,31 @@ ScriptExecutor::ScriptExecutor(gpusim::Device& device, int threads,
 ScriptExecutor::~ScriptExecutor() = default;
 
 common::Result<std::shared_ptr<const ValidatedProgram>>
-ScriptExecutor::validated(const Script& script,
+ScriptExecutor::validated(const GeneratedBatch& batch,
                           const graph::Model& model)
 {
-    // Content digest over the full sealed buffer, the one digest a
-    // batch computes of its script. Identical batches generate
-    // identical words, so replayed minibatches hit here and skip the
-    // whole copy-and-validate pass -- across all executors sharing
-    // the cache. A hit runs the cache's own copy and never reads this
-    // script's words, so a digest collision can at worst run another
-    // validated program. The model's parameter shapes and the pool
-    // capacity fold into the key because operand validation depends
-    // on both.
+    // A generated batch brings its key: a digest of what the
+    // generator read, so identical batches -- replayed minibatches,
+    // data-parallel replicas -- share one entry without hashing their
+    // words. A hit runs the cache's own copy and never reads this
+    // script's words, so a key collision can at worst run another
+    // validated program.
     const std::uint64_t cap = device_.memory().capacity();
     const std::uint64_t h =
-        ScriptCache::key(script.checksum(), model, cap);
-    if (auto hit = cache_->find(h))
-        return hit;
-    auto prog = validate(script, model, cap);
+        batch.cache_key
+            ? *batch.cache_key
+            : ScriptCache::key(batch.script.checksum(), model, cap);
+    if (batch.missed_in != cache_)
+        if (auto hit = cache_->find(h))
+            return hit;
+    auto prog = validate(batch.script, model, cap);
     if (!prog.ok())
         return prog.takeStatus();
-    return cache_->insert(h, std::move(prog).value());
+    std::unique_ptr<ValidatedProgram> p = std::move(prog).value();
+    p->fwd_instructions = batch.stats.fwd_instructions;
+    p->bwd_instructions = batch.stats.bwd_instructions;
+    p->update_instructions = batch.stats.update_instructions;
+    return cache_->insert(h, std::move(p));
 }
 
 common::Result<RunResult>
@@ -508,13 +512,15 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     const auto& spec = device_.spec();
     const int num_vpps = plan.numVpps();
     auto& mem = device_.memory();
-    auto val = validated(batch.script, model);
-    if (!val.ok())
-        return val.takeStatus();
     // Holding the shared_ptr keeps the program valid even if another
     // cache user triggers an evict-all while this run is in flight.
-    const std::shared_ptr<const ValidatedProgram> prog_guard =
-        val.value();
+    std::shared_ptr<const ValidatedProgram> prog_guard = batch.program;
+    if (!prog_guard) {
+        auto val = validated(batch, model);
+        if (!val.ok())
+            return val.takeStatus();
+        prog_guard = std::move(val).value();
+    }
     const ValidatedProgram& prog = *prog_guard;
     if (prog.numVpps() != num_vpps)
         return Status::failure(

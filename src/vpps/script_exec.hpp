@@ -93,9 +93,12 @@ struct SyncPoint
  * VPP's sync table. Built once per distinct script and reused across
  * minibatch replays (the in-memory analogue of the on-disk kernel
  * cache: identical batches produce identical script words, so
- * validating them again is pure waste). The interpreter reads only
- * this copy, never the Script it came from, whose stream buffers the
- * next script built on the same thread takes over.
+ * emitting and validating them again is pure waste). The interpreter
+ * reads only this copy, never the Script it came from, whose stream
+ * buffers the next script built on the same thread takes over. It
+ * also keeps what a cache hit, which emits nothing, must still
+ * charge: the per-pass instruction counts, the barrier count
+ * (`expected_signals.size()`) and the script bytes (bytes()).
  */
 struct ValidatedProgram
 {
@@ -121,8 +124,22 @@ struct ValidatedProgram
     std::vector<std::uint32_t> expected_signals;
     /** Instructions across all VPPs (cache budget accounting). */
     std::size_t total_instructions = 0;
+    /** Non-sync instructions per pass, as the generator counted them
+     *  (GenStats); zero for a script no generator made. */
+    std::size_t fwd_instructions = 0;
+    std::size_t bwd_instructions = 0;
+    std::size_t update_instructions = 0;
 
     int numVpps() const { return static_cast<int>(sections.size()); }
+
+    /** @return the size of the script it was validated from, exactly
+     *  as Script::bytes() computes it. */
+    double
+    bytes() const
+    {
+        return 4.0 * (static_cast<double>(sections.size() + 1) +
+                      static_cast<std::uint32_t>(words.size()));
+    }
 };
 
 /** Interprets generated scripts against the simulated device. */
@@ -146,11 +163,19 @@ class ScriptExecutor
     /** Resolved host thread count. */
     int threads() const { return threads_; }
 
+    /** The validated-program cache this executor runs from: the
+     *  shared one it was given, else its own. */
+    ScriptCache& cache() { return *cache_; }
+
     /**
      * Run one batch's script: prologue (weight load, gradient-register
      * init), interpretation loop, epilogue (gradient application), and
      * -- for the uncached-gradient strategy -- the staged GEMMs and
      * dense matrix updates as separate kernel launches.
+     *
+     * A batch that carries a cached program (a generator's cache hit)
+     * runs it as is. Otherwise the script's words are validated and
+     * cached under the batch's key; see validated().
      *
      * Malformed scripts (bad opcodes, truncated streams, out-of-range
      * barriers, Signal/Wait count mismatches) and stalled schedules
@@ -176,9 +201,13 @@ class ScriptExecutor
 
   private:
     /**
-     * Copy and statically validate @p script, or return the cached
-     * copy of an identical earlier script. Invalid scripts are never
-     * cached, and a hit never reads @p script's words.
+     * Copy and statically validate @p batch's script, or return the
+     * cached program of an identical earlier batch. The key is the
+     * generator's (`batch.cache_key`); only a script no generator made
+     * is keyed by its checksum. There is one lookup per batch: none
+     * here when the generator already missed in this executor's
+     * cache. Invalid scripts are never cached, and a hit never reads
+     * the script's words.
      *
      * Validation is exhaustive over everything the interpreter will
      * later dereference: opcodes, stream framing, barrier indices and
@@ -191,7 +220,7 @@ class ScriptExecutor
      * evict-all another cache user may trigger mid-run.
      */
     common::Result<std::shared_ptr<const ValidatedProgram>>
-    validated(const Script& script, const graph::Model& model);
+    validated(const GeneratedBatch& batch, const graph::Model& model);
 
     gpusim::Device& device_;
     int threads_;
@@ -199,7 +228,7 @@ class ScriptExecutor
 
     /** Private cache backing `cache_` when none was shared in. */
     std::unique_ptr<ScriptCache> owned_cache_;
-    /** Validated programs keyed by script/model/pool content hash. */
+    /** Validated programs, keyed as ScriptCache::key() describes. */
     ScriptCache* cache_;
 };
 

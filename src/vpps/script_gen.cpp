@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "common/logging.hpp"
 #include "exec/kernels.hpp"
 #include "graph/level_sort.hpp"
+#include "vpps/script_cache.hpp"
 
 namespace vpps {
 
@@ -120,6 +122,80 @@ class LoadBalancer
     std::vector<double> load_;
 };
 
+// The emission digest hashes every field of a node and a parameter
+// except the ones named below. A new field must be hashed in
+// emissionDigest() or added to this list; then update the sizes.
+// Unhashed: Node::level (computeLevels() derives it from args) and
+// Parameter::name.
+static_assert(sizeof(Node) == 40 + sizeof(std::vector<NodeId>),
+              "graph::Node changed: hash the new field in emissionDigest");
+static_assert(sizeof(graph::Parameter) == 24 + sizeof(std::string),
+              "graph::Parameter changed: hash the new field in "
+              "emissionDigest");
+
+/** Running 64-bit digest: an xor-multiply step, then a xor-shift so
+ *  every input bit reaches the low bits as well. */
+class Digest
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        h_ = (h_ ^ v) * 0x9E3779B97F4A7C15ull;
+        h_ ^= h_ >> 32;
+    }
+
+    void
+    add(std::uint32_t lo, std::uint32_t hi)
+    {
+        add(lo | static_cast<std::uint64_t>(hi) << 32);
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 1469598103934665603ull;
+};
+
+/**
+ * Digest of everything emission reads besides the HostSpec, which
+ * only prices scheduling: the distribution plan, each parameter's
+ * kind, shape and offsets, the loss node, and every node's op,
+ * liveness, operands and offsets. The GEMM staging areas are bumped
+ * from the pool right after placement, so the node offsets fix them
+ * too. Equal digests therefore emit equal words (DESIGN.md section
+ * 4.11).
+ */
+std::uint64_t
+emissionDigest(const DistributionPlan& plan, const graph::Model& model,
+               const graph::ComputationGraph& cg,
+               const std::vector<bool>& live, NodeId loss)
+{
+    Digest d;
+    d.add(plan.digest());
+    d.add(model.numParams());
+    for (graph::ParamId pid = 0; pid < model.numParams(); ++pid) {
+        const auto& p = model.param(pid);
+        d.add(static_cast<std::uint64_t>(p.kind));
+        d.add(p.shape.rows(), p.shape.cols());
+        d.add(p.value, p.grad);
+    }
+    d.add(loss, static_cast<std::uint32_t>(cg.size()));
+    for (NodeId id = 0; id < cg.size(); ++id) {
+        const Node& n = cg.node(id);
+        d.add(static_cast<std::uint64_t>(n.op) |
+              static_cast<std::uint64_t>(live[id]) << 8 |
+              static_cast<std::uint64_t>(n.args.size()) << 16);
+        d.add(n.shape.rows(), n.shape.cols());
+        d.add(n.param, n.aux);
+        d.add(n.fwd, n.grad);
+        d.add(n.aux_mem);
+        for (NodeId a : n.args)
+            d.add(a);
+    }
+    return d.value();
+}
+
 } // namespace
 
 ScriptGenerator::ScriptGenerator(const CompiledKernel& kernel,
@@ -128,10 +204,27 @@ ScriptGenerator::ScriptGenerator(const CompiledKernel& kernel,
 {
 }
 
+void
+ScriptGenerator::chargeScheduling(GenStats& stats) const
+{
+    // Host scheduling time model (Fig 10's fwd/bwd scheduling bars):
+    // level sort + per-node encode + min-load bookkeeping.
+    const double live = static_cast<double>(stats.live_nodes);
+    const double ws = host_.workingSetFactor(stats.live_nodes);
+    stats.fwd_sched_us =
+        ws * (live * host_.sched_node_us +
+              static_cast<double>(stats.fwd_instructions) *
+                  host_.sched_instr_us);
+    stats.bwd_sched_us =
+        ws * (live * host_.sched_node_us * 0.8 +
+              static_cast<double>(stats.bwd_instructions) *
+                  host_.sched_instr_us);
+}
+
 GeneratedBatch
 ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
-                          graph::ComputationGraph& cg,
-                          graph::Expr loss) const
+                          graph::ComputationGraph& cg, graph::Expr loss,
+                          ScriptCache* cache) const
 {
     const DistributionPlan& plan = kernel_.plan;
     const int num_vpps = plan.numVpps();
@@ -139,7 +232,6 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
     out.loss_node = loss.id;
 
     const std::vector<bool> live = graph::reachableFrom(cg, loss.id);
-    const auto levels = graph::computeLevels(cg);
     out.stats.input_bytes = exec::placeForward(device, model, cg, live);
     out.stats.zeroed_bytes =
         exec::placeBackward(device, model, cg, live, loss.id);
@@ -174,6 +266,27 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
         staging_cursor.assign(out.gemm_staging.size(), 0);
     }
 
+    // Key the batch by what emission reads. On a hit the cached
+    // program stands in for the words, and the counts its first
+    // emission recorded for this one's.
+    out.cache_key =
+        ScriptCache::key(emissionDigest(plan, model, cg, live, loss.id),
+                         model, device.memory().capacity());
+    if (cache != nullptr) {
+        if (auto hit = cache->find(*out.cache_key)) {
+            out.stats.fwd_instructions = hit->fwd_instructions;
+            out.stats.bwd_instructions = hit->bwd_instructions;
+            out.stats.update_instructions = hit->update_instructions;
+            out.stats.barriers = hit->expected_signals.size();
+            out.stats.script_bytes = hit->bytes();
+            out.program = std::move(hit);
+            chargeScheduling(out.stats);
+            return out;
+        }
+        out.missed_in = cache;
+    }
+
+    const auto levels = graph::computeLevels(cg);
     LoadBalancer balance(num_vpps);
     PhaseBuilder phase(out.script);
 
@@ -512,17 +625,8 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
     out.stats.barriers = static_cast<std::size_t>(phase.barriers());
 
     out.script.seal();
-
-    // Host scheduling time model (Fig 10's fwd/bwd scheduling bars):
-    // level sort + per-node encode + min-load bookkeeping.
-    const double ws = host_.workingSetFactor(live_count);
-    out.stats.fwd_sched_us =
-        ws * (static_cast<double>(live_count) * host_.sched_node_us +
-              static_cast<double>(fwd_instr) * host_.sched_instr_us);
-    out.stats.bwd_sched_us =
-        ws * (static_cast<double>(live_count) * host_.sched_node_us *
-                  0.8 +
-              static_cast<double>(bwd_instr) * host_.sched_instr_us);
+    out.stats.script_bytes = out.script.bytes();
+    chargeScheduling(out.stats);
     return out;
 }
 

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -24,6 +26,9 @@
 
 namespace vpps {
 
+class ScriptCache;
+struct ValidatedProgram;
+
 /** Host-side statistics of one generation run (Fig 10 inputs). */
 struct GenStats
 {
@@ -32,6 +37,9 @@ struct GenStats
     std::size_t bwd_instructions = 0;
     std::size_t update_instructions = 0;
     std::size_t barriers = 0;
+
+    /** Script size in bytes (the H2D transfer size, Script::bytes()). */
+    double script_bytes = 0.0;
 
     /** Modeled host time for forward scheduling, us. */
     double fwd_sched_us = 0.0;
@@ -70,6 +78,20 @@ struct GeneratedBatch
     /** Loss node (its fwd offset holds the batch loss). */
     graph::NodeId loss_node = 0;
 
+    /** @name Script-cache state (DESIGN.md section 4.11)
+     *  @{ */
+    /** ScriptCache::key over the generator's inputs. Unset for a
+     *  batch no generator made, which the executor keys by
+     *  Script::checksum(). */
+    std::optional<std::uint64_t> cache_key;
+    /** A cache hit's validated program; `script` then holds no words
+     *  and is never sealed. */
+    std::shared_ptr<const ValidatedProgram> program;
+    /** The cache generate() looked `cache_key` up in and missed, so
+     *  an executor on that cache inserts without a second lookup. */
+    const ScriptCache* missed_in = nullptr;
+    /** @} */
+
     explicit GeneratedBatch(int num_vpps) : script(num_vpps) {}
 };
 
@@ -86,12 +108,25 @@ class ScriptGenerator
      *
      * Placement allocates from the device pool; the caller is
      * responsible for resetting the pool mark between batches.
+     *
+     * Every batch is placed, then keyed by a digest of what emission
+     * reads: the distribution plan, the parameter layout, the loss
+     * node and every node's op, liveness, operands and offsets (input
+     * values are not read). Given @p cache, a hit returns the cached
+     * program instead of emitting: no level sort, no words, no seal.
+     * The caller must run the batch on an executor over the same
+     * device and model, since the key covers their pool capacity and
+     * parameter shapes. Without @p cache the script is always
+     * emitted, and the executor looks the key up itself.
      */
     GeneratedBatch generate(gpusim::Device& device, graph::Model& model,
-                            graph::ComputationGraph& cg,
-                            graph::Expr loss) const;
+                            graph::ComputationGraph& cg, graph::Expr loss,
+                            ScriptCache* cache = nullptr) const;
 
   private:
+    /** Fill @p stats' modeled scheduling times from its counts. */
+    void chargeScheduling(GenStats& stats) const;
+
     const CompiledKernel& kernel_;
     const gpusim::HostSpec host_;
 };

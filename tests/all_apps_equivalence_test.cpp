@@ -5,8 +5,10 @@
  * produces the same losses as the per-node baseline -- and this holds
  * on non-default device geometries (fewer SMs, smaller register
  * files), where the distribution plan and script differ entirely.
- * One timing-only batch per app also pins its simulated time, and two
- * functional batches pin its losses and trained parameters.
+ * One timing-only batch per app also pins its simulated time, two
+ * functional batches pin its losses and trained parameters, and one
+ * batch run three times pins what a script-cache hit computes and
+ * charges.
  */
 #include <gtest/gtest.h>
 
@@ -263,6 +265,138 @@ TEST_P(AllAppsEquivalenceTest, FunctionalBatchIsPinned)
                     << "step " << step << std::hex << std::showbase
                     << ": " << bits;
             }
+            std::vector<std::uint8_t> bytes;
+            const auto& model = m->model();
+            for (graph::ParamId id = 0; id < model.numParams(); ++id) {
+                const auto& p = model.param(id);
+                const auto* data = reinterpret_cast<const std::uint8_t*>(
+                    f.device.memory().data(p.value));
+                bytes.insert(bytes.end(), data,
+                             data + p.shape.size() * sizeof(float));
+            }
+            const std::uint64_t digest = common::fnv1a64(bytes);
+            EXPECT_EQ(digest, pin.params_digest)
+                << std::hex << std::showbase << digest;
+        }
+        ++checked;
+    }
+    EXPECT_GT(checked, 0);
+}
+
+/** One batch run three times through one handle: the first run
+ *  misses the script cache, the next two hit it. */
+struct RepeatPin
+{
+    const char* app;
+    bool cache_gradients;
+    std::uint32_t loss_bits[3];
+    std::uint64_t params_digest; //!< FNV-1a of every parameter's bytes
+    double kernel_us;            //!< of every run
+    double step_us[3];           //!< simulated host + device time per run
+    std::uint64_t instructions;  //!< of every run
+};
+
+const RepeatPin kRepeatPins[] = {
+    {"Tree-LSTM", true, {0x40887154, 0x40570de3, 0x4024d65c},
+     0xa6e5e41f34643f5dull, 0x1.0a7e6074efd09p+11,
+     {0x1.3bbbfb39988bfp+11, 0x1.3bbbfb39988bfp+11,
+      0x1.3bbbfb39988bep+11},
+     6020},
+    {"Tree-LSTM", false, {0x40887154, 0x40570de3, 0x4024d65c},
+     0xbf3cb1e97908501full, 0x1.0a3e0f5705192p+11,
+     {0x1.566445987247p+11, 0x1.566445987247ap+11,
+      0x1.566445987247bp+11},
+     4478},
+    {"BiLSTM", true, {0x4251d908, 0x40b81d8a, 0x40a4a9b9},
+     0x8ae5217aa322e905ull, 0x1.432272bf8c5abp+12,
+     {0x1.6f6a5b8045a18p+12, 0x1.6f6a5b8045a18p+12,
+      0x1.6f6a5b8045a16p+12},
+     11735},
+    {"BiLSTMwChar", true, {0x420772e7, 0x40d13598, 0x40b31fb0},
+     0xffaabe0ecbabfd39ull, 0x1.e1f16f4b74717p+12,
+     {0x1.0f5330367f1f2p+13, 0x1.0f5330367f1f2p+13,
+      0x1.0f5330367f1f1p+13},
+     13822},
+    {"BiGRU", true, {0x4229a908, 0x408be5d0, 0x407f966e},
+     0x77b53d0c2eeaf06full, 0x1.69b17afafafd3p+12,
+     {0x1.a0b53c433e994p+12, 0x1.a0b53c433e994p+12,
+      0x1.a0b53c433e992p+12},
+     9743},
+    {"TD-RNN", true, {0x403edf1a, 0x3e564674, 0x3de95a28},
+     0x8d0f4b7048d157b1ull, 0x1.bb0f2682aba0cp+10,
+     {0x1.dc28d74c97febp+10, 0x1.dc28d74c97febp+10,
+      0x1.dc28d74c97febp+10},
+     1366},
+    {"TD-LSTM", true, {0x4082d074, 0x4006a8b2, 0x3f8c4896},
+     0x9aaa7ce50291b4c1ull, 0x1.770ce6194c7f9p+11,
+     {0x1.ae1d26919f962p+11, 0x1.ae1d26919f962p+11,
+      0x1.ae1d26919f961p+11},
+     11115},
+    {"RvNN", true, {0x40168f68, 0x3ec02066, 0x3e60a6d2},
+     0x8c0567ca8660efe9ull, 0x1.3de7a41f0047cp+10,
+     {0x1.578a04aa5e083p+10, 0x1.578a04aa5e083p+10,
+      0x1.578a04aa5e083p+10},
+     1049},
+};
+
+TEST_P(AllAppsEquivalenceTest, RepeatedBatchIsPinned)
+{
+    // A repeated batch runs the script cache's copy of its program.
+    // It must compute and charge exactly what its first run did: the
+    // same simulated time and instructions on every run, and the
+    // losses and parameters of three fresh runs, functional at 1 and
+    // 8 host threads and timing-only.
+    struct Mode
+    {
+        bool functional;
+        int threads;
+    };
+    int checked = 0;
+    for (const RepeatPin& pin : kRepeatPins) {
+        if (std::string(pin.app) != GetParam())
+            continue;
+        for (const Mode mode : {Mode{true, 1}, Mode{true, 8},
+                                Mode{false, 1}}) {
+            SCOPED_TRACE(testing::Message()
+                         << "cache_gradients " << pin.cache_gradients
+                         << ", functional " << mode.functional << ", "
+                         << mode.threads << " host threads");
+            Factory f(gpusim::DeviceSpec{});
+            f.device.setFunctional(mode.functional);
+            auto m = f.make(GetParam());
+            vpps::VppsOptions opts;
+            opts.rpw = 2;
+            opts.async = false;
+            opts.cache_gradients = pin.cache_gradients;
+            opts.host_threads = mode.threads;
+            vpps::Handle handle(m->model(), f.device, opts);
+            ASSERT_EQ(handle.kernel().plan.gradientsCached(),
+                      pin.cache_gradients);
+            for (int run = 0; run < 3; ++run) {
+                handle.resetStats();
+                graph::ComputationGraph cg;
+                const float loss = handle.fb(
+                    m->model(), cg,
+                    train::buildSuperGraph(*m, cg, 0, 2));
+                const vpps::VppsStats& s = handle.stats();
+                EXPECT_EQ(s.kernel_us, pin.kernel_us)
+                    << "run " << run << ": " << std::hexfloat
+                    << s.kernel_us;
+                EXPECT_EQ(s.cpuUs() + s.gpuUs(), pin.step_us[run])
+                    << "run " << run << ": " << std::hexfloat
+                    << s.cpuUs() + s.gpuUs();
+                EXPECT_EQ(s.instructions, pin.instructions)
+                    << "run " << run;
+                if (!mode.functional)
+                    continue;
+                std::uint32_t bits;
+                std::memcpy(&bits, &loss, sizeof(bits));
+                EXPECT_EQ(bits, pin.loss_bits[run])
+                    << "run " << run << std::hex << std::showbase
+                    << ": " << bits;
+            }
+            if (!mode.functional)
+                continue;
             std::vector<std::uint8_t> bytes;
             const auto& model = m->model();
             for (graph::ParamId id = 0; id < model.numParams(); ++id) {

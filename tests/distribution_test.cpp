@@ -31,9 +31,8 @@ struct DistRig
 TEST(Distribution, Eq1PartitionGeometry)
 {
     DistRig rig(256, 256);
-    VppsOptions opts;
     auto plan = DistributionPlan::tryBuild(
-        rig.model, rig.device.spec(), opts, 2, 1, true);
+        rig.model, rig.device.spec(), 2, 1, true);
     ASSERT_TRUE(plan.has_value());
     // Eq 1: P_size = TBSize(256) x rpw(2) x ceil(256/32)(8) = 4096.
     EXPECT_EQ(plan->partitionSizeElems(), 4096u);
@@ -48,15 +47,13 @@ TEST(Distribution, Footnote6MaxRpwExample)
     // "a model with row_max = 1024 and one CTA per SM can have a
     // maximum rpw of six": 6 x ceil(1024/32) = 192 regs exactly.
     DistRig rig(64, 1024, 1);
-    VppsOptions opts;
-    opts.ctas_per_sm = 1;
     EXPECT_TRUE(DistributionPlan::tryBuild(rig.model,
-                                           rig.device.spec(), opts, 6,
-                                           1, true)
+                                           rig.device.spec(), 6, 1,
+                                           true)
                     .has_value());
     EXPECT_FALSE(DistributionPlan::tryBuild(rig.model,
-                                            rig.device.spec(), opts, 7,
-                                            1, true)
+                                            rig.device.spec(), 7, 1,
+                                            true)
                      .has_value())
         << "rpw 7 needs 224 regs/partition > 192 budget";
 }
@@ -75,7 +72,7 @@ TEST(Distribution, EveryRowCachedExactlyOnce)
     for (int rpw = 1; rpw <= max_rpw; ++rpw) {
         for (int ctas : {1, 2}) {
             auto plan = DistributionPlan::tryBuild(
-                rig.model, rig.device.spec(), opts, rpw, ctas, true);
+                rig.model, rig.device.spec(), rpw, ctas, true);
             if (!plan)
                 continue; // over the register budget at this CTA count
             ++plans;
@@ -101,9 +98,8 @@ TEST(Distribution, EveryRowCachedExactlyOnce)
 TEST(Distribution, RoundRobinBalancesCtas)
 {
     DistRig rig(512, 256, 4);
-    VppsOptions opts;
     auto plan = DistributionPlan::tryBuild(
-        rig.model, rig.device.spec(), opts, 2, 2, true);
+        rig.model, rig.device.spec(), 2, 2, true);
     ASSERT_TRUE(plan.has_value());
     // Cached bytes per VPP must be near-uniform (Fig 4's goal).
     double min_b = 1e18, max_b = 0.0;
@@ -118,9 +114,8 @@ TEST(Distribution, RoundRobinBalancesCtas)
 TEST(Distribution, ConsecutiveBlocksSpreadAcrossCtas)
 {
     DistRig rig(512, 256, 1);
-    VppsOptions opts;
     auto plan = DistributionPlan::tryBuild(
-        rig.model, rig.device.spec(), opts, 2, 2, true);
+        rig.model, rig.device.spec(), 2, 2, true);
     ASSERT_TRUE(plan.has_value());
     // A 512-row matrix at rpw 2 has 256 blocks; with 160 VPPs the
     // matrix must engage every VPP (maximum matvec parallelism).
@@ -198,8 +193,7 @@ TEST(Distribution, ModelWithoutWeightMatricesIsRecoverable)
     model.allocate(device, rng);
     VppsOptions opts;
     EXPECT_FALSE(
-        DistributionPlan::tryBuild(model, device.spec(), opts, 1, 1,
-                                   true)
+        DistributionPlan::tryBuild(model, device.spec(), 1, 1, true)
             .has_value());
     auto plan =
         DistributionPlan::tryBuildAuto(model, device.spec(), opts, 1);
@@ -223,9 +217,8 @@ TEST(Distribution, MaxRpwShrinksWithWiderRows)
 TEST(Distribution, GradientSlicesMirrorWeightRows)
 {
     DistRig rig(128, 64, 2);
-    VppsOptions opts;
     auto plan = DistributionPlan::tryBuild(
-        rig.model, rig.device.spec(), opts, 4, 2, true);
+        rig.model, rig.device.spec(), 4, 2, true);
     ASSERT_TRUE(plan.has_value());
     // Gradient copies occupy their own slots; total rows match.
     for (graph::ParamId m : rig.model.weightMatrices()) {
@@ -251,9 +244,8 @@ class RpwSweepTest : public testing::TestWithParam<int>
 TEST_P(RpwSweepTest, PlanCoversAllRowsAtAnyRpw)
 {
     DistRig rig(256, 256, 3);
-    VppsOptions opts;
     auto plan = DistributionPlan::tryBuild(
-        rig.model, rig.device.spec(), opts, GetParam(), 2, true);
+        rig.model, rig.device.spec(), GetParam(), 2, true);
     ASSERT_TRUE(plan.has_value());
     std::uint32_t rows = 0;
     for (int vpp = 0; vpp < plan->numVpps(); ++vpp)

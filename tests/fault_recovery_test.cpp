@@ -367,7 +367,7 @@ TEST(FaultRecovery, ServingPathCountersReconcileUnderFaults)
     expectCountersMatchInjectorLog(handle.stats().recovery, log);
 }
 
-TEST(FaultRecovery, EnvAndOptionPlumbingInstallInjectors)
+TEST(FaultRecovery, EnvPlumbingInstallsInjectors)
 {
     {
         Factory f; // clears any inherited fault env first
