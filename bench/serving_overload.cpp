@@ -58,17 +58,12 @@ runLoadPoint(const benchx::BenchCli& cli, double multiplier,
     vpps::Handle handle(rig.model().model(), rig.device(), opts);
 
     serve::ServerConfig cfg;
-    serve::Server sizing(
-        rig.device(),
-        {{"Tree-LSTM", &rig.model(), &handle}});
+    serve::Server sizing(rig.device(), rig.model(), handle);
     sizing.calibrate();
-    const double batch_us =
-        sizing.serviceUs(0, cfg.batch.max_batch);
+    const double batch_us = sizing.serviceUs(cfg.batch.max_batch);
     cfg.batch.window_us = batch_us;
 
-    serve::Server server(
-        rig.device(),
-        {{"Tree-LSTM", &rig.model(), &handle}}, cfg);
+    serve::Server server(rig.device(), rig.model(), handle, cfg);
     server.calibrate();
 
     serve::ArrivalConfig ac;

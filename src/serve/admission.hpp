@@ -3,9 +3,9 @@
  * Admission control and brown-out degradation for the serving layer.
  *
  * Admission decisions are made once, at arrival, against a bounded
- * per-endpoint queue. The controller also owns the brown-out ladder:
- * queue-depth watermarks map the instantaneous backlog to a
- * degradation level, and each level sheds progressively more load
+ * queue. The controller also owns the brown-out ladder: queue-depth
+ * watermarks map the instantaneous backlog to a degradation level,
+ * and each level sheds progressively more load
  *
  *   Normal       -> full batching window, everything admitted
  *   ShrunkWindow -> batching window cut to a quarter
@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "serve/request.hpp"
 
@@ -35,7 +36,7 @@ enum class BrownoutLevel : int
 
 struct AdmissionConfig
 {
-    /** Hard bound on queued requests per endpoint. */
+    /** Hard bound on queued requests. */
     std::size_t queue_capacity = 64;
 
     /** Backlog at which the batching window shrinks. */
@@ -72,13 +73,14 @@ public:
         return BrownoutLevel::Normal;
     }
 
-    /** The arrival-time decision for one request. */
-    enum class Decision
+    /** The arrival-time decision for one request. The values are
+     *  the journal's wire encoding (serve/durability.hpp). */
+    enum class Decision : std::uint8_t
     {
-        Admit,
-        RejectQueueFull,
-        RejectInfeasible,
-        Shed,
+        Admit = 0,
+        RejectQueueFull = 1,
+        RejectInfeasible = 2,
+        Shed = 3,
     };
 
     /**
@@ -96,7 +98,7 @@ public:
      * the absolute start instant.
      *
      * @param req            the arriving request.
-     * @param depth          current backlog on its endpoint.
+     * @param depth          current backlog.
      * @param est_start_us   earliest instant its batch could dispatch
      *                       (now, or when the device frees up).
      * @param est_service_us batching window + cost-model batch time.

@@ -14,8 +14,6 @@ generateOpenLoopArrivals(const ArrivalConfig& cfg, double start_us,
 {
     if (cfg.rate_per_sec <= 0.0)
         common::panic("ArrivalConfig.rate_per_sec must be positive");
-    if (cfg.num_endpoints <= 0)
-        common::panic("ArrivalConfig.num_endpoints must be positive");
     if (dataset_size == 0)
         common::panic("arrival generation needs a non-empty dataset");
 
@@ -33,8 +31,10 @@ generateOpenLoopArrivals(const ArrivalConfig& cfg, double start_us,
 
         Request r;
         r.id = i;
-        r.endpoint = static_cast<int>(rng.nextBelow(
-            static_cast<std::uint64_t>(cfg.num_endpoints)));
+        // This draw picks nothing; it keeps the stream's draw order,
+        // so every seeded trace (and the pins recorded from them)
+        // stays the same.
+        rng.nextBelow(1);
         r.cls = rng.nextBernoulli(cfg.low_fraction)
                     ? RequestClass::Low
                     : RequestClass::High;

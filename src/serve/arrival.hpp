@@ -3,10 +3,10 @@
  * Seeded open-loop arrival generation.
  *
  * Arrivals follow a Poisson process (exponential interarrival gaps)
- * drawn from a common::Rng, so the full trace -- instants, endpoint
- * choice, class mix, input indices, deadlines -- is a pure function
- * of the config. Open loop: the generator never reacts to server
- * state, which is what makes overload (offered > capacity) possible.
+ * drawn from a common::Rng, so the full trace -- instants, class
+ * mix, input indices, deadlines -- is a pure function of the config.
+ * Open loop: the generator never reacts to server state, which is
+ * what makes overload (offered > capacity) possible.
  */
 #pragma once
 
@@ -34,9 +34,6 @@ struct ArrivalConfig
 
     /** Fraction of arrivals in RequestClass::Low. */
     double low_fraction = 0.25;
-
-    /** Endpoints to spread arrivals over (uniform). */
-    int num_endpoints = 1;
 
     std::uint64_t seed = 7;
 };

@@ -2,10 +2,11 @@
  * @file
  * Deadline-aware dynamic batcher with per-class FIFO queues.
  *
- * Each endpoint owns one Batcher. Admitted requests wait in one of
- * two FIFO deques (High before Low at formation time); a batch forms
- * when either the oldest queued request has waited a full batching
- * window or the backlog already covers max_batch. The window shrinks
+ * The Server and the Fleet each own one Batcher. Admitted requests
+ * wait in one of two FIFO deques (High before Low at formation
+ * time); a batch forms when either the oldest queued request has
+ * waited a full batching window or the backlog already covers
+ * max_batch. The window shrinks
  * under brown-out (BrownoutLevel::ShrunkWindow) to trade batching
  * efficiency for latency. Expired requests are cancelled at
  * formation time instead of wasting a batch slot.

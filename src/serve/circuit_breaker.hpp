@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-endpoint circuit breaker guarding the specialized VPPS kernel.
+ * Circuit breaker guarding the specialized VPPS kernel (one per
+ * Server, one per Fleet replica).
  *
  * The breaker watches launch outcomes of the register-cached primary
  * kernel. After @ref BreakerConfig::failure_threshold consecutive

@@ -89,9 +89,10 @@ decodeAdmit(const std::vector<std::uint8_t>& payload)
         return malformed("admit request class",
                          std::to_string(p[8]));
     a.cls = static_cast<RequestClass>(p[8]);
-    if (p[9] > 3)
+    if (p[9] > static_cast<std::uint8_t>(
+                   AdmissionController::Decision::Shed))
         return malformed("admit decision", std::to_string(p[9]));
-    a.decision = static_cast<JournalDecision>(p[9]);
+    a.decision = static_cast<AdmissionController::Decision>(p[9]);
     a.input_index = getU64(p + 10);
     a.arrival_us = getF64(p + 18);
     a.deadline_us = getF64(p + 26);

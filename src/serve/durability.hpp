@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "serve/admission.hpp"
 #include "serve/fleet.hpp"
 #include "serve/request.hpp"
 
@@ -49,21 +50,13 @@ inline constexpr std::uint32_t kJournalAdmitType = 1;
 inline constexpr std::uint32_t kJournalOutcomeType = 2;
 /** @} */
 
-/** Admission decision as journaled (wire-stable values). */
-enum class JournalDecision : std::uint8_t
-{
-    Admit = 0,
-    RejectQueueFull = 1,
-    RejectInfeasible = 2,
-    Shed = 3,
-};
-
 /** One arrival's identity and admission decision. */
 struct JournalAdmit
 {
     std::uint64_t id = 0;
     RequestClass cls = RequestClass::High;
-    JournalDecision decision = JournalDecision::Admit;
+    AdmissionController::Decision decision =
+        AdmissionController::Decision::Admit;
     std::uint64_t input_index = 0;
     double arrival_us = 0.0;
     double deadline_us = 0.0;

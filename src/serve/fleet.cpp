@@ -32,7 +32,80 @@ constexpr std::uint64_t kCompletionBytes = 128;
 /** Modeled CPU cost of replaying one journal record, us. */
 constexpr double kReplayUsPerRecord = 5.0;
 
+/** The live path's trace instant and registry counters (all, and
+ *  the High slice where one is kept) for one booked disposition. */
+struct Mirror
+{
+    const char* instant;
+    const char* metric;
+    const char* metric_high; //!< null: no High slice
+};
+
+/** Indexed by admission decision (its wire value). */
+constexpr Mirror kDecisionMirror[] = {
+    {"admit", "fleet.admitted", "fleet.admitted_high"},
+    {"reject_queue_full", "fleet.rejected_queue_full", nullptr},
+    {"reject_infeasible", "fleet.rejected_infeasible", nullptr},
+    {"shed", "fleet.shed", nullptr},
+};
+
+/** Indexed by Outcome: the three a finalized request books. */
+constexpr Mirror kOutcomeMirror[] = {
+    {"complete", "fleet.completed", "fleet.completed_high"},
+    {"timeout", "fleet.timed_out", "fleet.timed_out_high"},
+    {"fail", "fleet.failed", "fleet.failed_high"},
+};
+static_assert(static_cast<int>(Outcome::Completed) == 0 &&
+              static_cast<int>(Outcome::TimedOut) == 1 &&
+              static_cast<int>(Outcome::Failed) == 2);
+
 } // namespace
+
+void
+FleetCounters::bookDecision(AdmissionController::Decision dec,
+                            RequestClass cls)
+{
+    ++arrivals;
+    switch (dec) {
+    case AdmissionController::Decision::Admit:
+        ++admitted;
+        if (cls == RequestClass::High)
+            ++admitted_high;
+        break;
+    case AdmissionController::Decision::RejectQueueFull:
+        ++rejected_queue_full;
+        break;
+    case AdmissionController::Decision::RejectInfeasible:
+        ++rejected_infeasible;
+        break;
+    case AdmissionController::Decision::Shed:
+        ++shed;
+        break;
+    }
+}
+
+void
+FleetCounters::bookOutcome(Outcome outcome, RequestClass cls)
+{
+    const bool high = cls == RequestClass::High;
+    switch (outcome) {
+    case Outcome::Completed:
+        ++completed;
+        if (high)
+            ++completed_high;
+        break;
+    case Outcome::TimedOut:
+        ++timed_out;
+        if (high)
+            ++timed_out_high;
+        break;
+    default:
+        ++failed;
+        if (high)
+            ++failed_high;
+        break;
+    }
+}
 
 Fleet::Fleet(std::vector<FleetReplica> replicas, FleetConfig cfg,
              obs::Tracer* tracer, obs::MetricsRegistry* metrics)
@@ -194,9 +267,6 @@ Fleet::onArrival(const Request& req)
     const std::size_t depth = queue_.depth();
     const BrownoutLevel level = admission_.levelFor(depth);
 
-    ++counters_.arrivals;
-    count("fleet.arrivals");
-
     // Earliest start: the first live replica to free up, plus the
     // backlog spread across the live fleet.
     const std::size_t live = liveReplicas();
@@ -205,39 +275,18 @@ Fleet::onArrival(const Request& req)
     if (live > 0)
         est_start += static_cast<double>(depth) * svc /
                      static_cast<double>(live);
-    const double est_service = svc;
 
-    auto decided = [&](const char* name, const char* metric) {
-        fleetInstant(name, req.id, static_cast<double>(level),
-                     static_cast<double>(depth));
-        count(metric);
-    };
-
-    const auto dec =
-        admission_.decide(req, depth, est_start, est_service);
-    switch (dec) {
-    case AdmissionController::Decision::Admit:
-        ++counters_.admitted;
-        if (req.cls == RequestClass::High) {
-            ++counters_.admitted_high;
-            count("fleet.admitted_high");
-        }
-        decided("admit", "fleet.admitted");
+    const auto dec = admission_.decide(req, depth, est_start, svc);
+    counters_.bookDecision(dec, req.cls);
+    const Mirror& mirror = kDecisionMirror[static_cast<std::size_t>(dec)];
+    count("fleet.arrivals");
+    count(mirror.metric);
+    if (mirror.metric_high != nullptr && req.cls == RequestClass::High)
+        count(mirror.metric_high);
+    fleetInstant(mirror.instant, req.id, static_cast<double>(level),
+                 static_cast<double>(depth));
+    if (dec == AdmissionController::Decision::Admit)
         queue_.enqueue(Queued{req, 0, now_});
-        break;
-    case AdmissionController::Decision::RejectQueueFull:
-        ++counters_.rejected_queue_full;
-        decided("reject_queue_full", "fleet.rejected_queue_full");
-        break;
-    case AdmissionController::Decision::RejectInfeasible:
-        ++counters_.rejected_infeasible;
-        decided("reject_infeasible", "fleet.rejected_infeasible");
-        break;
-    case AdmissionController::Decision::Shed:
-        ++counters_.shed;
-        decided("shed", "fleet.shed");
-        break;
-    }
     journalAdmit(req, dec);
 }
 
@@ -394,36 +443,13 @@ void
 Fleet::finalizeRequest(const Queued& q, Outcome outcome,
                        float response, double latency)
 {
-    const bool high = q.req.cls == RequestClass::High;
-    switch (outcome) {
-    case Outcome::Completed:
-        ++counters_.completed;
-        count("fleet.completed");
-        if (high) {
-            ++counters_.completed_high;
-            count("fleet.completed_high");
-        }
-        fleetInstant("complete", q.req.id);
-        break;
-    case Outcome::TimedOut:
-        ++counters_.timed_out;
-        count("fleet.timed_out");
-        if (high) {
-            ++counters_.timed_out_high;
-            count("fleet.timed_out_high");
-        }
-        fleetInstant("timeout", q.req.id);
-        break;
-    default:
-        ++counters_.failed;
-        count("fleet.failed");
-        if (high) {
-            ++counters_.failed_high;
-            count("fleet.failed_high");
-        }
-        fleetInstant("fail", q.req.id);
-        break;
-    }
+    counters_.bookOutcome(outcome, q.req.cls);
+    const Mirror& mirror =
+        kOutcomeMirror[static_cast<std::size_t>(outcome)];
+    count(mirror.metric);
+    if (q.req.cls == RequestClass::High)
+        count(mirror.metric_high);
+    fleetInstant(mirror.instant, q.req.id);
     journalOutcome(q, outcome, response, latency);
 }
 
@@ -1052,20 +1078,7 @@ Fleet::journalAdmit(const Request& req,
     JournalAdmit a;
     a.id = req.id;
     a.cls = req.cls;
-    switch (dec) {
-    case AdmissionController::Decision::Admit:
-        a.decision = JournalDecision::Admit;
-        break;
-    case AdmissionController::Decision::RejectQueueFull:
-        a.decision = JournalDecision::RejectQueueFull;
-        break;
-    case AdmissionController::Decision::RejectInfeasible:
-        a.decision = JournalDecision::RejectInfeasible;
-        break;
-    case AdmissionController::Decision::Shed:
-        a.decision = JournalDecision::Shed;
-        break;
-    }
+    a.decision = dec;
     a.input_index = static_cast<std::uint64_t>(req.input_index);
     a.arrival_us = req.arrival_us;
     a.deadline_us = req.deadline_us;
@@ -1264,12 +1277,8 @@ Fleet::recoverFromStore()
                 break;
             }
             const JournalAdmit& a = ar.value();
-            ++counters_.arrivals;
-            switch (a.decision) {
-            case JournalDecision::Admit: {
-                ++counters_.admitted;
-                if (a.cls == RequestClass::High)
-                    ++counters_.admitted_high;
+            counters_.bookDecision(a.decision, a.cls);
+            if (a.decision == AdmissionController::Decision::Admit) {
                 Request req;
                 req.id = a.id;
                 req.cls = a.cls;
@@ -1278,17 +1287,6 @@ Fleet::recoverFromStore()
                 req.arrival_us = a.arrival_us;
                 req.deadline_us = a.deadline_us;
                 in_doubt[a.id] = req;
-                break;
-            }
-            case JournalDecision::RejectQueueFull:
-                ++counters_.rejected_queue_full;
-                break;
-            case JournalDecision::RejectInfeasible:
-                ++counters_.rejected_infeasible;
-                break;
-            case JournalDecision::Shed:
-                ++counters_.shed;
-                break;
             }
         } else if (rec.type == kJournalOutcomeType) {
             auto orr = decodeOutcome(rec.payload);
@@ -1299,29 +1297,13 @@ Fleet::recoverFromStore()
             }
             const JournalOutcome& o = orr.value();
             in_doubt.erase(o.id);
-            const bool high = o.cls == RequestClass::High;
-            switch (o.outcome) {
-            case Outcome::Completed: {
-                ++counters_.completed;
+            counters_.bookOutcome(o.outcome, o.cls);
+            if (o.outcome == Outcome::Completed) {
                 ++counters_.routed; // the winning dispatch
-                if (high)
-                    ++counters_.completed_high;
                 float v = 0.0f;
                 std::memcpy(&v, &o.response_bits, 4);
                 responses_.emplace_back(o.id, v);
                 latencies_.push_back(o.latency_us);
-                break;
-            }
-            case Outcome::TimedOut:
-                ++counters_.timed_out;
-                if (high)
-                    ++counters_.timed_out_high;
-                break;
-            default:
-                ++counters_.failed;
-                if (high)
-                    ++counters_.failed_high;
-                break;
             }
         } else {
             common::warn("Fleet: unknown journal record type ",

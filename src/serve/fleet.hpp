@@ -135,10 +135,10 @@ struct RecoveryInfo
 /**
  * One replica slot, caller-supplied and borrowed. Active replicas
  * come with a live handle (build it with async = false and
- * degrade_on_failure = false, like Server endpoints); a null handle
- * marks a warm-standby slot -- a device and model held in reserve
- * whose handle the fleet builds (checkpoint restore + re-JIT) when
- * promoting it after a device loss.
+ * degrade_on_failure = false, like the Server's handle); a null
+ * handle marks a warm-standby slot -- a device and model held in
+ * reserve whose handle the fleet builds (checkpoint restore +
+ * re-JIT) when promoting it after a device loss.
  */
 struct FleetReplica
 {
@@ -230,6 +230,19 @@ struct FleetCounters
     std::uint64_t drained_no_replica = 0; //!< finalized with fleet dead
     /** @} */
 
+    /** Book one arrival under admission decision @p dec (an Admit of
+     *  a High-class request also counts in the High slice). The
+     *  live path and WAL replay both book through here, so a
+     *  replayed journal rebuilds exactly the counts the live run
+     *  kept. */
+    void bookDecision(AdmissionController::Decision dec,
+                      RequestClass cls);
+
+    /** Book one admitted request's final disposition, High slice
+     *  included: Completed, TimedOut, and anything else as failed.
+     *  The live path and WAL replay both book through here. */
+    void bookOutcome(Outcome outcome, RequestClass cls);
+
     /** All three identities at once (no silent drops, no dispatch
      *  leaks). */
     bool
@@ -290,17 +303,17 @@ public:
     ~Fleet();
 
     /**
-     * Serve @p arrivals (sorted by arrival_us; Request::endpoint is
-     * ignored -- the fleet serves one model) to completion. May be
-     * called repeatedly; clock, health, and breaker state carry
-     * over. With a host fault domain configured, the loop halts at
-     * the planned event boundary instead (crashed() turns true and
-     * the stable store takes its crash); further run() calls are
-     * no-ops -- recovery means constructing a new Fleet over the
-     * restarted store and feeding it the original arrival stream
-     * from the *recovered* fleet's arrivalsConsumed() (the crashed
-     * instance's in-memory count may exceed what the WAL made
-     * durable; un-acknowledged arrivals must be re-delivered).
+     * Serve @p arrivals (sorted by arrival_us) of the fleet's one
+     * model to completion. May be called repeatedly; clock, health,
+     * and breaker state carry over. With a host fault domain
+     * configured, the loop halts at the planned event boundary
+     * instead (crashed() turns true and the stable store takes its
+     * crash); further run() calls are no-ops -- recovery means
+     * constructing a new Fleet over the restarted store and feeding
+     * it the original arrival stream from the *recovered* fleet's
+     * arrivalsConsumed() (the crashed instance's in-memory count may
+     * exceed what the WAL made durable; un-acknowledged arrivals
+     * must be re-delivered).
      */
     void run(const std::vector<Request>& arrivals);
 
@@ -435,7 +448,8 @@ private:
 
     void completeOn(std::size_t s);
 
-    /** Book a request's final disposition (counters + journal).
+    /** Book a request's final disposition (Completed, TimedOut or
+     *  Failed): counters, registry mirror, trace and journal.
      *  @p response / @p latency only meaningful for Completed. */
     void finalizeRequest(const Queued& q, Outcome outcome,
                          float response = 0.0f,

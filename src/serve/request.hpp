@@ -2,9 +2,9 @@
  * @file
  * Request model and accounting for the serving front-end.
  *
- * A request names an endpoint (one served model), a dataset input,
- * a priority class, an arrival instant, and an absolute deadline,
- * all in the device's simulated clock. Every request ends in exactly
+ * A request names a dataset input of the one served model, a
+ * priority class, an arrival instant, and an absolute deadline, all
+ * in the device's simulated clock. Every request ends in exactly
  * one outcome, and the outcome counters reconcile by construction:
  *
  *   arrivals = admitted + rejected_queue_full + rejected_infeasible
@@ -33,9 +33,6 @@ struct Request
     /** Unique, monotonically increasing (the deterministic tie
      *  breaker everywhere requests are ordered). */
     std::uint64_t id = 0;
-
-    /** Index into the server's endpoint table (which model). */
-    int endpoint = 0;
 
     RequestClass cls = RequestClass::High;
 
@@ -82,8 +79,8 @@ struct ServerCounters
     /** Re-enqueues after failed batches (per attempt, not request). */
     std::uint64_t retries = 0;
 
-    /** Batches executed (including retries and calibration probes
-     *  are NOT counted here; probes precede serving). */
+    /** Batches dispatched while serving, retried batches included
+     *  (calibration probes precede serving and are not counted). */
     std::uint64_t batches = 0;
 
     /** Batches routed to the GEMM-fallback kernel by the breaker. */

@@ -40,56 +40,41 @@ buildBatchGraph(models::BenchmarkModel& bm,
 
 } // namespace
 
-Server::Server(gpusim::Device& device,
-               std::vector<Endpoint> endpoints, ServerConfig cfg)
-    : device_(device), endpoints_(std::move(endpoints)), cfg_(cfg),
-      admission_(cfg.admission)
+Server::Server(gpusim::Device& device, models::BenchmarkModel& bm,
+               vpps::Handle& handle, ServerConfig cfg)
+    : device_(device), bm_(bm), handle_(handle), cfg_(cfg),
+      admission_(cfg.admission), batcher_(cfg.batch),
+      breaker_(cfg.breaker)
 {
-    if (endpoints_.empty())
-        common::panic("Server: need at least one endpoint");
-    const std::size_t n = endpoints_.size();
-    batchers_.assign(n, Batcher(cfg_.batch));
-    breakers_.assign(n, CircuitBreaker(cfg_.breaker));
-    not_before_.assign(n, 0.0);
-    est_.assign(n, EndpointEstimate{});
-    fallback_ready_.assign(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-        Endpoint& e = endpoints_[i];
-        if (e.bm == nullptr || e.handle == nullptr)
-            common::panic("Server: endpoint '", e.name,
-                          "' missing model or handle");
-        // Analytic prior: nodes per item from one input's graph.
-        graph::ComputationGraph cg;
-        e.bm->buildLoss(cg, 0);
-        est_[i].nodes_per_item =
-            std::max<double>(1.0, static_cast<double>(cg.size()));
-        // Pre-JIT the breaker's escape hatch.
-        auto st = e.handle->prepareFallback(e.bm->model());
-        fallback_ready_[i] = st.ok();
-        if (!st.ok())
-            common::warn("Server: endpoint '", e.name,
-                         "': fallback unavailable, breaker cannot "
-                         "reroute: ",
-                         st.toString());
-    }
+    // Analytic prior: nodes per item from one input's graph.
+    graph::ComputationGraph cg;
+    bm_.buildLoss(cg, 0);
+    est_.nodes_per_item =
+        std::max<double>(1.0, static_cast<double>(cg.size()));
+    // Pre-JIT the breaker's escape hatch.
+    auto st = handle_.prepareFallback(bm_.model());
+    fallback_ready_ = st.ok();
+    if (!st.ok())
+        common::warn("Server: fallback unavailable, breaker cannot "
+                     "reroute: ",
+                     st.toString());
     now_ = device_.clockUs();
 }
 
 double
-Server::probeBatchUs(int ep, std::size_t items)
+Server::probeBatchUs(std::size_t items)
 {
-    Endpoint& e = endpoints_[static_cast<std::size_t>(ep)];
-    const std::size_t n = e.bm->datasetSize();
+    const std::size_t n = bm_.datasetSize();
     for (int attempt = 0; attempt < 3; ++attempt) {
         graph::ComputationGraph cg;
         std::vector<Queued> probe(items);
         for (std::size_t j = 0; j < items; ++j)
             probe[j].req.input_index = j % n;
-        auto loss = buildBatchGraph(*e.bm, cg, probe);
-        const double before = e.handle->stats().wall_us;
-        auto r = e.handle->inferTry(e.bm->model(), cg, loss);
+        auto loss = buildBatchGraph(bm_, cg, probe);
+        const double before = handle_.stats().wall_us;
+        auto r = handle_.inferTry(bm_.model(), cg, loss);
         if (r.ok())
-            return e.handle->stats().wall_us - before;
+            return handle_.stats().wall_us - before;
     }
     return -1.0;
 }
@@ -98,55 +83,39 @@ void
 Server::calibrate()
 {
     const std::size_t m = cfg_.batch.max_batch;
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        const double us1 = probeBatchUs(static_cast<int>(i), 1);
-        const double usM =
-            m > 1 ? probeBatchUs(static_cast<int>(i), m) : us1;
-        if (us1 > 0.0 && usM > 0.0 && m > 1) {
-            est_[i].per_item_us = std::max(
-                0.0, (usM - us1) / static_cast<double>(m - 1));
-            est_[i].fixed_us =
-                std::max(0.0, us1 - est_[i].per_item_us);
-            est_[i].calibrated = true;
-        } else {
-            common::warn("Server: endpoint '", endpoints_[i].name,
-                         "': calibration probes failed; admission "
-                         "uses the analytic cost model");
-        }
+    const double us1 = probeBatchUs(1);
+    const double usM = m > 1 ? probeBatchUs(m) : us1;
+    if (us1 > 0.0 && usM > 0.0 && m > 1) {
+        est_.per_item_us =
+            std::max(0.0, (usM - us1) / static_cast<double>(m - 1));
+        est_.fixed_us = std::max(0.0, us1 - est_.per_item_us);
+        est_.calibrated = true;
+    } else {
+        common::warn("Server: calibration probes failed; admission "
+                     "uses the analytic cost model");
     }
 }
 
 double
-Server::serviceUs(int ep, std::size_t items) const
+Server::serviceUs(std::size_t items) const
 {
-    const auto& est = est_[static_cast<std::size_t>(ep)];
-    if (est.calibrated)
-        return est.fixed_us +
-               est.per_item_us * static_cast<double>(items);
-    return endpoints_[static_cast<std::size_t>(ep)]
-        .handle->estimateBatchUs(items, est.nodes_per_item);
+    if (est_.calibrated)
+        return est_.fixed_us +
+               est_.per_item_us * static_cast<double>(items);
+    return handle_.estimateBatchUs(items, est_.nodes_per_item);
 }
 
 double
 Server::capacityPerSec() const
 {
     const std::size_t m = std::max<std::size_t>(1, cfg_.batch.max_batch);
-    double cap = 0.0;
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        const double us = serviceUs(static_cast<int>(i), m);
-        const double c =
-            static_cast<double>(m) / std::max(1.0, us) * 1e6;
-        cap = (i == 0) ? c : std::min(cap, c);
-    }
-    return cap;
+    return static_cast<double>(m) / std::max(1.0, serviceUs(m)) * 1e6;
 }
 
 void
 Server::onArrival(const Request& req)
 {
-    const auto ep = static_cast<std::size_t>(req.endpoint);
-    Batcher& b = batchers_[ep];
-    const std::size_t depth = b.depth();
+    const std::size_t depth = batcher_.depth();
     const BrownoutLevel level = admission_.levelFor(depth);
 
     ++counters_.arrivals;
@@ -157,14 +126,13 @@ Server::onArrival(const Request& req)
     // backlog's worth of full batches queued ahead of this request.
     const double busy_until =
         in_flight_ ? in_flight_->done_at_us : now_;
-    double est_start =
-        std::max({now_, busy_until, not_before_[ep]});
+    double est_start = std::max({now_, busy_until, not_before_});
     const std::size_t m = cfg_.batch.max_batch;
     est_start += static_cast<double>(depth / std::max<std::size_t>(1, m)) *
-                 serviceUs(req.endpoint, m);
+                 serviceUs(m);
     const std::size_t batch_items = std::min(depth + 1, m);
     const double est_service =
-        b.windowUs(level) + serviceUs(req.endpoint, batch_items);
+        batcher_.windowUs(level) + serviceUs(batch_items);
 
     // One instant per admission decision on the serve lane, with the
     // request id as context and the brown-out level as payload; the
@@ -180,13 +148,11 @@ Server::onArrival(const Request& req)
         count(device_, metric);
     };
 
-    const auto dec =
-        admission_.decide(req, depth, est_start, est_service);
-    switch (dec) {
+    switch (admission_.decide(req, depth, est_start, est_service)) {
     case AdmissionController::Decision::Admit:
         ++counters_.admitted;
         decided("admit", "serve.admitted");
-        b.enqueue(Queued{req, 0, now_});
+        batcher_.enqueue(Queued{req, 0, now_});
         break;
     case AdmissionController::Decision::RejectQueueFull:
         ++counters_.rejected_queue_full;
@@ -204,52 +170,58 @@ Server::onArrival(const Request& req)
 }
 
 void
-Server::dispatch(int ep)
+Server::noteBreaker(CircuitBreaker::State before)
 {
-    const auto i = static_cast<std::size_t>(ep);
-    Batcher& b = batchers_[i];
-    obs::Tracer* const tracer = device_.tracer();
+    const CircuitBreaker::State after = breaker_.state();
+    if (after == before)
+        return;
+    count(device_, "serve.breaker_transitions");
+    if (obs::Tracer* const tracer = device_.tracer())
+        tracer->instant(obs::kLaneServe, "breaker",
+                        breakerStateName(after), now_, 0,
+                        static_cast<double>(before));
+}
 
+void
+Server::timeOut(const Queued& q, const char* event)
+{
+    ++counters_.timed_out;
+    count(device_, "serve.timed_out");
+    if (obs::Tracer* const tracer = device_.tracer())
+        tracer->instant(obs::kLaneServe, "serve", event, now_,
+                        static_cast<std::int64_t>(q.req.id));
+}
+
+void
+Server::dispatch()
+{
     // Cancel queued requests that can no longer make their deadline.
-    for (Queued& dead : b.expire(now_)) {
-        ++counters_.timed_out;
+    for (const Queued& dead : batcher_.expire(now_)) {
         ++counters_.cancelled_before_dispatch;
-        count(device_, "serve.timed_out");
         count(device_, "serve.cancelled_before_dispatch");
-        if (tracer)
-            tracer->instant(
-                obs::kLaneServe, "serve", "expire", now_,
-                static_cast<std::int64_t>(dead.req.id));
+        timeOut(dead, "expire");
     }
-    std::vector<Queued> items = b.form(now_);
+    std::vector<Queued> items = batcher_.form(now_);
     if (items.empty())
         return; // everything expired; no batch this round
 
-    Endpoint& e = endpoints_[i];
     bool primary = true;
-    if (fallback_ready_[i]) {
-        const CircuitBreaker::State before = breakers_[i].state();
-        primary = breakers_[i].usePrimary(now_);
-        const CircuitBreaker::State after = breakers_[i].state();
-        if (after != before) {
-            count(device_, "serve.breaker_transitions");
-            if (tracer)
-                tracer->instant(obs::kLaneServe, "breaker",
-                                breakerStateName(after), now_, ep,
-                                static_cast<double>(before));
-        }
-        e.handle->setRouteToFallback(!primary);
+    if (fallback_ready_) {
+        const CircuitBreaker::State before = breaker_.state();
+        primary = breaker_.usePrimary(now_);
+        noteBreaker(before);
+        handle_.setRouteToFallback(!primary);
     }
 
     graph::ComputationGraph cg;
-    auto loss = buildBatchGraph(*e.bm, cg, items);
-    const double wall_before = e.handle->stats().wall_us;
+    auto loss = buildBatchGraph(bm_, cg, items);
+    const double wall_before = handle_.stats().wall_us;
     const double busy_before = device_.busyUs();
-    auto r = e.handle->inferTry(e.bm->model(), cg, loss);
+    auto r = handle_.inferTry(bm_.model(), cg, loss);
     // Simulated batch duration: the handle's pipelined wall time on
     // success; the device time burned by the failed attempts
     // otherwise. Clamped so completion strictly follows dispatch.
-    double dur = r.ok() ? e.handle->stats().wall_us - wall_before
+    double dur = r.ok() ? handle_.stats().wall_us - wall_before
                         : device_.busyUs() - busy_before;
     if (dur < 1.0)
         dur = 1.0;
@@ -260,13 +232,12 @@ Server::dispatch(int ep)
         ++counters_.fallback_batches;
         count(device_, "serve.fallback_batches");
     }
-    if (tracer)
+    if (obs::Tracer* const tracer = device_.tracer())
         tracer->complete(obs::kLaneServe, "serve",
                          primary ? "batch" : "fallback_batch", now_,
-                         dur, ep, static_cast<double>(items.size()),
+                         dur, 0, static_cast<double>(items.size()),
                          r.ok() ? 1.0 : 0.0);
-    in_flight_ =
-        InFlight{std::move(items), ep, r.ok(), primary, now_ + dur};
+    in_flight_ = InFlight{std::move(items), r.ok(), primary, now_ + dur};
 }
 
 void
@@ -274,59 +245,37 @@ Server::complete()
 {
     InFlight fb = std::move(*in_flight_);
     in_flight_.reset();
-    const auto i = static_cast<std::size_t>(fb.endpoint);
     obs::Tracer* const tracer = device_.tracer();
     obs::MetricsRegistry* const mx = device_.metrics();
 
-    auto breakerMoved = [&](CircuitBreaker::State before) {
-        const CircuitBreaker::State after = breakers_[i].state();
-        if (after == before)
-            return;
-        count(device_, "serve.breaker_transitions");
-        if (tracer)
-            tracer->instant(obs::kLaneServe, "breaker",
-                            breakerStateName(after), now_,
-                            fb.endpoint,
-                            static_cast<double>(before));
-    };
-
-    if (fb.ok) {
-        if (fb.was_primary) {
-            const CircuitBreaker::State before = breakers_[i].state();
-            breakers_[i].onPrimarySuccess();
-            breakerMoved(before);
-        }
-        for (const Queued& q : fb.items) {
-            if (fb.done_at_us > q.req.deadline_us) {
-                ++counters_.timed_out;
-                count(device_, "serve.timed_out");
-                if (tracer)
-                    tracer->instant(
-                        obs::kLaneServe, "serve", "timeout", now_,
-                        static_cast<std::int64_t>(q.req.id));
-            } else {
-                ++counters_.completed;
-                const double latency =
-                    fb.done_at_us - q.req.arrival_us;
-                latencies_.push_back(latency);
-                count(device_, "serve.completed");
-                if (mx)
-                    mx->histogram("serve.latency_us")
-                        .observe(latency);
-                if (tracer)
-                    tracer->instant(
-                        obs::kLaneServe, "serve", "complete", now_,
-                        static_cast<std::int64_t>(q.req.id),
-                        latency);
-            }
-        }
-        return;
+    if (fb.was_primary) {
+        const CircuitBreaker::State before = breaker_.state();
+        if (fb.ok)
+            breaker_.onPrimarySuccess();
+        else
+            breaker_.onPrimaryFailure(now_);
+        noteBreaker(before);
     }
 
-    if (fb.was_primary) {
-        const CircuitBreaker::State before = breakers_[i].state();
-        breakers_[i].onPrimaryFailure(now_);
-        breakerMoved(before);
+    if (fb.ok) {
+        for (const Queued& q : fb.items) {
+            if (fb.done_at_us > q.req.deadline_us) {
+                timeOut(q, "timeout");
+                continue;
+            }
+            ++counters_.completed;
+            const double latency = fb.done_at_us - q.req.arrival_us;
+            latencies_.push_back(latency);
+            count(device_, "serve.completed");
+            if (mx)
+                mx->histogram("serve.latency_us").observe(latency);
+            if (tracer)
+                tracer->instant(obs::kLaneServe, "serve", "complete",
+                                now_,
+                                static_cast<std::int64_t>(q.req.id),
+                                latency);
+        }
+        return;
     }
 
     // Re-enqueue survivors at the queue front in their original
@@ -336,12 +285,7 @@ Server::complete()
     for (auto it = fb.items.rbegin(); it != fb.items.rend(); ++it) {
         Queued& q = *it;
         if (q.req.deadline_us <= now_) {
-            ++counters_.timed_out;
-            count(device_, "serve.timed_out");
-            if (tracer)
-                tracer->instant(
-                    obs::kLaneServe, "serve", "timeout", now_,
-                    static_cast<std::int64_t>(q.req.id));
+            timeOut(q, "timeout");
             continue;
         }
         const int budget = q.req.cls == RequestClass::High
@@ -353,7 +297,7 @@ Server::complete()
             again.enqueue_us = now_;
             deepest_attempt =
                 std::max(deepest_attempt, again.attempts);
-            batchers_[i].enqueueFront(std::move(again));
+            batcher_.enqueueFront(std::move(again));
             ++counters_.retries;
             count(device_, "serve.retries");
             if (tracer)
@@ -374,7 +318,7 @@ Server::complete()
     if (deepest_attempt > 0) {
         const double backoff =
             kRetryBackoffUs * std::ldexp(1.0, deepest_attempt - 1);
-        not_before_[i] = std::max(not_before_[i], now_ + backoff);
+        not_before_ = std::max(not_before_, now_ + backoff);
     }
 }
 
@@ -388,7 +332,6 @@ Server::run(const std::vector<Request>& arrivals)
         constexpr int kNone = -1, kComplete = 0, kArrive = 1,
                       kDispatch = 2;
         int kind = kNone;
-        int dispatch_ep = -1;
         double when = 0.0;
 
         if (in_flight_) {
@@ -403,19 +346,12 @@ Server::run(const std::vector<Request>& arrivals)
             }
         }
         if (!in_flight_) {
-            for (std::size_t i = 0; i < batchers_.size(); ++i) {
-                const BrownoutLevel level =
-                    admission_.levelFor(batchers_[i].depth());
-                double r =
-                    batchers_[i].readyAt(level, not_before_[i]);
-                if (r < 0.0)
-                    continue;
-                r = std::max(r, now_);
-                if (kind == kNone || r < when) {
-                    kind = kDispatch;
-                    dispatch_ep = static_cast<int>(i);
-                    when = r;
-                }
+            const BrownoutLevel level =
+                admission_.levelFor(batcher_.depth());
+            const double r = batcher_.readyAt(level, not_before_);
+            if (r >= 0.0 && (kind == kNone || std::max(r, now_) < when)) {
+                kind = kDispatch;
+                when = std::max(r, now_);
             }
         }
         if (kind == kNone)
@@ -431,7 +367,7 @@ Server::run(const std::vector<Request>& arrivals)
             onArrival(arrivals[next++]);
             break;
         case kDispatch:
-            dispatch(dispatch_ep);
+            dispatch();
             break;
         default:
             break;
@@ -445,11 +381,9 @@ Server::report() const
     Report rep;
     rep.counters = counters_;
     rep.latency = latencyStats(latencies_);
-    rep.breakers.reserve(breakers_.size());
-    for (const CircuitBreaker& brk : breakers_)
-        rep.breakers.push_back(BreakerReport{
-            brk.state(), brk.trips(), brk.probes(), brk.reopens(),
-            brk.closes()});
+    rep.breaker = BreakerReport{breaker_.state(), breaker_.trips(),
+                                breaker_.probes(), breaker_.reopens(),
+                                breaker_.closes()};
     rep.capacity_per_sec = capacityPerSec();
     rep.sim_end_us = now_;
     return rep;

@@ -1,33 +1,33 @@
 /**
  * @file
- * Overload-tolerant inference front-end over VPPS handles.
+ * Overload-tolerant inference front-end over one VPPS handle.
  *
- * The Server runs a discrete-event simulation in the device's
- * simulated clock: an open-loop arrival trace feeds per-endpoint
- * admission control (bounded queue + deadline feasibility against
- * the cost model), admitted requests wait in a deadline-aware
- * dynamic batcher, and batches execute through vpps::Handle's
- * recoverable inference path. Robustness mechanics:
+ * The Server serves one model from one handle. It runs a
+ * discrete-event simulation in the device's simulated clock: an
+ * open-loop arrival trace feeds admission control (bounded queue +
+ * deadline feasibility against the cost model), admitted requests
+ * wait in a deadline-aware dynamic batcher, and batches execute
+ * through vpps::Handle's recoverable inference path. Robustness
+ * mechanics:
  *
  *  - per-request timeout enforcement in simulated time, with
  *    cancellation of queued requests whose deadline already passed;
  *  - an exponential-backoff retry budget per request class for
  *    batches that fail through the whole fbTry recovery ladder;
- *  - a per-endpoint circuit breaker that trips on repeated primary
- *    kernel failures, routes traffic to the pre-JITted GEMM-fallback
+ *  - a circuit breaker that trips on repeated primary kernel
+ *    failures, routes traffic to the pre-JITted GEMM-fallback
  *    kernel, and probes the primary again after a cooldown;
  *  - brown-out degradation driven by queue-depth watermarks
  *    (shrink batching window -> shed Low class -> reject all).
  *
  * Everything is deterministic: the same arrival trace against the
- * same endpoints yields bitwise-identical admission decisions,
+ * same model yields bitwise-identical admission decisions,
  * latencies, and counters at any host thread count, because all
  * timing comes from the simulated clocks, never the host's.
  */
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "models/benchmark_model.hpp"
@@ -38,15 +38,6 @@
 #include "vpps/handle.hpp"
 
 namespace serve {
-
-/** One served model: a name, its dataset/model wrapper, and the
- *  VPPS handle that executes it. The server borrows both. */
-struct Endpoint
-{
-    std::string name;
-    models::BenchmarkModel* bm = nullptr;
-    vpps::Handle* handle = nullptr;
-};
 
 struct ServerConfig
 {
@@ -60,7 +51,7 @@ struct ServerConfig
     int max_retries_low = 0;
 };
 
-/** Per-endpoint breaker observability for reports. */
+/** Breaker observability for reports. */
 struct BreakerReport
 {
     CircuitBreaker::State state = CircuitBreaker::State::Closed;
@@ -74,7 +65,7 @@ struct Report
 {
     ServerCounters counters;
     LatencyStats latency;
-    std::vector<BreakerReport> breakers;
+    BreakerReport breaker;
     double capacity_per_sec = 0.0;
     double sim_end_us = 0.0;
 };
@@ -83,37 +74,36 @@ class Server
 {
 public:
     /**
-     * Borrow @p endpoints (handles should be built with async =
-     * false and degrade_on_failure = false so the breaker owns
-     * failure routing) and pre-JIT each endpoint's GEMM fallback.
-     * panic()s on an empty endpoint list.
+     * Borrow the model @p bm and the @p handle that executes it
+     * (build the handle with async = false and degrade_on_failure =
+     * false so the breaker owns failure routing) and pre-JIT its
+     * GEMM fallback.
      */
-    Server(gpusim::Device& device, std::vector<Endpoint> endpoints,
-           ServerConfig cfg = {});
+    Server(gpusim::Device& device, models::BenchmarkModel& bm,
+           vpps::Handle& handle, ServerConfig cfg = {});
 
     /**
-     * Measure per-endpoint batch service time by probing batches of
-     * size 1 and max_batch through the live handles (a few attempts
-     * each, tolerating injected faults). Falls back to the JIT cost
+     * Measure the batch service time by probing batches of size 1
+     * and max_batch through the live handle (a few attempts each,
+     * tolerating injected faults). Falls back to the JIT cost
      * model's analytic estimate when probes fail. Call before run()
      * for measurement-based admission; otherwise the analytic prior
      * is used throughout.
      */
     void calibrate();
 
-    /** Sustainable throughput estimate: max_batch-sized batches on
-     *  the slowest endpoint, requests/second. */
+    /** Sustainable throughput estimate: max_batch-sized batches,
+     *  requests/second. */
     double capacityPerSec() const;
 
-    /** Estimated service time of an @p items -sized batch on
-     *  endpoint @p ep, us. */
-    double serviceUs(int ep, std::size_t items) const;
+    /** Estimated service time of an @p items -sized batch, us. */
+    double serviceUs(std::size_t items) const;
 
     /**
      * Serve @p arrivals (must be sorted by arrival_us; generate via
      * generateOpenLoopArrivals) to completion: the call returns when
-     * every arrival has a final outcome and all queues are empty.
-     * May be called repeatedly; state (clock, breaker, queues'
+     * every arrival has a final outcome and the queue is empty.
+     * May be called repeatedly; state (clock, breaker, queue's
      * emptiness) carries over.
      */
     void run(const std::vector<Request>& arrivals);
@@ -129,15 +119,12 @@ public:
         return latencies_;
     }
 
-    const CircuitBreaker& breaker(int ep) const
-    {
-        return breakers_[static_cast<std::size_t>(ep)];
-    }
+    const CircuitBreaker& breaker() const { return breaker_; }
 
     double nowUs() const { return now_; }
 
 private:
-    struct EndpointEstimate
+    struct ServiceEstimate
     {
         bool calibrated = false;
         double fixed_us = 0.0;
@@ -148,28 +135,34 @@ private:
     struct InFlight
     {
         std::vector<Queued> items;
-        int endpoint = 0;
         bool ok = false;
         bool was_primary = true;
         double done_at_us = 0.0;
     };
 
     /** One timed inference probe; @return batch wall us or < 0. */
-    double probeBatchUs(int ep, std::size_t items);
+    double probeBatchUs(std::size_t items);
 
     void onArrival(const Request& req);
-    void dispatch(int ep);
+    void dispatch();
     void complete();
 
+    /** Count and trace a breaker transition away from @p before. */
+    void noteBreaker(CircuitBreaker::State before);
+
+    /** Book @p q as timed out; @p event names its trace instant. */
+    void timeOut(const Queued& q, const char* event);
+
     gpusim::Device& device_;
-    std::vector<Endpoint> endpoints_;
+    models::BenchmarkModel& bm_;
+    vpps::Handle& handle_;
     ServerConfig cfg_;
     AdmissionController admission_;
-    std::vector<Batcher> batchers_;
-    std::vector<CircuitBreaker> breakers_;
-    std::vector<double> not_before_;     //!< retry-backoff gates
-    std::vector<EndpointEstimate> est_;
-    std::vector<bool> fallback_ready_;
+    Batcher batcher_;
+    CircuitBreaker breaker_;
+    double not_before_ = 0.0; //!< retry-backoff gate
+    ServiceEstimate est_;
+    bool fallback_ready_ = false;
     ServerCounters counters_;
     std::vector<double> latencies_;
     std::optional<InFlight> in_flight_;

@@ -17,6 +17,12 @@ using common::ErrorCode;
 using common::Result;
 using common::Status;
 
+/** Pipelining chunks per all-reduce. */
+constexpr std::size_t kChunks = 4;
+
+/** Gradient buckets for the overlapped schedule. */
+constexpr std::size_t kBuckets = 4;
+
 /** One replica's live state. */
 struct Replica
 {
@@ -177,12 +183,11 @@ trainDataParallel(const ReplicaFactory& factory,
     // Price the collective once: the cost is payload-shaped, not
     // data-shaped, so it is the same every step.
     auto full_cost = gpusim::allReduceCost(
-        opts.topology, opts.algo, grad_bytes, R, opts.chunks);
+        opts.topology, opts.algo, grad_bytes, R, kChunks);
     if (!full_cost.ok()) return full_cost.takeStatus();
-    const std::size_t buckets = std::max<std::size_t>(1, opts.buckets);
     auto bucket_cost = gpusim::allReduceCost(
         opts.topology, opts.algo,
-        gpusim::ceilDiv(grad_bytes, buckets), R, opts.chunks);
+        gpusim::ceilDiv(grad_bytes, kBuckets), R, kChunks);
     if (!bucket_cost.ok()) return bucket_cost.takeStatus();
     const double full_us = full_cost.value().totalUs();
     const double bucket_us = bucket_cost.value().totalUs();
@@ -268,13 +273,13 @@ trainDataParallel(const ReplicaFactory& factory,
         const double window = last_micro_us * 0.5;
         const double window_start = compute_us - window;
         double finish = 0.0;
-        std::vector<double> bucket_start(buckets, 0.0);
-        for (std::size_t b = 0; b < buckets; ++b)
+        std::vector<double> bucket_start(kBuckets, 0.0);
+        for (std::size_t b = 0; b < kBuckets; ++b)
         {
             const double ready =
                 window_start + window *
                                    (static_cast<double>(b + 1) /
-                                    static_cast<double>(buckets));
+                                    static_cast<double>(kBuckets));
             bucket_start[b] = std::max(ready, finish);
             finish = bucket_start[b] + bucket_us;
         }
@@ -305,14 +310,14 @@ trainDataParallel(const ReplicaFactory& factory,
         {
             if (opts.overlap)
             {
-                for (std::size_t b = 0; b < buckets; ++b)
+                for (std::size_t b = 0; b < kBuckets; ++b)
                     opts.tracer->complete(
                         obs::kLaneComm, "comm", "allreduce_bucket",
                         t_job + bucket_start[b], bucket_us,
                         static_cast<std::int64_t>(step),
                         static_cast<double>(b),
                         static_cast<double>(
-                            gpusim::ceilDiv(grad_bytes, buckets)));
+                            gpusim::ceilDiv(grad_bytes, kBuckets)));
                 opts.tracer->instant(
                     obs::kLaneComm, "comm", "allreduce_done",
                     t_job + comm_done,
@@ -331,7 +336,7 @@ trainDataParallel(const ReplicaFactory& factory,
         }
         const gpusim::CollectiveCost& wire =
             opts.overlap ? bucket_cost.value() : full_cost.value();
-        const std::uint64_t wire_mult = opts.overlap ? buckets : 1;
+        const std::uint64_t wire_mult = opts.overlap ? kBuckets : 1;
         report.comm_messages += wire.messages * wire_mult;
         report.comm_bytes_on_wire += wire.bytes_on_wire * wire_mult;
         if (opts.metrics)

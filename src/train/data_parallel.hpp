@@ -91,15 +91,9 @@ struct DataParallelOptions
     /** All-reduce transport to price (never affects arithmetic). */
     gpusim::Collective algo = gpusim::Collective::RingAllReduce;
 
-    /** Pipelining chunks per all-reduce. */
-    std::size_t chunks = 4;
-
     /** Charge the overlapped schedule (true) or the
      *  barrier-after-backward baseline (false). */
     bool overlap = true;
-
-    /** Gradient buckets for the overlapped schedule. */
-    std::size_t buckets = 4;
 
     /** Per-replica handle options. async is forced off (the driver
      *  needs each microbatch's loss and gradient immediately) and

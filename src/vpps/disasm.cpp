@@ -20,8 +20,6 @@ disassemble(const Script& script, const DisasmOptions& options)
         if (options.only_vpp >= 0 && vpp != options.only_vpp)
             continue;
         auto [pc, end] = script.vppStream(vpp);
-        if (pc == end && options.skip_empty)
-            continue;
         while (pc != end) {
             const OpcodeInfo& info = opcodeInfo(preambleOpcode(pc[0]));
             const std::uint32_t imm = preambleImm(pc[0]);

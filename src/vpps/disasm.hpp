@@ -21,15 +21,13 @@ struct DisasmOptions
     /** Print only this VPP's stream (-1 = all). */
     int only_vpp = -1;
 
-    /** Omit VPPs with empty streams. */
-    bool skip_empty = true;
-
     /** Annotate each instruction with its byte size. */
     bool show_sizes = false;
 };
 
 /**
- * Disassemble a sealed script.
+ * Disassemble a sealed script. A VPP with an empty stream prints no
+ * line.
  *
  * Format, per instruction:
  *   vpp 003: mvm        m=2      [x=+4096, y=+8192]

@@ -18,9 +18,12 @@
 #include "common/rng.hpp"
 #include "data/treebank.hpp"
 #include "data/vocab.hpp"
+#include "durable/manifest.hpp"
 #include "durable/stable_store.hpp"
+#include "durable/wal.hpp"
 #include "gpusim/faults.hpp"
 #include "models/tree_lstm.hpp"
+#include "serve/durability.hpp"
 #include "serve/explorer.hpp"
 #include "serve/fleet.hpp"
 #include "vpps/handle.hpp"
@@ -277,6 +280,113 @@ TEST(CrashRecovery, ExplorerHoldsUnderGroupCommitAndFrequentCheckpoints)
                 msg += "\n  " + v;
         return msg;
     }();
+}
+
+TEST(CrashRecovery, RecoveredCountersArePinned)
+{
+    // WAL replay rebuilds the counters from the checkpoint plus the
+    // journaled segment. Crash mid-run over a segment that holds
+    // admit and outcome records and rejected arrivals, then pin every
+    // counter the replay rebuilt and what the recovery reports.
+    const std::size_t n = 12;
+    durable::StableStore store;
+    const auto config = [&](long long crash_at) {
+        serve::FleetConfig fc = durableConfig(&store, n, crash_at);
+        fc.durability.checkpoint_every_completions = 0;
+        return fc;
+    };
+    {
+        Replica r0, r1;
+        auto arrivals = smallArrivals(n, r0.bm->datasetSize());
+        for (std::size_t i = 2; i < n; i += 5)
+            arrivals[i].deadline_us = arrivals[i].arrival_us + 1.0;
+        serve::Fleet fleet({r0.slot("r0"), r1.slot("r1")},
+                           config(40));
+        fleet.run(arrivals);
+        ASSERT_TRUE(fleet.crashed());
+    }
+    store.restart();
+
+    {
+        // The segment replay reads, taken from a copy of the store so
+        // the recovering fleet meters its reads from the same state.
+        durable::StableStore copy = store;
+        const durable::CheckpointStore ckpt(copy, "fleet");
+        const auto loaded = ckpt.loadLatest();
+        ASSERT_TRUE(loaded.ok());
+        const auto st = serve::parseFleetState(loaded.value().payload);
+        ASSERT_TRUE(st.ok());
+        const auto wal = copy.read(loaded.value().manifest.wal_file);
+        ASSERT_TRUE(wal.ok());
+        std::size_t outcomes = 0, high_admits = 0, rejects = 0;
+        for (const durable::WalRecord& rec :
+             durable::readWal(wal.value(), st.value().wal_first_seq)
+                 .records) {
+            if (rec.type == serve::kJournalOutcomeType) {
+                ++outcomes;
+                continue;
+            }
+            const auto a = serve::decodeAdmit(rec.payload);
+            ASSERT_TRUE(a.ok());
+            using Decision = decltype(a.value().decision);
+            if (a.value().decision != Decision::Admit)
+                ++rejects;
+            else if (a.value().cls == serve::RequestClass::High)
+                ++high_admits;
+        }
+        EXPECT_GT(outcomes, 0u);
+        EXPECT_GT(high_admits, 0u);
+        EXPECT_GT(rejects, 0u);
+    }
+
+    Replica r0, r1;
+    serve::Fleet fleet({r0.slot("r0"), r1.slot("r1")}, config(-1));
+    ASSERT_TRUE(fleet.recovery().has_value());
+    const serve::RecoveryInfo& info = *fleet.recovery();
+    EXPECT_EQ(info.generation, 1u);
+    EXPECT_EQ(info.replayed_records, 17u);
+    EXPECT_EQ(info.in_doubt, 3u);
+    EXPECT_EQ(info.wal_bytes, 914u);
+    EXPECT_FALSE(info.wal_torn);
+    EXPECT_EQ(info.recovery_us, 0x1.61e20de49359cp+21) // 2899009.8
+        << std::hexfloat << info.recovery_us;
+    EXPECT_EQ(info.re_jit_us, 0x1.61ca29b6c68cfp+21) // 2898245.2
+        << std::hexfloat << info.re_jit_us;
+
+    const serve::FleetCounters& c = fleet.counters();
+    struct Pin
+    {
+        const char* name;
+        std::uint64_t got, want;
+    };
+    const Pin pins[] = {
+        {"arrivals", c.arrivals, 11},
+        {"admitted", c.admitted, 9},
+        {"rejected_queue_full", c.rejected_queue_full, 0},
+        {"rejected_infeasible", c.rejected_infeasible, 2},
+        {"shed", c.shed, 0},
+        {"completed", c.completed, 6},
+        {"timed_out", c.timed_out, 0},
+        {"failed", c.failed, 0},
+        {"admitted_high", c.admitted_high, 6},
+        {"completed_high", c.completed_high, 4},
+        {"timed_out_high", c.timed_out_high, 0},
+        {"failed_high", c.failed_high, 0},
+        {"routed", c.routed, 6},
+        {"failed_over", c.failed_over, 0},
+        {"hedge_cancelled", c.hedge_cancelled, 0},
+        {"fenced", c.fenced, 0},
+        {"lost", c.lost, 0},
+        {"hedges", c.hedges, 0},
+        {"probes", c.probes, 0},
+        {"suspicions", c.suspicions, 0},
+        {"device_losses", c.device_losses, 0},
+        {"standby_joins", c.standby_joins, 0},
+        {"expired_in_queue", c.expired_in_queue, 0},
+        {"drained_no_replica", c.drained_no_replica, 0},
+    };
+    for (const Pin& p : pins)
+        EXPECT_EQ(p.got, p.want) << p.name;
 }
 
 TEST(CrashRecovery, MeasureRecoveryIsPinned)

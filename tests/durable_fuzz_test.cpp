@@ -329,7 +329,7 @@ TEST(JournalRecordFuzz, AdmitAndOutcomeRoundTrip)
     serve::JournalAdmit a;
     a.id = 0xABCDEF0102030405ull;
     a.cls = serve::RequestClass::Low;
-    a.decision = serve::JournalDecision::Shed;
+    a.decision = serve::AdmissionController::Decision::Shed;
     a.input_index = 99;
     a.arrival_us = 123.5;
     a.deadline_us = 1.0e9;

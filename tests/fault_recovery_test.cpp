@@ -341,11 +341,9 @@ TEST(FaultRecovery, ServingPathCountersReconcileUnderFaults)
     vpps::Handle handle(m->model(), f.device, opts);
 
     serve::ServerConfig cfg;
-    serve::Server server(f.device, {{"treelstm", m.get(), &handle}},
-                         cfg);
+    serve::Server server(f.device, *m, handle, cfg);
     server.calibrate();
-    const double batch_us =
-        server.serviceUs(0, cfg.batch.max_batch);
+    const double batch_us = server.serviceUs(cfg.batch.max_batch);
 
     serve::ArrivalConfig ac;
     ac.rate_per_sec = 0.6 * server.capacityPerSec();

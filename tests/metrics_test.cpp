@@ -453,10 +453,9 @@ TEST(MetricsSoak, ServingRegistryReconcilesUnderFaults)
     vpps::Handle handle(rig.bm->model(), rig.device, opts);
 
     serve::ServerConfig cfg;
-    serve::Server server(rig.device,
-                         {{"treelstm", rig.bm.get(), &handle}}, cfg);
+    serve::Server server(rig.device, *rig.bm, handle, cfg);
     server.calibrate();
-    const double batch_us = server.serviceUs(0, cfg.batch.max_batch);
+    const double batch_us = server.serviceUs(cfg.batch.max_batch);
 
     serve::ArrivalConfig ac;
     ac.rate_per_sec = 0.6 * server.capacityPerSec();

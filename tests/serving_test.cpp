@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "data/treebank.hpp"
 #include "data/vocab.hpp"
 #include "models/tree_lstm.hpp"
@@ -25,7 +26,7 @@
 
 namespace {
 
-/** One served Tree-LSTM endpoint on a fresh simulated device. */
+/** One served Tree-LSTM model on a fresh simulated device. */
 struct ServeRig
 {
     gpusim::Device device{gpusim::DeviceSpec{}, 48u << 20};
@@ -57,8 +58,7 @@ struct ServeRig
     serve::Server
     makeServer(const serve::ServerConfig& cfg = {})
     {
-        return serve::Server(
-            device, {{"treelstm", bm.get(), handle.get()}}, cfg);
+        return serve::Server(device, *bm, *handle, cfg);
     }
 };
 
@@ -108,7 +108,7 @@ calibratedBatchUs(ServeRig& rig, const serve::ServerConfig& cfg)
 {
     serve::Server probe = rig.makeServer(cfg);
     probe.calibrate();
-    return probe.serviceUs(0, cfg.batch.max_batch);
+    return probe.serviceUs(cfg.batch.max_batch);
 }
 
 /** The load scenario shared by the capacity tests: a window of one
@@ -150,7 +150,7 @@ runLoadScenario(int host_threads, double load_multiplier,
     d.counters = rep.counters;
     d.latencies = server.latencies();
     d.sim_end_us = rep.sim_end_us;
-    d.breaker = rep.breakers.front();
+    d.breaker = rep.breaker;
     return d;
 }
 
@@ -220,8 +220,7 @@ runBreakerScenario(int host_threads)
     // permanent faults, which is itself part of the scenario).
     serve::ServerConfig cfg;
     serve::Server sizing = rig.makeServer(cfg);
-    const double batch_us =
-        sizing.serviceUs(0, cfg.batch.max_batch);
+    const double batch_us = sizing.serviceUs(cfg.batch.max_batch);
     cfg.batch.window_us = batch_us;
     cfg.breaker.failure_threshold = 2;
     // Cooldown longer than phase 1, so the primary is probed only
@@ -243,11 +242,11 @@ runBreakerScenario(int host_threads)
 
     const auto mid = server.report();
     EXPECT_TRUE(mid.counters.reconciled());
-    EXPECT_GE(mid.breakers.front().trips, 1u)
+    EXPECT_GE(mid.breaker.trips, 1u)
         << "permanent primary faults must trip the breaker";
-    EXPECT_EQ(mid.breakers.front().state,
+    EXPECT_EQ(mid.breaker.state,
               serve::CircuitBreaker::State::Open);
-    EXPECT_EQ(mid.breakers.front().probes, 0u)
+    EXPECT_EQ(mid.breaker.probes, 0u)
         << "cooldown must outlast phase 1";
     EXPECT_GT(mid.counters.fallback_batches, 0u)
         << "traffic must flow through the fallback while open";
@@ -265,11 +264,11 @@ runBreakerScenario(int host_threads)
 
     const auto rep = server.report();
     EXPECT_TRUE(rep.counters.reconciled());
-    EXPECT_GE(rep.breakers.front().probes, 1u)
+    EXPECT_GE(rep.breaker.probes, 1u)
         << "the half-open state must probe the primary";
-    EXPECT_GE(rep.breakers.front().closes, 1u)
+    EXPECT_GE(rep.breaker.closes, 1u)
         << "successful probes must re-close the breaker";
-    EXPECT_EQ(rep.breakers.front().state,
+    EXPECT_EQ(rep.breaker.state,
               serve::CircuitBreaker::State::Closed);
     EXPECT_EQ(rep.counters.completed + rep.counters.timed_out +
                   rep.counters.failed,
@@ -279,7 +278,7 @@ runBreakerScenario(int host_threads)
     d.counters = rep.counters;
     d.latencies = server.latencies();
     d.sim_end_us = rep.sim_end_us;
-    d.breaker = rep.breakers.front();
+    d.breaker = rep.breaker;
     return d;
 }
 
@@ -300,7 +299,6 @@ TEST(Serving, ArrivalTraceIsDeterministicAndSorted)
     serve::ArrivalConfig ac;
     ac.rate_per_sec = 500.0;
     ac.count = 200;
-    ac.num_endpoints = 3;
     ac.low_fraction = 0.3;
     ac.seed = 42;
     const auto a = serve::generateOpenLoopArrivals(ac, 100.0, 16);
@@ -309,11 +307,9 @@ TEST(Serving, ArrivalTraceIsDeterministicAndSorted)
     bool any_low = false, any_high = false;
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].arrival_us, b[i].arrival_us);
-        EXPECT_EQ(a[i].endpoint, b[i].endpoint);
         EXPECT_EQ(a[i].input_index, b[i].input_index);
         EXPECT_EQ(a[i].id, i);
         EXPECT_GT(a[i].deadline_us, a[i].arrival_us);
-        EXPECT_LT(a[i].endpoint, 3);
         if (i > 0) {
             EXPECT_GE(a[i].arrival_us, a[i - 1].arrival_us);
         }
@@ -322,6 +318,28 @@ TEST(Serving, ArrivalTraceIsDeterministicAndSorted)
     }
     EXPECT_TRUE(any_low);
     EXPECT_TRUE(any_high);
+}
+
+TEST(Serving, ArrivalTraceIsPinned)
+{
+    // Every field of a seeded trace, digested: the generator's draw
+    // sequence (gaps, class mix, inputs, deadlines) must not move.
+    serve::ArrivalConfig ac;
+    ac.rate_per_sec = 500.0;
+    ac.count = 200;
+    ac.low_fraction = 0.3;
+    ac.seed = 42;
+    std::vector<std::uint8_t> bytes;
+    for (const serve::Request& r :
+         serve::generateOpenLoopArrivals(ac, 100.0, 16)) {
+        common::putU64(bytes, r.id);
+        bytes.push_back(static_cast<std::uint8_t>(r.cls));
+        common::putU64(bytes, r.input_index);
+        common::putF64(bytes, r.arrival_us);
+        common::putF64(bytes, r.deadline_us);
+    }
+    EXPECT_EQ(bytes.size(), 200u * 33u);
+    EXPECT_EQ(common::fnv1a64(bytes), 2374724413914510935ull);
 }
 
 TEST(Serving, AdmissionWatermarksFormTheBrownoutLadder)
@@ -485,7 +503,7 @@ TEST(Serving, RetryBackoffIsPinned)
     const auto rep = server.report();
     EXPECT_EQ(rep.counters.completed, 3u);
     EXPECT_EQ(rep.counters.retries, 1u);
-    EXPECT_EQ(rep.breakers.front().trips, 1u);
+    EXPECT_EQ(rep.breaker.trips, 1u);
     EXPECT_EQ(server.nowUs(), 0x1.8cebb9cacf19ep+14) // 25402.9
         << std::hexfloat << server.nowUs();
     const std::vector<double> pinned = {0x1.27dd2117c8a7cp+12,

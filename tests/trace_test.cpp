@@ -311,14 +311,12 @@ servingGolden(int host_threads)
     vpps::Handle handle(rig.bm->model(), rig.device, opts);
 
     serve::ServerConfig cfg;
-    serve::Server sizing(rig.device,
-                         {{"treelstm", rig.bm.get(), &handle}}, cfg);
+    serve::Server sizing(rig.device, *rig.bm, handle, cfg);
     sizing.calibrate();
-    const double batch_us = sizing.serviceUs(0, cfg.batch.max_batch);
+    const double batch_us = sizing.serviceUs(cfg.batch.max_batch);
     cfg.batch.window_us = batch_us;
 
-    serve::Server server(rig.device,
-                         {{"treelstm", rig.bm.get(), &handle}}, cfg);
+    serve::Server server(rig.device, *rig.bm, handle, cfg);
     server.calibrate();
 
     serve::ArrivalConfig ac;
@@ -347,6 +345,18 @@ TEST(GoldenTrace, ServingRunIsIdenticalAcrossHostThreads)
     const std::string parallel = servingGolden(8);
     EXPECT_EQ(serial, parallel)
         << "serving trace depends on host thread count";
+}
+
+TEST(GoldenTrace, ServingRunIsPinned)
+{
+    // Pins the serving stream itself: every admission decision,
+    // expiry, batch span and completion, with its payload.
+    const std::string text = servingGolden(1);
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 133319);
+    EXPECT_EQ(common::fnv1a64(
+                  reinterpret_cast<const std::uint8_t*>(text.data()),
+                  text.size()),
+              7054801687957643606ull);
 }
 
 TEST(GoldenTrace, ChromeExportIsDeterministicAndStructured)
