@@ -6,6 +6,15 @@ namespace durable {
 
 namespace {
 
+/** @name Modeled latencies (simulated microseconds) @{ */
+constexpr double kAppendUsPerKb = 0.05; //!< page-cache copy, no I/O
+constexpr double kSyncBaseUs = 100.0;   //!< fsync: flush + barrier floor
+constexpr double kSyncUsPerKb = 2.0;    //!< per-KiB transfer during sync
+constexpr double kReadBaseUs = 25.0;
+constexpr double kReadUsPerKb = 1.0;
+constexpr double kRenameUs = 50.0; //!< journaled metadata commit
+/** @} */
+
 double
 perKbUs(double rate_per_kb, std::size_t bytes)
 {
@@ -53,7 +62,7 @@ StableStore::append(const std::string& name,
     f.pending.insert(f.pending.end(), bytes.begin(), bytes.end());
     ++stats_.appends;
     stats_.bytes_appended += bytes.size();
-    charge(perKbUs(plan_.append_us_per_kb, bytes.size()));
+    charge(perKbUs(kAppendUsPerKb, bytes.size()));
     opDone();
     return {};
 }
@@ -69,7 +78,7 @@ StableStore::writeFile(const std::string& name,
     f.pending = bytes;
     ++stats_.appends;
     stats_.bytes_appended += bytes.size();
-    charge(perKbUs(plan_.append_us_per_kb, bytes.size()));
+    charge(perKbUs(kAppendUsPerKb, bytes.size()));
     opDone();
     return {};
 }
@@ -88,8 +97,7 @@ StableStore::sync(const std::string& name)
     if (f.pending.empty())
         return {}; // nothing to flush; free no-op
     ++stats_.syncs;
-    charge(plan_.sync_base_us +
-           perKbUs(plan_.sync_us_per_kb, f.pending.size()));
+    charge(kSyncBaseUs + perKbUs(kSyncUsPerKb, f.pending.size()));
     std::size_t take = f.pending.size();
     const bool short_write =
         plan_.short_write_rate > 0.0 &&
@@ -142,7 +150,7 @@ StableStore::rename(const std::string& from, const std::string& to)
     files_.erase(it);
     files_[to] = std::move(moved);
     ++stats_.renames;
-    charge(plan_.rename_us);
+    charge(kRenameUs);
     opDone();
     return {};
 }
@@ -159,7 +167,7 @@ StableStore::remove(const std::string& name)
             "remove of nonexistent file: " + name);
     files_.erase(it);
     ++stats_.removes;
-    charge(plan_.rename_us);
+    charge(kRenameUs);
     opDone();
     return {};
 }
@@ -179,8 +187,7 @@ StableStore::read(const std::string& name) const
     out.insert(out.end(), f.pending.begin(), f.pending.end());
     ++stats_.reads;
     stats_.bytes_read += out.size();
-    charge(plan_.read_base_us +
-           perKbUs(plan_.read_us_per_kb, out.size()));
+    charge(kReadBaseUs + perKbUs(kReadUsPerKb, out.size()));
     return out;
 }
 

@@ -36,7 +36,7 @@
 
 namespace durable {
 
-/** Fault rates, stream seed, and modeled latencies for a store. */
+/** Fault rates and stream seed for a store. */
 struct StorePlan
 {
     std::uint64_t seed = 1;
@@ -53,14 +53,10 @@ struct StorePlan
      *  byte. Models media decay the trailing digest must catch. */
     double bit_rot_rate = 0.0;
 
-    /** @name Modeled latencies (simulated microseconds) @{ */
-    double append_us_per_kb = 0.05; //!< page-cache copy, no I/O
-    double sync_base_us = 100.0;    //!< fsync: flush + barrier floor
-    double sync_us_per_kb = 2.0;    //!< per-KiB transfer during sync
-    double read_base_us = 25.0;
-    double read_us_per_kb = 1.0;
-    double rename_us = 50.0; //!< journaled metadata commit
-    /** @} */
+    // The modeled latencies are constants of the store, not of the
+    // plan (stable_store.cpp): append 0.05 us/KiB (page-cache copy),
+    // sync 100 us + 2 us/KiB (flush and barrier), read 25 us + 1
+    // us/KiB, rename or remove 50 us (journaled metadata commit).
 };
 
 /** Operation counts plus accumulated modeled latency. */

@@ -854,27 +854,6 @@ broadcastCost(const Topology& topo, std::uint64_t bytes,
                        chunks);
 }
 
-Result<CollectiveCost>
-allGatherCost(const Topology& topo, std::uint64_t bytes,
-              std::size_t ranks, std::size_t chunks)
-{
-    Status valid = validateRanks(topo, ranks, "all-gather");
-    if (!valid.ok()) return valid;
-    if (chunks == 0) chunks = 1;
-    if (ranks == 1) return CollectiveCost{};
-    // The second half of the ring all-reduce: R-1 stages, every rank
-    // forwarding one ceil(B/R) shard chunk to its successor.
-    const std::uint64_t segment =
-        ceilDiv(std::max<std::uint64_t>(bytes, 1), ranks);
-    const std::uint64_t chunk_bytes = ceilDiv(segment, chunks);
-    std::vector<Hop> ring_stage;
-    ring_stage.reserve(ranks);
-    for (std::size_t r = 0; r < ranks; ++r)
-        ring_stage.push_back(Hop{r, (r + 1) % ranks});
-    const std::vector<std::vector<Hop>> stages(ranks - 1, ring_stage);
-    return priceStages(topo, stages, chunk_bytes, chunks);
-}
-
 std::uint64_t
 treeBroadcastNs(const LinkSpec& link, std::uint64_t bytes,
                 std::size_t ranks, std::size_t chunks)
@@ -884,19 +863,6 @@ treeBroadcastNs(const LinkSpec& link, std::uint64_t bytes,
     const std::uint64_t chunk =
         ceilDiv(std::max<std::uint64_t>(bytes, 1), chunks);
     const std::uint64_t stages = ceilLog2(ranks);
-    return (stages + chunks - 1) * linkTransferNs(link, chunk);
-}
-
-std::uint64_t
-ringAllGatherNs(const LinkSpec& link, std::uint64_t bytes,
-                std::size_t ranks, std::size_t chunks)
-{
-    if (ranks <= 1) return 0;
-    if (chunks == 0) chunks = 1;
-    const std::uint64_t segment =
-        ceilDiv(std::max<std::uint64_t>(bytes, 1), ranks);
-    const std::uint64_t chunk = ceilDiv(segment, chunks);
-    const std::uint64_t stages = ranks - 1;
     return (stages + chunks - 1) * linkTransferNs(link, chunk);
 }
 

@@ -274,25 +274,9 @@ common::Result<CollectiveCost>
 broadcastCost(const Topology& topo, std::uint64_t bytes,
               std::size_t ranks, std::size_t chunks);
 
-/**
- * Price one ring all-gather: every rank starts with a
- * ceil(bytes/ranks) shard and ends with all of them, in R-1 ring
- * stages of one shard chunk each (the second half of the ring
- * all-reduce schedule), pipelined over @p chunks.
- */
-common::Result<CollectiveCost>
-allGatherCost(const Topology& topo, std::uint64_t bytes,
-              std::size_t ranks, std::size_t chunks);
-
 /** Closed-form pipelined tree broadcast over uniform links, ns:
  *  (ceil(log2 R) + C - 1) * linkTransferNs(link, ceil(B/C)). */
 std::uint64_t treeBroadcastNs(const LinkSpec& link,
-                              std::uint64_t bytes, std::size_t ranks,
-                              std::size_t chunks);
-
-/** Closed-form pipelined ring all-gather over uniform links, ns:
- *  ((R-1) + C - 1) * linkTransferNs(link, ceil(ceil(B/R)/C)). */
-std::uint64_t ringAllGatherNs(const LinkSpec& link,
                               std::uint64_t bytes, std::size_t ranks,
                               std::size_t chunks);
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "serve/request.hpp"
 
@@ -73,15 +72,8 @@ public:
         return BrownoutLevel::Normal;
     }
 
-    /** The arrival-time decision for one request. The values are
-     *  the journal's wire encoding (serve/durability.hpp). */
-    enum class Decision : std::uint8_t
-    {
-        Admit = 0,
-        RejectQueueFull = 1,
-        RejectInfeasible = 2,
-        Shed = 3,
-    };
+    /** The arrival-time decision (serve/request.hpp). */
+    using Decision = AdmissionDecision;
 
     /**
      * Multiplier on the estimated service time in the feasibility

@@ -1,6 +1,8 @@
 /** @file Serving durability wire formats (journal + fleet state). */
 #include "serve/durability.hpp"
 
+#include <iterator>
+
 #include "common/wire.hpp"
 
 namespace serve {
@@ -27,37 +29,37 @@ malformed(const char* what, const std::string& detail = "")
             (detail.empty() ? "" : ": " + detail));
 }
 
-/** Serialize FleetCounters in declared order. Append-only format:
- *  a new counter goes at the end with a version bump. */
+/** FleetCounters in checkpoint wire order, read by both directions.
+ *  Append-only: a new counter goes at the end with a version bump. */
+constexpr std::uint64_t FleetCounters::*kCounterWire[] = {
+    &FleetCounters::arrivals,       &FleetCounters::admitted,
+    &FleetCounters::rejected_queue_full,
+    &FleetCounters::rejected_infeasible,
+    &FleetCounters::shed,           &FleetCounters::completed,
+    &FleetCounters::timed_out,      &FleetCounters::failed,
+    &FleetCounters::admitted_high,  &FleetCounters::completed_high,
+    &FleetCounters::timed_out_high, &FleetCounters::failed_high,
+    &FleetCounters::routed,         &FleetCounters::failed_over,
+    &FleetCounters::hedge_cancelled, &FleetCounters::lost,
+    &FleetCounters::hedges,         &FleetCounters::probes,
+    &FleetCounters::suspicions,     &FleetCounters::device_losses,
+    &FleetCounters::standby_joins,  &FleetCounters::expired_in_queue,
+    &FleetCounters::drained_no_replica, &FleetCounters::fenced,
+};
+constexpr std::size_t kNumCounterFields = std::size(kCounterWire);
+
 void
 putCounters(std::vector<std::uint8_t>& out, const FleetCounters& c)
 {
-    for (const std::uint64_t v :
-         {c.arrivals, c.admitted, c.rejected_queue_full,
-          c.rejected_infeasible, c.shed, c.completed, c.timed_out,
-          c.failed, c.admitted_high, c.completed_high,
-          c.timed_out_high, c.failed_high, c.routed, c.failed_over,
-          c.hedge_cancelled, c.lost, c.hedges, c.probes,
-          c.suspicions, c.device_losses, c.standby_joins,
-          c.expired_in_queue, c.drained_no_replica, c.fenced})
-        putU64(out, v);
+    for (const auto field : kCounterWire)
+        putU64(out, c.*field);
 }
-
-constexpr std::size_t kNumCounterFields = 24;
 
 void
 getCounters(const std::uint8_t* p, FleetCounters& c)
 {
-    std::uint64_t* const fields[kNumCounterFields] = {
-        &c.arrivals, &c.admitted, &c.rejected_queue_full,
-        &c.rejected_infeasible, &c.shed, &c.completed, &c.timed_out,
-        &c.failed, &c.admitted_high, &c.completed_high,
-        &c.timed_out_high, &c.failed_high, &c.routed, &c.failed_over,
-        &c.hedge_cancelled, &c.lost, &c.hedges, &c.probes,
-        &c.suspicions, &c.device_losses, &c.standby_joins,
-        &c.expired_in_queue, &c.drained_no_replica, &c.fenced};
     for (std::size_t i = 0; i < kNumCounterFields; ++i)
-        *fields[i] = getU64(p + 8 * i);
+        c.*kCounterWire[i] = getU64(p + 8 * i);
 }
 
 } // namespace

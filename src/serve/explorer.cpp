@@ -300,7 +300,6 @@ crashFleetConfig(const CrashExplorerConfig& cfg,
     fc.max_failovers_high = 2;
     fc.max_failovers_low = 1;
     fc.durability.store = &store;
-    fc.durability.dir = "fleet";
     fc.durability.wal_sync_batch = cfg.wal_sync_batch;
     fc.durability.checkpoint_every_completions =
         cfg.checkpoint_every_completions;
@@ -434,7 +433,6 @@ netConfig(const NetExplorerConfig& cfg, const char* topology,
     NetConfig nc;
     nc.topology = std::move(topo).value();
     nc.controller_node = 0;
-    nc.inflight_timeout_us = cfg.inflight_timeout_us;
     nc.faults.link_seed = cfg.link_seed;
     if (down_at_us >= 0.0) {
         gpusim::LinkFault lf;

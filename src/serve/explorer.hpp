@@ -216,9 +216,6 @@ struct NetExplorerConfig
     /** Seed of the dedicated link-loss stream. */
     std::uint64_t link_seed = 11;
 
-    /** In-flight dispatch timeout (<= 0 auto-derives 20x service). */
-    double inflight_timeout_us = -1.0;
-
     /** Sweep budget: down-window start instants tested across
      *  [0, baseline end], evenly spaced, endpoints included. */
     std::size_t max_points = 12;

@@ -32,80 +32,19 @@ constexpr std::uint64_t kCompletionBytes = 128;
 /** Modeled CPU cost of replaying one journal record, us. */
 constexpr double kReplayUsPerRecord = 5.0;
 
-/** The live path's trace instant and registry counters (all, and
- *  the High slice where one is kept) for one booked disposition. */
-struct Mirror
-{
-    const char* instant;
-    const char* metric;
-    const char* metric_high; //!< null: no High slice
-};
+/** How long past its modeled completion instant a networked
+ *  dispatch's reply may run before the controller fences its epoch
+ *  and re-routes, in service times (the estimate at dispatch time;
+ *  DESIGN.md section 4.12). The margin prices wire lateness, not
+ *  service time: a healthy reply beats it by construction, while one
+ *  stuck behind a link-down window is fenced and dropped as stale on
+ *  eventual delivery. */
+constexpr double kInflightTimeoutServices = 20.0;
 
-/** Indexed by admission decision (its wire value). */
-constexpr Mirror kDecisionMirror[] = {
-    {"admit", "fleet.admitted", "fleet.admitted_high"},
-    {"reject_queue_full", "fleet.rejected_queue_full", nullptr},
-    {"reject_infeasible", "fleet.rejected_infeasible", nullptr},
-    {"shed", "fleet.shed", nullptr},
-};
-
-/** Indexed by Outcome: the three a finalized request books. */
-constexpr Mirror kOutcomeMirror[] = {
-    {"complete", "fleet.completed", "fleet.completed_high"},
-    {"timeout", "fleet.timed_out", "fleet.timed_out_high"},
-    {"fail", "fleet.failed", "fleet.failed_high"},
-};
-static_assert(static_cast<int>(Outcome::Completed) == 0 &&
-              static_cast<int>(Outcome::TimedOut) == 1 &&
-              static_cast<int>(Outcome::Failed) == 2);
+/** Directory (name prefix) of the fleet's state in the store. */
+constexpr const char* kDurableDir = "fleet";
 
 } // namespace
-
-void
-FleetCounters::bookDecision(AdmissionController::Decision dec,
-                            RequestClass cls)
-{
-    ++arrivals;
-    switch (dec) {
-    case AdmissionController::Decision::Admit:
-        ++admitted;
-        if (cls == RequestClass::High)
-            ++admitted_high;
-        break;
-    case AdmissionController::Decision::RejectQueueFull:
-        ++rejected_queue_full;
-        break;
-    case AdmissionController::Decision::RejectInfeasible:
-        ++rejected_infeasible;
-        break;
-    case AdmissionController::Decision::Shed:
-        ++shed;
-        break;
-    }
-}
-
-void
-FleetCounters::bookOutcome(Outcome outcome, RequestClass cls)
-{
-    const bool high = cls == RequestClass::High;
-    switch (outcome) {
-    case Outcome::Completed:
-        ++completed;
-        if (high)
-            ++completed_high;
-        break;
-    case Outcome::TimedOut:
-        ++timed_out;
-        if (high)
-            ++timed_out_high;
-        break;
-    default:
-        ++failed;
-        if (high)
-            ++failed_high;
-        break;
-    }
-}
 
 Fleet::Fleet(std::vector<FleetReplica> replicas, FleetConfig cfg,
              obs::Tracer* tracer, obs::MetricsRegistry* metrics)
@@ -218,6 +157,30 @@ Fleet::fleetInstant(const char* name, std::uint64_t req_id, double a0,
                          static_cast<std::int64_t>(req_id), a0, a1);
 }
 
+void
+Fleet::noteDisposition(const Disposition& d, const Request& req,
+                       double a0, double a1)
+{
+    if (metrics_ != nullptr) {
+        const std::string name = std::string("fleet.") + d.metric;
+        metrics_->counter(name).add();
+        if (d.high != nullptr && req.cls == RequestClass::High)
+            metrics_->counter(name + "_high").add();
+    }
+    fleetInstant(d.instant, req.id, a0, a1);
+}
+
+void
+Fleet::noteBreaker(std::size_t s, CircuitBreaker::State before)
+{
+    const CircuitBreaker::State after = slots_[s].breaker.state();
+    if (after != before && tracer_ != nullptr)
+        tracer_->instant(
+            obs::kLaneReplicaBase + static_cast<std::int32_t>(s),
+            "breaker", breakerStateName(after), now_,
+            static_cast<std::int64_t>(s), static_cast<double>(before));
+}
+
 vpps::Handle*
 Fleet::handleOf(Slot& sl)
 {
@@ -277,21 +240,17 @@ Fleet::onArrival(const Request& req)
                      static_cast<double>(live);
 
     const auto dec = admission_.decide(req, depth, est_start, svc);
-    counters_.bookDecision(dec, req.cls);
-    const Mirror& mirror = kDecisionMirror[static_cast<std::size_t>(dec)];
     count("fleet.arrivals");
-    count(mirror.metric);
-    if (mirror.metric_high != nullptr && req.cls == RequestClass::High)
-        count(mirror.metric_high);
-    fleetInstant(mirror.instant, req.id, static_cast<double>(level),
-                 static_cast<double>(depth));
+    noteDisposition(counters_.bookDecision(dec, req.cls), req,
+                    static_cast<double>(level),
+                    static_cast<double>(depth));
     if (dec == AdmissionController::Decision::Admit)
         queue_.enqueue(Queued{req, 0, now_});
     journalAdmit(req, dec);
 }
 
 std::size_t
-Fleet::chooseReplica(double now_us, std::size_t exclude)
+Fleet::chooseReplica(std::size_t exclude)
 {
     const std::size_t n = slots_.size();
     for (std::size_t k = 0; k < n; ++k) {
@@ -300,14 +259,14 @@ Fleet::chooseReplica(double now_us, std::size_t exclude)
         if (i == exclude || sl.state != ReplicaState::Active ||
             sl.inflight)
             continue;
-        if (health_.suspect(i, now_us))
+        if (health_.suspect(i, now_))
             continue;
         // Partitioned replicas are skipped outright: a dispatch sent
         // into a down link is a guaranteed fence, so the router does
         // not waste the attempt (the replica may be perfectly
         // healthy on the far side).
         if (net_.enabled() && sl.node != cfg_.net.controller_node &&
-            !net_.pathUp(cfg_.net.controller_node, sl.node, now_us)) {
+            !net_.pathUp(cfg_.net.controller_node, sl.node, now_)) {
             net_.noteUnreachableSkip();
             continue;
         }
@@ -315,13 +274,8 @@ Fleet::chooseReplica(double now_us, std::size_t exclude)
         // HalfOpen probe), so only the otherwise-chosen replica is
         // asked.
         const CircuitBreaker::State before = sl.breaker.state();
-        const bool allow = sl.breaker.usePrimary(now_us);
-        if (sl.breaker.state() != before && tracer_ != nullptr)
-            tracer_->instant(
-                obs::kLaneReplicaBase + static_cast<std::int32_t>(i),
-                "breaker", breakerStateName(sl.breaker.state()),
-                now_us, static_cast<std::int64_t>(i),
-                static_cast<double>(before));
+        const bool allow = sl.breaker.usePrimary(now_);
+        noteBreaker(i, before);
         if (!allow)
             continue;
         rr_next_ = (i + 1) % n;
@@ -333,9 +287,7 @@ Fleet::chooseReplica(double now_us, std::size_t exclude)
 double
 Fleet::effectiveTimeoutUs()
 {
-    if (cfg_.net.inflight_timeout_us > 0.0)
-        return cfg_.net.inflight_timeout_us;
-    return 20.0 * serviceUs();
+    return kInflightTimeoutServices * serviceUs();
 }
 
 void
@@ -443,13 +395,7 @@ void
 Fleet::finalizeRequest(const Queued& q, Outcome outcome,
                        float response, double latency)
 {
-    counters_.bookOutcome(outcome, q.req.cls);
-    const Mirror& mirror =
-        kOutcomeMirror[static_cast<std::size_t>(outcome)];
-    count(mirror.metric);
-    if (q.req.cls == RequestClass::High)
-        count(mirror.metric_high);
-    fleetInstant(mirror.instant, q.req.id);
+    noteDisposition(counters_.bookOutcome(outcome, q.req.cls), q.req);
     journalOutcome(q, outcome, response, latency);
 }
 
@@ -466,6 +412,58 @@ Fleet::twinOf(std::uint64_t id, std::size_t self) const
             return i;
     }
     return kNpos;
+}
+
+bool
+Fleet::retireHedgeLoser(std::size_t s, std::uint64_t id)
+{
+    const auto it = finalized_pending_.find(id);
+    if (it == finalized_pending_.end())
+        return false;
+    finalized_pending_.erase(it);
+    ++counters_.hedge_cancelled;
+    count("fleet.hedge_cancelled");
+    fleetInstant("hedge_cancel", id, static_cast<double>(s));
+    return true;
+}
+
+void
+Fleet::bookLost(std::size_t s, std::uint64_t id)
+{
+    ++counters_.lost;
+    count("fleet.lost");
+    fleetInstant("lost", id, static_cast<double>(s));
+}
+
+bool
+Fleet::reroute(std::size_t s, const Queued& q, bool self_routable,
+               const char* instant)
+{
+    const int budget = q.req.cls == RequestClass::High
+                           ? cfg_.max_failovers_high
+                           : cfg_.max_failovers_low;
+    bool routable = false;
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        if ((i != s || self_routable) &&
+            (slots_[i].state == ReplicaState::Active ||
+             slots_[i].state == ReplicaState::Joining))
+            routable = true;
+    if (!(q.attempts < budget && q.req.deadline_us > now_ && routable))
+        return false;
+    Queued again = q;
+    ++again.attempts;
+    again.enqueue_us = now_;
+    queue_.enqueueFront(std::move(again));
+    fleetInstant(instant, q.req.id, static_cast<double>(s),
+                 static_cast<double>(q.attempts + 1));
+    return true;
+}
+
+Outcome
+Fleet::unservedOutcome(const Queued& q) const
+{
+    return q.req.deadline_us <= now_ ? Outcome::TimedOut
+                                     : Outcome::Failed;
 }
 
 void
@@ -487,91 +485,54 @@ Fleet::completeOn(std::size_t s)
         net_.noteFenceDrop(id, fl.epoch, now_);
         fleetInstant("fence_drop", id, static_cast<double>(s),
                      static_cast<double>(fl.epoch));
-        if (fl.err == common::ErrorCode::DeviceLost)
-            onDeviceLost(s);
-        return;
-    }
-
-    if (auto it = finalized_pending_.find(id);
-        it != finalized_pending_.end()) {
-        // The request's other dispatch already won; this one is the
-        // cancelled hedge loser regardless of its own outcome.
-        finalized_pending_.erase(it);
-        ++counters_.hedge_cancelled;
-        count("fleet.hedge_cancelled");
-        fleetInstant("hedge_cancel", id, static_cast<double>(s));
-    } else if (fl.ok && fl.done_at_us <= fl.q.req.deadline_us) {
-        const double latency = fl.done_at_us - fl.q.req.arrival_us;
-        finalizeRequest(fl.q, Outcome::Completed, fl.response,
-                        latency);
-        responses_.emplace_back(id, fl.response);
-        latencies_.push_back(latency);
-        if (metrics_ != nullptr)
-            metrics_->histogram("fleet.latency_us").observe(latency);
-        if (twin != kNpos)
-            finalized_pending_.insert(id);
-    } else if (fl.ok) {
-        // Completed past the deadline: the work is wasted either
-        // way. A still-running twin was in flight at an instant
-        // already past the deadline, so it must finish late too --
-        // the request is definitively timed out; mark it finalized
-        // so the twin's completion books as a cancelled hedge.
-        ++counters_.lost;
-        count("fleet.lost");
-        fleetInstant("lost", id, static_cast<double>(s));
-        finalizeRequest(fl.q, Outcome::TimedOut);
-        if (twin != kNpos)
-            finalized_pending_.insert(id);
-    } else if (twin != kNpos) {
-        // Failed, but the request's hedge twin is still running; the
-        // twin carries the request from here.
-        ++counters_.lost;
-        count("fleet.lost");
-        fleetInstant("lost", id, static_cast<double>(s));
     } else {
-        const int budget = fl.q.req.cls == RequestClass::High
-                               ? cfg_.max_failovers_high
-                               : cfg_.max_failovers_low;
-        bool routable = false;
-        for (const Slot& other : slots_)
-            if (&other != &sl &&
-                (other.state == ReplicaState::Active ||
-                 other.state == ReplicaState::Joining))
-                routable = true;
-        if (fl.q.attempts < budget && fl.q.req.deadline_us > now_ &&
-            routable) {
+        if (retireHedgeLoser(s, id)) {
+            // The request's other dispatch already won; this one is
+            // the cancelled hedge loser regardless of its outcome.
+        } else if (fl.ok) {
+            if (fl.done_at_us <= fl.q.req.deadline_us) {
+                const double latency =
+                    fl.done_at_us - fl.q.req.arrival_us;
+                finalizeRequest(fl.q, Outcome::Completed, fl.response,
+                                latency);
+                responses_.emplace_back(id, fl.response);
+                latencies_.push_back(latency);
+                if (metrics_ != nullptr)
+                    metrics_->histogram("fleet.latency_us")
+                        .observe(latency);
+            } else {
+                // Completed past the deadline: the work is wasted
+                // either way. A still-running twin was in flight at
+                // an instant already past the deadline, so it must
+                // finish late too -- the request is definitively
+                // timed out.
+                bookLost(s, id);
+                finalizeRequest(fl.q, Outcome::TimedOut);
+            }
+            // A twin still in flight books as the cancelled hedge.
+            if (twin != kNpos)
+                finalized_pending_.insert(id);
+        } else if (twin != kNpos) {
+            // Failed, but the request's hedge twin is still running;
+            // the twin carries the request from here.
+            bookLost(s, id);
+        } else if (reroute(s, fl.q, false, "failover")) {
             ++counters_.failed_over;
             count("fleet.failed_over");
-            Queued again = fl.q;
-            ++again.attempts;
-            again.enqueue_us = now_;
-            queue_.enqueueFront(std::move(again));
-            fleetInstant("failover", id, static_cast<double>(s),
-                         static_cast<double>(fl.q.attempts + 1));
         } else {
-            ++counters_.lost;
-            count("fleet.lost");
-            fleetInstant("lost", id, static_cast<double>(s));
-            finalizeRequest(fl.q, fl.q.req.deadline_us <= now_
-                                      ? Outcome::TimedOut
-                                      : Outcome::Failed);
+            bookLost(s, id);
+            finalizeRequest(fl.q, unservedOutcome(fl.q));
         }
-    }
 
-    if (sl.state == ReplicaState::Active) {
-        if (fl.ok) {
-            sl.breaker.onPrimarySuccess();
-        } else {
-            ++sl.failures;
-            const CircuitBreaker::State before = sl.breaker.state();
-            sl.breaker.onPrimaryFailure(now_);
-            if (sl.breaker.state() != before && tracer_ != nullptr)
-                tracer_->instant(obs::kLaneReplicaBase +
-                                     static_cast<std::int32_t>(s),
-                                 "breaker",
-                                 breakerStateName(sl.breaker.state()),
-                                 now_, static_cast<std::int64_t>(s),
-                                 static_cast<double>(before));
+        if (sl.state == ReplicaState::Active) {
+            if (fl.ok) {
+                sl.breaker.onPrimarySuccess();
+            } else {
+                ++sl.failures;
+                const CircuitBreaker::State before = sl.breaker.state();
+                sl.breaker.onPrimaryFailure(now_);
+                noteBreaker(s, before);
+            }
         }
     }
     if (fl.err == common::ErrorCode::DeviceLost)
@@ -777,14 +738,9 @@ Fleet::onInflightTimeout(std::size_t s)
     const std::uint64_t id = fl.q.req.id;
     net_.noteTimeout(id, now_);
 
-    if (auto it = finalized_pending_.find(id);
-        it != finalized_pending_.end()) {
+    if (retireHedgeLoser(s, id)) {
         // The request's other dispatch already won; this silent one
         // retires as the cancelled hedge loser, reply or no reply.
-        finalized_pending_.erase(it);
-        ++counters_.hedge_cancelled;
-        count("fleet.hedge_cancelled");
-        fleetInstant("hedge_cancel", id, static_cast<double>(s));
         sl.inflight.reset();
         return;
     }
@@ -817,29 +773,9 @@ Fleet::onInflightTimeout(std::size_t s)
 
     if (twinOf(id, s) != kNpos)
         return; // a live twin still carries the request
-
-    const int budget = q.req.cls == RequestClass::High
-                           ? cfg_.max_failovers_high
-                           : cfg_.max_failovers_low;
-    bool routable = false;
-    for (std::size_t i = 0; i < slots_.size(); ++i)
-        if ((i != s || zombie) &&
-            (slots_[i].state == ReplicaState::Active ||
-             slots_[i].state == ReplicaState::Joining))
-            routable = true;
-    if (q.attempts < budget && q.req.deadline_us > now_ &&
-        routable) {
-        Queued again = q;
-        ++again.attempts;
-        again.enqueue_us = now_;
-        queue_.enqueueFront(std::move(again));
-        fleetInstant("fence_reroute", id, static_cast<double>(s),
-                     static_cast<double>(q.attempts + 1));
-    } else {
-        finalizeRequest(q, q.req.deadline_us <= now_
-                               ? Outcome::TimedOut
-                               : Outcome::Failed);
-    }
+    // A freed zombie slot can take the request back.
+    if (!reroute(s, q, zombie, "fence_reroute"))
+        finalizeRequest(q, unservedOutcome(q));
 }
 
 void
@@ -860,9 +796,7 @@ Fleet::drainUnroutable()
     expireQueued();
     while (!queue_.empty()) {
         for (const Queued& q : queue_.form(now_)) {
-            finalizeRequest(q, q.req.deadline_us <= now_
-                                   ? Outcome::TimedOut
-                                   : Outcome::Failed);
+            finalizeRequest(q, unservedOutcome(q));
             ++counters_.drained_no_replica;
             count("fleet.drained_no_replica");
         }
@@ -984,7 +918,7 @@ Fleet::run(const std::vector<Request>& arrivals)
             break;
         case kHedge: {
             Slot& sl = slots_[slot];
-            const std::size_t target = chooseReplica(now_, slot);
+            const std::size_t target = chooseReplica(slot);
             if (target != kNpos) {
                 sl.inflight->hedged = true; // one shot once launched
                 ++counters_.hedges;
@@ -1016,7 +950,7 @@ Fleet::run(const std::vector<Request>& arrivals)
             std::vector<Queued> items = queue_.form(now_);
             if (items.empty())
                 break; // everything expired this round
-            const std::size_t target = chooseReplica(now_, kNpos);
+            const std::size_t target = chooseReplica(kNpos);
             if (target == kNpos) {
                 // Nothing routable right now; put the request back
                 // and stall dispatch until another event (probe,
@@ -1049,7 +983,7 @@ Fleet::initDurability()
     if (d.store == nullptr)
         return; // crash-only configuration (no persistence)
     ckpt_store_ =
-        std::make_unique<durable::CheckpointStore>(*d.store, d.dir);
+        std::make_unique<durable::CheckpointStore>(*d.store, kDurableDir);
     if (ckpt_store_->hasState()) {
         recoverFromStore();
     } else {
@@ -1068,13 +1002,36 @@ Fleet::durableInstant(const char* name, double a0, double a1)
                          static_cast<std::int64_t>(events_), a0, a1);
 }
 
+template <class Io>
+auto
+Fleet::chargeStore(double& clock_us, Io&& io)
+{
+    const durable::StableStore& store = *cfg_.durability.store;
+    const double before = store.stats().sim_us;
+    auto result = io();
+    clock_us += store.stats().sim_us - before;
+    return result;
+}
+
+void
+Fleet::journal(std::uint32_t type,
+               const std::vector<std::uint8_t>& payload, bool force_sync)
+{
+    const common::Status st =
+        chargeStore(now_, [&] { return wal_->append(type, payload); });
+    if (!st.ok())
+        common::warn("Fleet: journal append (record type ", type,
+                     ") failed: ", st.toString());
+    count("durable.wal_records");
+    syncWalIfDue(force_sync);
+}
+
 void
 Fleet::journalAdmit(const Request& req,
                     AdmissionController::Decision dec)
 {
     if (!wal_)
         return;
-    const double sim_before = cfg_.durability.store->stats().sim_us;
     JournalAdmit a;
     a.id = req.id;
     a.cls = req.cls;
@@ -1082,18 +1039,12 @@ Fleet::journalAdmit(const Request& req,
     a.input_index = static_cast<std::uint64_t>(req.input_index);
     a.arrival_us = req.arrival_us;
     a.deadline_us = req.deadline_us;
-    if (auto st = wal_->append(kJournalAdmitType, encodeAdmit(a));
-        !st.ok())
-        common::warn("Fleet: admit journal append failed: ",
-                     st.toString());
-    count("durable.wal_records");
-    now_ += cfg_.durability.store->stats().sim_us - sim_before;
     // A durably admitted High request can never be silently lost:
     // its admit record is synced before the arrival event returns.
-    const bool force = cfg_.durability.sync_high_admits &&
-                       dec == AdmissionController::Decision::Admit &&
-                       req.cls == RequestClass::High;
-    syncWalIfDue(force);
+    journal(kJournalAdmitType, encodeAdmit(a),
+            cfg_.durability.sync_high_admits &&
+                dec == AdmissionController::Decision::Admit &&
+                req.cls == RequestClass::High);
 }
 
 void
@@ -1102,7 +1053,6 @@ Fleet::journalOutcome(const Queued& q, Outcome outcome,
 {
     if (!wal_)
         return;
-    const double sim_before = cfg_.durability.store->stats().sim_us;
     JournalOutcome o;
     o.id = q.req.id;
     o.outcome = outcome;
@@ -1111,13 +1061,7 @@ Fleet::journalOutcome(const Queued& q, Outcome outcome,
         std::memcpy(&o.response_bits, &response, 4);
         o.latency_us = latency;
     }
-    if (auto st = wal_->append(kJournalOutcomeType, encodeOutcome(o));
-        !st.ok())
-        common::warn("Fleet: outcome journal append failed: ",
-                     st.toString());
-    count("durable.wal_records");
-    now_ += cfg_.durability.store->stats().sim_us - sim_before;
-    syncWalIfDue(false);
+    journal(kJournalOutcomeType, encodeOutcome(o), false);
 }
 
 void
@@ -1129,11 +1073,11 @@ Fleet::syncWalIfDue(bool force)
         std::max<std::size_t>(1, cfg_.durability.wal_sync_batch);
     if (!force && wal_->pendingRecords() < batch)
         return;
-    const double sim_before = cfg_.durability.store->stats().sim_us;
     const std::size_t n = wal_->pendingRecords();
-    if (auto st = wal_->sync(); !st.ok())
+    const common::Status st =
+        chargeStore(now_, [&] { return wal_->sync(); });
+    if (!st.ok())
         common::warn("Fleet: WAL sync failed: ", st.toString());
-    now_ += cfg_.durability.store->stats().sim_us - sim_before;
     count("durable.wal_syncs");
     durableInstant("wal_sync", static_cast<double>(n),
                    force ? 1.0 : 0.0);
@@ -1162,10 +1106,7 @@ Fleet::captureDurableState() const
     // dispatch ledger keeps only settled dispatches. WAL replay of a
     // completion then increments routed and completed together, and
     // the dispatch identity holds across the crash by construction.
-    st.counters.routed =
-        counters_.completed + counters_.failed_over +
-        counters_.hedge_cancelled + counters_.fenced +
-        counters_.lost;
+    st.counters.routed = counters_.settledDispatches();
     st.completed.reserve(responses_.size());
     for (std::size_t i = 0; i < responses_.size(); ++i) {
         FleetDurableState::CompletedEntry e;
@@ -1196,14 +1137,13 @@ Fleet::captureDurableState() const
 void
 Fleet::installCheckpoint()
 {
-    DurabilityConfig& d = cfg_.durability;
-    const double sim_before = d.store->stats().sim_us;
     FleetDurableState st = captureDurableState();
     st.wal_first_seq = wal_ ? wal_->nextSeq() : 1;
-    auto res = ckpt_store_->install(
-        generation_ + 1, serializeFleetState(st),
-        wal_ ? wal_->file() : std::string());
-    now_ += d.store->stats().sim_us - sim_before;
+    auto res = chargeStore(now_, [&] {
+        return ckpt_store_->install(generation_ + 1,
+                                    serializeFleetState(st),
+                                    wal_ ? wal_->file() : std::string());
+    });
     if (!res.ok()) {
         common::warn("Fleet: checkpoint install failed: ",
                      res.takeStatus().toString());
@@ -1211,7 +1151,7 @@ Fleet::installCheckpoint()
     }
     generation_ = res.value().generation;
     wal_ = std::make_unique<durable::WalWriter>(
-        *d.store, res.value().wal_file, st.wal_first_seq);
+        *cfg_.durability.store, res.value().wal_file, st.wal_first_seq);
     last_ckpt_completed_ = counters_.completed;
     count("durable.checkpoints");
     durableInstant("checkpoint_install",
@@ -1223,18 +1163,30 @@ void
 Fleet::recoverFromStore()
 {
     DurabilityConfig& d = cfg_.durability;
-    const double sim_before = d.store->stats().sim_us;
     const double now_before = now_;
 
-    auto loaded = ckpt_store_->loadLatest();
-    if (!loaded.ok())
-        common::panic("Fleet: recovery failed loading checkpoint: ",
-                      loaded.takeStatus().toString());
-    auto parsed = parseFleetState(loaded.value().payload);
-    if (!parsed.ok())
-        common::panic("Fleet: recovery failed parsing state: ",
-                      parsed.takeStatus().toString());
-    FleetDurableState st = std::move(parsed).value();
+    // One charge for every store read of the recovery.
+    double store_us = 0.0;
+    durable::Manifest manifest;
+    FleetDurableState st;
+    const durable::WalReadResult rr = chargeStore(store_us, [&] {
+        auto loaded = ckpt_store_->loadLatest();
+        if (!loaded.ok())
+            common::panic("Fleet: recovery failed loading checkpoint: ",
+                          loaded.takeStatus().toString());
+        manifest = loaded.value().manifest;
+        auto parsed = parseFleetState(loaded.value().payload);
+        if (!parsed.ok())
+            common::panic("Fleet: recovery failed parsing state: ",
+                          parsed.takeStatus().toString());
+        st = std::move(parsed).value();
+        // The WAL's clean prefix replays on top of the checkpoint.
+        auto wal_bytes = d.store->read(manifest.wal_file);
+        if (!wal_bytes.ok())
+            common::panic("Fleet: recovery failed reading WAL: ",
+                          wal_bytes.takeStatus().toString());
+        return durable::readWal(wal_bytes.value(), st.wal_first_seq);
+    });
     // The replicas this fleet was constructed over must carry the
     // same parameters the crashed fleet checkpointed: responses are
     // pure functions of (input, parameters), and this is what makes
@@ -1245,7 +1197,7 @@ Fleet::recoverFromStore()
             "rebuilt replicas' (reconstruct replicas with the "
             "crashed fleet's seeds before recovering)");
 
-    generation_ = loaded.value().manifest.generation;
+    generation_ = manifest.generation;
     counters_ = st.counters;
     responses_.clear();
     latencies_.clear();
@@ -1256,14 +1208,6 @@ Fleet::recoverFromStore()
         latencies_.push_back(e.latency_us);
     }
     now_ = std::max(now_, st.now_us);
-
-    // Replay the WAL's clean prefix on top of the checkpoint.
-    auto wal_bytes = d.store->read(loaded.value().manifest.wal_file);
-    if (!wal_bytes.ok())
-        common::panic("Fleet: recovery failed reading WAL: ",
-                      wal_bytes.takeStatus().toString());
-    const durable::WalReadResult rr = durable::readWal(
-        wal_bytes.value(), st.wal_first_seq);
 
     std::map<std::uint64_t, Request> in_doubt;
     for (const Request& r : st.pending)
@@ -1328,8 +1272,7 @@ Fleet::recoverFromStore()
                 re_jit_us, handleOf(sl)->jitSeconds() * 1e6);
     const double replay_us =
         kReplayUsPerRecord * static_cast<double>(rr.records.size());
-    now_ += d.store->stats().sim_us - sim_before + replay_us +
-            re_jit_us;
+    now_ += store_us + replay_us + re_jit_us;
 
     RecoveryInfo info;
     info.generation = generation_;
@@ -1344,7 +1287,7 @@ Fleet::recoverFromStore()
     // (possibly torn) tail is never appended to -- it is simply
     // garbage-collected by the install.
     wal_ = std::make_unique<durable::WalWriter>(
-        *d.store, loaded.value().manifest.wal_file,
+        *d.store, manifest.wal_file,
         st.wal_first_seq + rr.records.size());
     installCheckpoint();
 

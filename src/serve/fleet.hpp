@@ -97,11 +97,9 @@ struct FleetDurableState; // serve/durability.hpp
  */
 struct DurabilityConfig
 {
-    /** Borrowed stable store; null disables durability. */
+    /** Borrowed stable store; null disables durability. The fleet
+     *  keeps its state under the "fleet" name prefix. */
     durable::StableStore* store = nullptr;
-
-    /** Directory (name prefix) inside the store. */
-    std::string dir = "fleet";
 
     /** Group-commit threshold: sync the WAL once this many records
      *  are buffered. 1 = sync every record. */
@@ -179,8 +177,9 @@ struct FleetConfig
 };
 
 /**
- * Fleet accounting. Request-level identities mirror ServerCounters;
- * the dispatch-level identity is the fleet's own:
+ * Fleet accounting. The request ledger and its identities are the
+ * Server's (serve/request.hpp), plus the High-class slice; the
+ * dispatch-level identity is the fleet's own:
  *
  *   arrivals = admitted + rejected_queue_full + rejected_infeasible
  *            + shed
@@ -192,26 +191,8 @@ struct FleetConfig
  * `completed` serves both identities). Every field mirrors into the
  * metrics registry under "fleet.<field>" one-for-one.
  */
-struct FleetCounters
+struct FleetCounters : RequestLedger, HighSlice
 {
-    /** @name Request dispositions @{ */
-    std::uint64_t arrivals = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t rejected_infeasible = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t failed = 0;
-    /** @} */
-
-    /** @name High-class slice (the no-lost-High invariant) @{ */
-    std::uint64_t admitted_high = 0;
-    std::uint64_t completed_high = 0;
-    std::uint64_t timed_out_high = 0;
-    std::uint64_t failed_high = 0;
-    /** @} */
-
     /** @name Dispatch dispositions @{ */
     std::uint64_t routed = 0;
     std::uint64_t failed_over = 0;
@@ -230,31 +211,52 @@ struct FleetCounters
     std::uint64_t drained_no_replica = 0; //!< finalized with fleet dead
     /** @} */
 
-    /** Book one arrival under admission decision @p dec (an Admit of
-     *  a High-class request also counts in the High slice). The
-     *  live path and WAL replay both book through here, so a
-     *  replayed journal rebuilds exactly the counts the live run
-     *  kept. */
-    void bookDecision(AdmissionController::Decision dec,
-                      RequestClass cls);
+    /** Book one arrival under admission decision @p dec, High slice
+     *  included. The live path and WAL replay both book through
+     *  here, so a replayed journal rebuilds exactly the counts the
+     *  live run kept. @return the disposition's row. */
+    const Disposition&
+    bookDecision(AdmissionDecision dec, RequestClass cls)
+    {
+        return slice(book(dec), cls);
+    }
 
     /** Book one admitted request's final disposition, High slice
      *  included: Completed, TimedOut, and anything else as failed.
      *  The live path and WAL replay both book through here. */
-    void bookOutcome(Outcome outcome, RequestClass cls);
+    const Disposition&
+    bookOutcome(Outcome outcome, RequestClass cls)
+    {
+        return slice(book(outcome), cls);
+    }
+
+    /** Dispatches that reached a terminal disposition: `routed`
+     *  once no dispatch is in flight. */
+    std::uint64_t
+    settledDispatches() const
+    {
+        return completed + failed_over + hedge_cancelled + fenced +
+               lost;
+    }
 
     /** All three identities at once (no silent drops, no dispatch
      *  leaks). */
     bool
     reconciled() const
     {
-        return arrivals == admitted + rejected_queue_full +
-                               rejected_infeasible + shed &&
-               admitted == completed + timed_out + failed &&
-               routed == completed + failed_over + hedge_cancelled +
-                             fenced + lost &&
+        return RequestLedger::reconciled() &&
+               routed == settledDispatches() &&
                admitted_high ==
                    completed_high + timed_out_high + failed_high;
+    }
+
+  private:
+    const Disposition&
+    slice(const Disposition& d, RequestClass cls)
+    {
+        if (d.high != nullptr && cls == RequestClass::High)
+            ++(this->*d.high);
+        return d;
     }
 };
 
@@ -346,11 +348,6 @@ public:
         return slots_[r].state;
     }
 
-    const CircuitBreaker& breaker(std::size_t r) const
-    {
-        return slots_[r].breaker;
-    }
-
     /** @name Durability surface (see DurabilityConfig) @{ */
 
     /** True once the host fault domain fired; the loop is halted. */
@@ -426,6 +423,14 @@ private:
     void fleetInstant(const char* name, std::uint64_t req_id,
                       double a0 = 0.0, double a1 = 0.0);
 
+    /** Mirror request @p req's booked disposition @p d: registry
+     *  counter (and its High slice) and fleet-lane instant. */
+    void noteDisposition(const Disposition& d, const Request& req,
+                         double a0 = 0.0, double a1 = 0.0);
+
+    /** Trace slot @p s's breaker transition away from @p before. */
+    void noteBreaker(std::size_t s, CircuitBreaker::State before);
+
     /** The slot's serving handle (fleet-owned for promoted
      *  standbys, borrowed otherwise). */
     vpps::Handle* handleOf(Slot& sl);
@@ -440,13 +445,43 @@ private:
 
     /** Route-eligible test + breaker gate (mutates the breaker on
      *  Open->HalfOpen). @return chosen slot or npos. */
-    std::size_t chooseReplica(double now_us, std::size_t exclude);
+    std::size_t chooseReplica(std::size_t exclude);
 
     /** Execute one request on slot @p s (the simulated work happens
      *  here; the completion event fires at done_at_us). */
     void execute(std::size_t s, Queued q, bool as_hedge);
 
+    /** @name The dispatch ladder
+     *  A dispatch settles when its completion lands (completeOn) or
+     *  its fence timeout fires (onInflightTimeout); both resolve it
+     *  through these steps. @{ */
     void completeOn(std::size_t s);
+
+    /** Fence a dispatch whose completion went silent past its
+     *  timeout: bumps the request's fence epoch (the stale completion
+     *  is discarded on arrival) and re-routes or finalizes the
+     *  request. */
+    void onInflightTimeout(std::size_t s);
+
+    /** If request @p id already finalized through its twin, retire
+     *  slot @p s's dispatch as the cancelled hedge loser.
+     *  @return whether it did. */
+    bool retireHedgeLoser(std::size_t s, std::uint64_t id);
+
+    /** Book slot @p s's dispatch of request @p id as lost. */
+    void bookLost(std::size_t s, std::uint64_t id);
+
+    /** Re-enqueue @p q at the front, tracing @p instant, if its class
+     *  has failover budget left, its deadline is ahead, and a replica
+     *  other than @p s (or @p s itself, when @p self_routable) is
+     *  live or joining. @return whether it re-routed. */
+    bool reroute(std::size_t s, const Queued& q, bool self_routable,
+                 const char* instant);
+
+    /** TimedOut if @p q is past its deadline, else Failed: how a
+     *  request no replica will serve is finalized. */
+    Outcome unservedOutcome(const Queued& q) const;
+    /** @} */
 
     /** Book a request's final disposition (Completed, TimedOut or
      *  Failed): counters, registry mirror, trace and journal.
@@ -464,12 +499,6 @@ private:
     void joinReplica(std::size_t s);
     void processProbe(std::size_t r);
 
-    /** Fence a dispatch whose completion went silent past its
-     *  timeout: bumps the request's fence epoch (the stale completion
-     *  is discarded on arrival) and re-routes or finalizes the
-     *  request. */
-    void onInflightTimeout(std::size_t s);
-
     /** Timeout armed on a networked dispatch at send time. */
     double effectiveTimeoutUs();
     void expireQueued();
@@ -483,6 +512,17 @@ private:
     void initDurability();
     void durableInstant(const char* name, double a0 = 0.0,
                         double a1 = 0.0);
+
+    /** Run @p io against the stable store and add the store time it
+     *  charged to @p clock_us. @return what @p io returns. */
+    template <class Io>
+    auto chargeStore(double& clock_us, Io&& io);
+
+    /** Append one journal record, charging its store time, then sync
+     *  the WAL if due (@p force_sync: now). */
+    void journal(std::uint32_t type,
+                 const std::vector<std::uint8_t>& payload,
+                 bool force_sync);
     void journalAdmit(const Request& req,
                       AdmissionController::Decision dec);
     void journalOutcome(const Queued& q, Outcome outcome,

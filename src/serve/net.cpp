@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "train/collective.hpp"
 
 namespace serve {
 
@@ -316,9 +315,9 @@ common::Result<double>
 NetworkModel::paramBroadcastUs(std::uint64_t bytes, double now_us)
 {
     common::Result<gpusim::CollectiveCost> cost =
-        train::paramBroadcastCost(cfg_.topology, bytes,
-                                  cfg_.topology.numDevices(),
-                                  kBroadcastChunks);
+        gpusim::broadcastCost(cfg_.topology, bytes,
+                              cfg_.topology.numDevices(),
+                              kBroadcastChunks);
     if (!cost.ok())
         return cost.takeStatus();
     const double dur_us = cost.value().totalUs();

@@ -21,8 +21,8 @@
  *    backoff and the transfer resumes from its byte offset, never
  *    from zero, after a loss or a down window;
  *  - the post-training parameter broadcast that seeds every replica
- *    is priced with the pipelined tree-broadcast closed form
- *    (train::paramBroadcastCost).
+ *    is priced with the pipelined tree-broadcast schedule
+ *    (gpusim::broadcastCost).
  *
  * Everything here runs inside the fleet's serial event loop and draws
  * only from the plan's dedicated link stream, so a networked run is
@@ -70,17 +70,8 @@ struct NetConfig
      *  path then counts as unreachable until it heals). */
     int max_retransmits = 64;
 
-    /**
-     * How much later than its modeled completion instant a
-     * dispatch's reply may run before the controller fences the
-     * dispatch epoch and re-routes (DESIGN.md section 4.12). The
-     * margin prices wire lateness, not service time: a healthy reply
-     * beats the timeout by construction, while one stuck behind a
-     * link-down window is fenced and dropped as stale on eventual
-     * delivery. <= 0 auto-derives 20x the current service estimate
-     * at dispatch time. Only meaningful with networking on.
-     */
-    double inflight_timeout_us = -1.0;
+    // The in-flight dispatch timeout that fences a silent dispatch
+    // is the fleet's (kInflightTimeoutServices, serve/fleet.cpp).
 };
 
 /**

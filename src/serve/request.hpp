@@ -57,18 +57,80 @@ enum class Outcome : std::uint8_t
     Shed,               //!< bounced at arrival: brown-out shed (Low)
 };
 
-/** Aggregate outcome counters (one increment per request). */
-struct ServerCounters
+/** The arrival-time admission decision for one request. The values
+ *  are the journal's wire encoding (serve/durability.hpp). */
+enum class AdmissionDecision : std::uint8_t
+{
+    Admit = 0,
+    RejectQueueFull = 1,
+    RejectInfeasible = 2,
+    Shed = 3,
+};
+
+struct RequestLedger;
+
+/** The High-class slice of the admitted identity, kept by the fleet
+ *  for its no-lost-High invariant. */
+struct HighSlice
+{
+    std::uint64_t admitted_high = 0;
+    std::uint64_t completed_high = 0;
+    std::uint64_t timed_out_high = 0;
+    std::uint64_t failed_high = 0;
+};
+
+/**
+ * Where one booked disposition lands: its ledger counter, its
+ * High-class counter, and the names a front end mirrors it under --
+ * the trace instant "<cat>.<instant>" on its lane and the registry
+ * counter "<cat>.<metric>" (plus "<cat>.<metric>_high" where it keeps
+ * the High slice).
+ */
+struct Disposition
+{
+    const char* instant;
+    const char* metric;
+    std::uint64_t RequestLedger::*count;
+    std::uint64_t HighSlice::*high; //!< null: no High slice
+};
+
+/**
+ * The request dispositions both front ends book, and the two
+ * identities they reconcile by (see the file header). Each front end
+ * books through book() and mirrors the returned row; only the lane,
+ * the metric prefix and the payloads differ.
+ */
+struct RequestLedger
 {
     std::uint64_t arrivals = 0;
     std::uint64_t admitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t failed = 0;
     std::uint64_t rejected_queue_full = 0;
     std::uint64_t rejected_infeasible = 0;
     std::uint64_t shed = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t timed_out = 0;
+    std::uint64_t failed = 0;
 
+    /** Book one arrival under @p dec. @return its row. */
+    const Disposition& book(AdmissionDecision dec);
+
+    /** Book one admitted request's final disposition: Completed,
+     *  TimedOut, and any other outcome as failed. @return its row. */
+    const Disposition& book(Outcome outcome);
+
+    /** The no-silent-drops invariant. */
+    bool
+    reconciled() const
+    {
+        return arrivals == admitted + rejected_queue_full +
+                               rejected_infeasible + shed &&
+               admitted == completed + timed_out + failed;
+    }
+};
+
+/** The Server's counters: the ledger plus its own diagnostics. */
+struct ServerCounters : RequestLedger
+{
     /** @name Non-disposition diagnostics (not part of reconciliation)
      *  @{ */
 
@@ -89,15 +151,6 @@ struct ServerCounters
     /** Arrivals observed at each brown-out level (0..3). */
     std::uint64_t arrivals_at_level[4] = {0, 0, 0, 0};
     /** @} */
-
-    /** The no-silent-drops invariant. */
-    bool
-    reconciled() const
-    {
-        return arrivals == admitted + rejected_queue_full +
-                               rejected_infeasible + shed &&
-               admitted == completed + timed_out + failed;
-    }
 };
 
 /**

@@ -118,7 +118,6 @@ Server::onArrival(const Request& req)
     const std::size_t depth = batcher_.depth();
     const BrownoutLevel level = admission_.levelFor(depth);
 
-    ++counters_.arrivals;
     ++counters_.arrivals_at_level[static_cast<int>(level)];
     count(device_, "serve.arrivals");
 
@@ -135,38 +134,25 @@ Server::onArrival(const Request& req)
         batcher_.windowUs(level) + serviceUs(batch_items);
 
     // One instant per admission decision on the serve lane, with the
-    // request id as context and the brown-out level as payload; the
-    // matching "serve.*" counters mirror ServerCounters one-for-one
-    // (the reconciliation identities carry over to the registry).
-    obs::Tracer* const tracer = device_.tracer();
-    auto decided = [&](const char* name, const char* metric) {
-        if (tracer)
-            tracer->instant(obs::kLaneServe, "serve", name, now_,
-                            static_cast<std::int64_t>(req.id),
-                            static_cast<double>(level),
-                            static_cast<double>(depth));
-        count(device_, metric);
-    };
-
-    switch (admission_.decide(req, depth, est_start, est_service)) {
-    case AdmissionController::Decision::Admit:
-        ++counters_.admitted;
-        decided("admit", "serve.admitted");
+    // brown-out level and depth as payload.
+    const auto dec = admission_.decide(req, depth, est_start, est_service);
+    noteDisposition(counters_.book(dec), req.id,
+                    static_cast<double>(level),
+                    static_cast<double>(depth));
+    if (dec == AdmissionController::Decision::Admit)
         batcher_.enqueue(Queued{req, 0, now_});
-        break;
-    case AdmissionController::Decision::RejectQueueFull:
-        ++counters_.rejected_queue_full;
-        decided("reject_queue_full", "serve.rejected_queue_full");
-        break;
-    case AdmissionController::Decision::RejectInfeasible:
-        ++counters_.rejected_infeasible;
-        decided("reject_infeasible", "serve.rejected_infeasible");
-        break;
-    case AdmissionController::Decision::Shed:
-        ++counters_.shed;
-        decided("shed", "serve.shed");
-        break;
-    }
+}
+
+void
+Server::noteDisposition(const Disposition& d, std::uint64_t req_id,
+                        double a0, double a1, const char* instant)
+{
+    if (obs::MetricsRegistry* mx = device_.metrics())
+        mx->counter(std::string("serve.") + d.metric).add();
+    if (obs::Tracer* const tracer = device_.tracer())
+        tracer->instant(obs::kLaneServe, "serve",
+                        instant != nullptr ? instant : d.instant, now_,
+                        static_cast<std::int64_t>(req_id), a0, a1);
 }
 
 void
@@ -183,23 +169,14 @@ Server::noteBreaker(CircuitBreaker::State before)
 }
 
 void
-Server::timeOut(const Queued& q, const char* event)
-{
-    ++counters_.timed_out;
-    count(device_, "serve.timed_out");
-    if (obs::Tracer* const tracer = device_.tracer())
-        tracer->instant(obs::kLaneServe, "serve", event, now_,
-                        static_cast<std::int64_t>(q.req.id));
-}
-
-void
 Server::dispatch()
 {
     // Cancel queued requests that can no longer make their deadline.
     for (const Queued& dead : batcher_.expire(now_)) {
         ++counters_.cancelled_before_dispatch;
         count(device_, "serve.cancelled_before_dispatch");
-        timeOut(dead, "expire");
+        noteDisposition(counters_.book(Outcome::TimedOut), dead.req.id,
+                        0.0, 0.0, "expire");
     }
     std::vector<Queued> items = batcher_.form(now_);
     if (items.empty())
@@ -245,8 +222,6 @@ Server::complete()
 {
     InFlight fb = std::move(*in_flight_);
     in_flight_.reset();
-    obs::Tracer* const tracer = device_.tracer();
-    obs::MetricsRegistry* const mx = device_.metrics();
 
     if (fb.was_primary) {
         const CircuitBreaker::State before = breaker_.state();
@@ -260,20 +235,16 @@ Server::complete()
     if (fb.ok) {
         for (const Queued& q : fb.items) {
             if (fb.done_at_us > q.req.deadline_us) {
-                timeOut(q, "timeout");
+                noteDisposition(counters_.book(Outcome::TimedOut),
+                                q.req.id);
                 continue;
             }
-            ++counters_.completed;
             const double latency = fb.done_at_us - q.req.arrival_us;
             latencies_.push_back(latency);
-            count(device_, "serve.completed");
-            if (mx)
+            if (obs::MetricsRegistry* mx = device_.metrics())
                 mx->histogram("serve.latency_us").observe(latency);
-            if (tracer)
-                tracer->instant(obs::kLaneServe, "serve", "complete",
-                                now_,
-                                static_cast<std::int64_t>(q.req.id),
-                                latency);
+            noteDisposition(counters_.book(Outcome::Completed),
+                            q.req.id, latency);
         }
         return;
     }
@@ -285,7 +256,7 @@ Server::complete()
     for (auto it = fb.items.rbegin(); it != fb.items.rend(); ++it) {
         Queued& q = *it;
         if (q.req.deadline_us <= now_) {
-            timeOut(q, "timeout");
+            noteDisposition(counters_.book(Outcome::TimedOut), q.req.id);
             continue;
         }
         const int budget = q.req.cls == RequestClass::High
@@ -300,19 +271,14 @@ Server::complete()
             batcher_.enqueueFront(std::move(again));
             ++counters_.retries;
             count(device_, "serve.retries");
-            if (tracer)
+            if (obs::Tracer* const tracer = device_.tracer())
                 tracer->instant(
                     obs::kLaneServe, "serve", "retry", now_,
                     static_cast<std::int64_t>(q.req.id),
                     static_cast<double>(q.attempts + 1));
         } else {
-            ++counters_.failed;
-            count(device_, "serve.failed");
-            if (tracer)
-                tracer->instant(
-                    obs::kLaneServe, "serve", "fail", now_,
-                    static_cast<std::int64_t>(q.req.id),
-                    static_cast<double>(q.attempts));
+            noteDisposition(counters_.book(Outcome::Failed), q.req.id,
+                            static_cast<double>(q.attempts));
         }
     }
     if (deepest_attempt > 0) {

@@ -119,8 +119,6 @@ public:
         return latencies_;
     }
 
-    const CircuitBreaker& breaker() const { return breaker_; }
-
     double nowUs() const { return now_; }
 
 private:
@@ -150,8 +148,12 @@ private:
     /** Count and trace a breaker transition away from @p before. */
     void noteBreaker(CircuitBreaker::State before);
 
-    /** Book @p q as timed out; @p event names its trace instant. */
-    void timeOut(const Queued& q, const char* event);
+    /** Mirror a booked disposition of request @p req_id: registry
+     *  counter "serve.<metric>" and a serve-lane instant, named
+     *  @p instant when set, else the row's. */
+    void noteDisposition(const Disposition& d, std::uint64_t req_id,
+                         double a0 = 0.0, double a1 = 0.0,
+                         const char* instant = nullptr);
 
     gpusim::Device& device_;
     models::BenchmarkModel& bm_;

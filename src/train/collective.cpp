@@ -51,19 +51,4 @@ reduceVectors(const std::vector<std::vector<float>>& leaves)
     return std::move(level[0]);
 }
 
-common::Result<gpusim::CollectiveCost>
-paramBroadcastCost(const gpusim::Topology& topo, std::uint64_t bytes,
-                   std::size_t ranks, std::size_t chunks)
-{
-    return gpusim::broadcastCost(topo, bytes, ranks, chunks);
-}
-
-common::Result<gpusim::CollectiveCost>
-shardedParamAllGatherCost(const gpusim::Topology& topo,
-                          std::uint64_t bytes, std::size_t ranks,
-                          std::size_t chunks)
-{
-    return gpusim::allGatherCost(topo, bytes, ranks, chunks);
-}
-
 } // namespace train

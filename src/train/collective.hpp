@@ -30,10 +30,7 @@
  */
 #pragma once
 
-#include <cstdint>
 #include <vector>
-
-#include "gpusim/topology.hpp"
 
 namespace train {
 
@@ -47,33 +44,5 @@ float reduceScalars(const std::vector<float>& leaves);
  */
 std::vector<float>
 reduceVectors(const std::vector<std::vector<float>>& leaves);
-
-/**
- * @name Collective pricing beyond all-reduce
- *
- * Time-only wrappers over gpusim's stage-simulated cost model (the
- * closed forms live next to it in gpusim/topology.hpp). Like the
- * all-reduce, these never perform arithmetic: a broadcast ships the
- * canonical parameter bytes verbatim, so the functional result is
- * transport-independent by construction.
- * @{
- */
-
-/** Price the post-training parameter broadcast: rank 0 (the trainer
- *  or fleet controller) fans @p bytes out to ranks {1 .. ranks-1}
- *  over a pipelined binary tree. */
-common::Result<gpusim::CollectiveCost>
-paramBroadcastCost(const gpusim::Topology& topo, std::uint64_t bytes,
-                   std::size_t ranks, std::size_t chunks);
-
-/** Price re-assembling @p bytes of ZeRO-style sharded optimizer
- *  state: every rank holds a ceil(bytes/ranks) shard and ring
- *  all-gathers the rest. */
-common::Result<gpusim::CollectiveCost>
-shardedParamAllGatherCost(const gpusim::Topology& topo,
-                          std::uint64_t bytes, std::size_t ranks,
-                          std::size_t chunks);
-
-/** @} */
 
 } // namespace train

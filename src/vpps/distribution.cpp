@@ -160,8 +160,6 @@ DistributionPlan::tryBuildAuto(const graph::Model& model,
     const Attempt attempts[] = {
         {2, true}, {1, true}, {2, false}, {1, false}};
     for (const auto& a : attempts) {
-        if (opts.ctas_per_sm != 0 && opts.ctas_per_sm != a.ctas)
-            continue;
         if (!opts.cache_gradients && a.grads)
             continue;
         auto plan = tryBuild(model, spec, rpw, a.ctas, a.grads);
@@ -203,8 +201,6 @@ DistributionPlan::maxRpw(const graph::Model& model,
     for (int rpw = 1; rpw <= 64; ++rpw) {
         bool any = false;
         for (int ctas : {2, 1}) {
-            if (opts.ctas_per_sm != 0 && opts.ctas_per_sm != ctas)
-                continue;
             for (bool grads : {true, false}) {
                 if (!opts.cache_gradients && grads)
                     continue;

@@ -30,7 +30,9 @@ namespace vpps {
  * User-facing knobs (all have paper defaults). What the paper fixes
  * is not a knob: the 256-thread CTA (footnote 5) and the 31
  * interpreter plus 32 staging registers reserved per thread
- * (footnote 6) are constants of the distribution plan. Faults are
+ * (footnote 6) are constants of the distribution plan, and the CTAs
+ * per SM are chosen automatically (tryBuildAuto: 2 if the model
+ * fits, else 1). Faults are
  * armed on the device, not here: Device::installFaults, or the
  * VPPS_FAULT_RATE / VPPS_FAULT_SEED environment variables, which
  * the handle reads when the device has no injector yet.
@@ -43,9 +45,6 @@ struct VppsOptions
      * at increasing rpw until performance degrades.
      */
     int rpw = 0;
-
-    /** CTAs per SM; 0 = automatic (2 if the model fits, else 1). */
-    int ctas_per_sm = 0;
 
     /**
      * Cache gradient matrices in registers too. Automatically

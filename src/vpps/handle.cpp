@@ -41,14 +41,13 @@ tryObtainKernel(graph::Model& model, gpusim::Device& device,
     return kernel;
 }
 
-/** Specialize the GEMM-fallback kernel (no gradient caching,
- *  automatic CTA count) at @p rpw. */
+/** Specialize the GEMM-fallback kernel (no gradient caching) at
+ *  @p rpw. */
 common::Result<CompiledKernel>
 tryObtainFallback(graph::Model& model, gpusim::Device& device,
                   VppsOptions opts, int rpw)
 {
     opts.cache_gradients = false;
-    opts.ctas_per_sm = 0;
     return tryObtainKernel(model, device, opts, rpw);
 }
 

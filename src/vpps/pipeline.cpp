@@ -29,13 +29,4 @@ AsyncPipeline::reset()
     gpu_free_ = 0.0;
 }
 
-double
-pipelineMakespanUs(const std::vector<BatchTiming>& batches, bool async)
-{
-    AsyncPipeline pipe(async);
-    for (const auto& b : batches)
-        pipe.submit(b);
-    return pipe.makespanUs();
-}
-
 } // namespace vpps

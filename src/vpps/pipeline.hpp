@@ -12,8 +12,6 @@
  */
 #pragma once
 
-#include <vector>
-
 namespace vpps {
 
 /** Durations of one batch's two pipeline stages. */
@@ -51,10 +49,5 @@ class AsyncPipeline
     double cpu_clock_ = 0.0;
     double gpu_free_ = 0.0;
 };
-
-/** @return the makespan of a whole batch sequence under the given
- *  regime (offline helper for benches and tests). */
-double pipelineMakespanUs(const std::vector<BatchTiming>& batches,
-                          bool async);
 
 } // namespace vpps

@@ -18,7 +18,6 @@
 
 namespace {
 
-using gpusim::allGatherCost;
 using gpusim::allReduceCost;
 using gpusim::broadcastCost;
 using gpusim::ceilDiv;
@@ -215,13 +214,11 @@ TEST(AllReduceCost, MatchesClosedFormExactly)
 }
 
 /**
- * The broadcast and all-gather schedules (the fleet's parameter
- * seeding and sharded-state reassembly) must match their closed
- * forms exactly too, and each must price as the matching half of the
- * corresponding all-reduce: tree broadcast = the tree's fan-out half,
- * ring all-gather = the ring's second (R-1)-stage half.
+ * The broadcast schedule (the fleet's parameter seeding) must match
+ * its closed form exactly too, and price as the tree all-reduce's
+ * fan-out half.
  */
-TEST(CollectiveCostExtras, BroadcastAndAllGatherMatchClosedForms)
+TEST(CollectiveCostExtras, BroadcastMatchesClosedForm)
 {
     common::Rng rng{20260808};
     for (int trial = 0; trial < 200; ++trial)
@@ -247,61 +244,24 @@ TEST(CollectiveCostExtras, BroadcastAndAllGatherMatchClosedForms)
             << "ranks=" << ranks << " chunks=" << chunks
             << " bytes=" << bytes;
 
-        auto ag = allGatherCost(topo, bytes, ranks, chunks);
-        ASSERT_TRUE(ag.ok()) << ag.status().toString();
-        EXPECT_EQ(ag.value().total_ns,
-                  ringAllGatherNs(spec, bytes, ranks, chunks))
-            << "ranks=" << ranks << " chunks=" << chunks
-            << " bytes=" << bytes;
-
-        // Pipelined-makespan identity for both schedules.
+        // Pipelined-makespan identity.
         EXPECT_EQ(bc.value().total_ns,
                   (bc.value().stages + chunks - 1) *
                       bc.value().slot_ns);
-        EXPECT_EQ(ag.value().total_ns,
-                  (ag.value().stages + chunks - 1) *
-                      ag.value().slot_ns);
 
-        if (ranks < 2) continue;
+        if (ranks < 2) {
+            // Degenerate single-rank broadcast is free (the
+            // single-node fleet path relies on this).
+            EXPECT_EQ(bc.value().total_ns, 0u);
+            continue;
+        }
         // Half-of-all-reduce structure: the tree all-reduce is
-        // reduce + broadcast (equal stage counts), the ring
-        // all-gather is the ring all-reduce's second half.
+        // reduce + broadcast (equal stage counts).
         auto tree = allReduceCost(topo, Collective::TreeAllReduce,
                                   bytes, ranks, chunks);
         ASSERT_TRUE(tree.ok());
         EXPECT_EQ(tree.value().stages, 2 * bc.value().stages);
-        auto ring = allReduceCost(topo, Collective::RingAllReduce,
-                                  bytes, ranks, chunks);
-        ASSERT_TRUE(ring.ok());
-        EXPECT_EQ(ring.value().stages, 2 * ag.value().stages);
     }
-}
-
-TEST(CollectiveCostExtras, TrainWrappersDelegateExactly)
-{
-    // train::paramBroadcastCost / shardedParamAllGatherCost are the
-    // serving layer's entry points; they must price identically to
-    // the gpusim primitives they wrap.
-    const Topology topo =
-        Topology::uniform(4, defaultLink(LinkType::NVLink));
-    const std::uint64_t bytes = 3u << 20;
-    auto bc = train::paramBroadcastCost(topo, bytes, 4, 8);
-    auto raw_bc = broadcastCost(topo, bytes, 4, 8);
-    ASSERT_TRUE(bc.ok() && raw_bc.ok());
-    EXPECT_EQ(bc.value().total_ns, raw_bc.value().total_ns);
-    EXPECT_EQ(bc.value().bytes_on_wire,
-              raw_bc.value().bytes_on_wire);
-
-    auto ag = train::shardedParamAllGatherCost(topo, bytes, 4, 8);
-    auto raw_ag = allGatherCost(topo, bytes, 4, 8);
-    ASSERT_TRUE(ag.ok() && raw_ag.ok());
-    EXPECT_EQ(ag.value().total_ns, raw_ag.value().total_ns);
-
-    // Degenerate single-rank broadcast is free (the single-node
-    // fleet path relies on this).
-    auto solo = train::paramBroadcastCost(topo, bytes, 1, 8);
-    ASSERT_TRUE(solo.ok());
-    EXPECT_EQ(solo.value().total_ns, 0u);
 }
 
 /** Cost decreases (or holds) as chunked pipelining deepens until the

@@ -125,7 +125,6 @@ durableConfig(durable::StableStore* store, std::size_t n,
     fc.max_failovers_low = 1;
     fc.standby_opts = rigOpts();
     fc.durability.store = store;
-    fc.durability.dir = "fleet";
     fc.durability.checkpoint_every_completions = 4;
     fc.durability.host_faults.host_crash_at_event = crash_at;
     return fc;

@@ -610,6 +610,26 @@ TEST(FleetFailover, LinkDownMasksWedgeAtSameInstant)
     EXPECT_TRUE(saw_dead);
 }
 
+TEST(FleetCounters, BookOutcomeCountsArrivalOnlyOutcomesAsFailed)
+{
+    // WAL replay decodes any outcome byte up to Shed. The three an
+    // admitted request can never reach book as failed, High slice
+    // included, so a replayed journal still reconciles.
+    serve::FleetCounters c;
+    for (const serve::Outcome o :
+         {serve::Outcome::RejectedQueueFull,
+          serve::Outcome::RejectedInfeasible, serve::Outcome::Shed}) {
+        c.bookOutcome(o, serve::RequestClass::High);
+        c.bookOutcome(o, serve::RequestClass::Low);
+    }
+    EXPECT_EQ(c.failed, 6u);
+    EXPECT_EQ(c.failed_high, 3u);
+    EXPECT_EQ(c.completed + c.timed_out, 0u);
+    EXPECT_EQ(c.completed_high + c.timed_out_high, 0u);
+    EXPECT_EQ(c.rejected_queue_full + c.rejected_infeasible + c.shed,
+              0u);
+}
+
 /**
  * Overload AND faults at 8 host threads, with the metrics registry
  * attached: every FleetCounters field must agree exactly with its

@@ -22,11 +22,14 @@
 #include "common/wire.hpp"
 #include "data/treebank.hpp"
 #include "data/vocab.hpp"
+#include "durable/stable_store.hpp"
+#include "gpusim/topology.hpp"
 #include "models/tree_lstm.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/arrival.hpp"
+#include "serve/fleet.hpp"
 #include "serve/server.hpp"
 #include "train/harness.hpp"
 #include "vpps/handle.hpp"
@@ -357,6 +360,171 @@ TEST(GoldenTrace, ServingRunIsPinned)
                   reinterpret_cast<const std::uint8_t*>(text.data()),
                   text.size()),
               7054801687957643606ull);
+}
+
+/** One fleet replica: the TraceRig's seeds and model, untraced (the
+ *  fleet's own tracer records its lanes). */
+struct FleetRig
+{
+    gpusim::Device device{gpusim::DeviceSpec{}, 48u << 20};
+    common::Rng data_rng{121};
+    data::Vocab vocab{300, 10000};
+    data::Treebank bank{vocab, 8, data_rng, 7.0, 4, 10};
+    common::Rng param_rng{122};
+    std::unique_ptr<models::TreeLstmModel> bm;
+    std::unique_ptr<vpps::Handle> handle;
+
+    FleetRig()
+    {
+        unsetenv("VPPS_FAULT_RATE");
+        unsetenv("VPPS_FAULT_SEED");
+        bm = std::make_unique<models::TreeLstmModel>(
+            bank, vocab, 16, 32, device, param_rng);
+        handle = std::make_unique<vpps::Handle>(bm->model(), device,
+                                                fleetRigOptions());
+    }
+
+    static vpps::VppsOptions
+    fleetRigOptions()
+    {
+        vpps::VppsOptions opts = traceOptions(1);
+        opts.degrade_on_failure = false;
+        opts.max_relaunch_attempts = 1;
+        return opts;
+    }
+
+    serve::FleetReplica
+    slot(const char* name, std::size_t node)
+    {
+        serve::FleetReplica r{name, &device, bm.get(), handle.get()};
+        r.node = node;
+        return r;
+    }
+};
+
+/** One seeded run of the fleet pin. */
+struct FleetScenario
+{
+    std::uint64_t arrival_seed;
+    double load;            //!< offered load, x three replicas' capacity
+    std::size_t arrivals;
+    const char* partition;  //!< down window of the controller-r0 link
+    double wedge_at[3];     //!< per replica, in service times; < 0: none
+};
+
+/**
+ * A networked, durable, hedged three-replica fleet under overload, a
+ * flaky device (r2), a lossy link (to r2) and a partition of r0's
+ * link; with wedges, the whole fleet dies mid-run. Returns the
+ * canonical trace of the fleet's own lanes (fleet, replica, net,
+ * durable) followed by the metrics registry's JSON dump.
+ */
+std::pair<std::string, std::string>
+fleetGolden(const FleetScenario& sc)
+{
+    FleetRig r0, r1, r2;
+    FleetRig* const rigs[] = {&r0, &r1, &r2};
+    double req_us = 0.0;
+    {
+        graph::ComputationGraph cg;
+        auto loss = r0.bm->buildLoss(cg, 0);
+        const double before = r0.handle->stats().wall_us;
+        EXPECT_TRUE(
+            r0.handle->inferTry(r0.bm->model(), cg, loss).ok());
+        req_us = r0.handle->stats().wall_us - before;
+    }
+    for (int i = 0; i < 3; ++i) {
+        gpusim::FaultPlan plan;
+        if (i == 2) {
+            plan.seed = 9;
+            plan.launch_fail_rate = 0.3;
+        }
+        if (sc.wedge_at[i] >= 0.0)
+            plan.wedge_at_us = sc.wedge_at[i] * req_us;
+        if (i == 2 || sc.wedge_at[i] >= 0.0)
+            rigs[i]->device.installFaults(plan);
+    }
+
+    obs::Tracer tracer;
+    obs::MetricsRegistry mx;
+    durable::StableStore store;
+    serve::FleetConfig cfg;
+    cfg.admission.queue_capacity = 16;
+    cfg.admission.shrink_watermark = 8;
+    cfg.admission.shed_watermark = 12;
+    cfg.hedge_delay_us = req_us;
+    cfg.max_failovers_high = 2;
+    cfg.max_failovers_low = 0;
+    cfg.health.probe_interval_us = 4.0 * req_us;
+    cfg.standby_opts = FleetRig::fleetRigOptions();
+    cfg.durability.store = &store;
+    cfg.durability.wal_sync_batch = 4;
+    cfg.durability.checkpoint_every_completions = 8;
+    auto topo = gpusim::Topology::parse(
+        std::string("devices 4\n"
+                    "link 0 1 nvlink\n"
+                    "link 0 2 pcie\n"
+                    "link 0 3 pcie\n"
+                    "link 1 2 nvlink\n"
+                    "link 1 3 nvlink\n"
+                    "link 2 3 nvlink\n"
+                    "linkfault 0 3 loss_ppm=80000\n"
+                    "linkfault 0 1 ") +
+        sc.partition + "\n");
+    EXPECT_TRUE(topo.ok()) << topo.status().toString();
+    cfg.net.topology = std::move(topo).value();
+    cfg.net.faults.link_faults = cfg.net.topology.linkFaults();
+    cfg.net.faults.link_seed = 11;
+
+    serve::Fleet fleet(
+        {r0.slot("r0", 1), r1.slot("r1", 2), r2.slot("r2", 3)}, cfg,
+        &tracer, &mx);
+    serve::ArrivalConfig ac;
+    ac.rate_per_sec = sc.load * 3.0e6 / req_us;
+    ac.count = sc.arrivals;
+    ac.deadline_slack_us = 8.0 * req_us;
+    ac.low_deadline_slack_us = 1.3 * 8.0 * req_us;
+    ac.low_fraction = 0.25;
+    ac.seed = sc.arrival_seed;
+    fleet.run(serve::generateOpenLoopArrivals(
+        ac, fleet.nowUs() + req_us, r0.bm->datasetSize()));
+    EXPECT_TRUE(fleet.counters().reconciled());
+    EXPECT_EQ(tracer.dropped(), 0u);
+    return {tracer.canonicalText(), mx.json()};
+}
+
+TEST(GoldenTrace, FleetRunIsPinned)
+{
+    // Pins every disposition, instant, payload and registry counter
+    // of two faulty fleet runs. Together they reach both settling
+    // ladders: completion (in time, late, failed with and without a
+    // hedge twin, failed over, finalized, stale after a fence, stale
+    // from a wedged device) and fence timeout (hedge loser, zombie
+    // and stale fences, live twin, re-route, finalization), plus
+    // breaker transitions and the drain of a dead fleet.
+    const auto a = fleetGolden(
+        {6, 1.0, 80, "down_at_us=4000 down_for_us=8000", {-1, -1, -1}});
+    const auto b = fleetGolden(
+        {2, 0.8, 60, "down_at_us=35612 down_for_us=46000", {15, 8, 4}});
+    const std::string trace = a.first + b.first;
+    const std::string metrics = a.second + b.second;
+    for (const char* instant :
+         {"complete", "timeout", "fail", "lost", "failover",
+          "hedge_cancel", "fence", "fence_reroute", "fence_drop"})
+        EXPECT_NE(trace.find(std::string(" fleet.") + instant + " "),
+                  std::string::npos)
+            << "neither run reaches " << instant;
+    EXPECT_NE(b.second.find("\"fleet.drained_no_replica\""),
+              std::string::npos);
+    EXPECT_EQ(std::count(trace.begin(), trace.end(), '\n'), 839);
+    EXPECT_EQ(common::fnv1a64(
+                  reinterpret_cast<const std::uint8_t*>(trace.data()),
+                  trace.size()),
+              5082786905270479451ull);
+    EXPECT_EQ(common::fnv1a64(reinterpret_cast<const std::uint8_t*>(
+                                  metrics.data()),
+                              metrics.size()),
+              5943342544888132720ull);
 }
 
 TEST(GoldenTrace, ChromeExportIsDeterministicAndStructured)

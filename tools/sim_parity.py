@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Serving-layer sim-parity check.
+"""Sim-parity check of the serving benches and the fig08 sweep.
 
-Re-runs the serving benches from a build directory and compares what
-they print with the committed results:
+Re-runs the benches from a build directory and compares what they
+print with the committed results:
 
   serving_overload --json --faults     BENCH_SERVING.json
   fleet_failover --json --faults       BENCH_FLEET.json
   crash_recovery --json                BENCH_CRASH.json
   partition_tolerance --json --faults  BENCH_NET.json
+  fig08_treelstm_throughput --vpps-only --json --threads 1
+                                       BENCH_HOST_PARALLEL.json
 
 For BENCH_FLEET, BENCH_CRASH and BENCH_NET, every committed field but
 host_wall_ms must equal the printed one; rows match by config.
 BENCH_SERVING predates the current JSON line (its results are packed
 into `config`), so only its sim_us compares, rows matched by position.
+BENCH_HOST_PARALLEL holds functional sweeps at 1 and 8 host threads;
+each threads=1 batch's sim_us must equal the timing-only sweep's, rows
+matched by batch.
 
 Usage: python3 tools/sim_parity.py [build-dir]   (default: build)
 
@@ -27,14 +32,21 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# (bench argv, committed file, compare every field)
+# (bench argv, committed file, how rows match):
+#   "config"    every field but host_wall_ms, rows matched by config
+#   "position"  sim_us only, rows matched by position
+#   "batch"     sim_us only, the committed threads=1 rows matched by
+#               batch
 CHECKS = [
     (["serving_overload", "--json", "--faults"], "BENCH_SERVING.json",
-     False),
-    (["fleet_failover", "--json", "--faults"], "BENCH_FLEET.json", True),
-    (["crash_recovery", "--json"], "BENCH_CRASH.json", True),
+     "position"),
+    (["fleet_failover", "--json", "--faults"], "BENCH_FLEET.json",
+     "config"),
+    (["crash_recovery", "--json"], "BENCH_CRASH.json", "config"),
     (["partition_tolerance", "--json", "--faults"], "BENCH_NET.json",
-     True),
+     "config"),
+    (["fig08_treelstm_throughput", "--vpps-only", "--json", "--threads",
+      "1"], "BENCH_HOST_PARALLEL.json", "batch"),
 ]
 
 # Host wall-clock varies run to run; everything else is simulated.
@@ -68,10 +80,34 @@ def printed_rows(build, argv):
             if line.startswith("{")]
 
 
-def first_difference(bench, committed, printed, every_field):
+def config_fields(row):
+    """A row's `config` string as a dict: "a=1,b=2" -> {a: 1, b: 2}."""
+    return dict(kv.split("=", 1) for kv in row["config"].split(","))
+
+
+def batch_rows(committed):
+    """The committed threads=1 rows of a sweep, keyed by batch."""
+    rows = {}
+    for row in committed:
+        fields = config_fields(row)
+        if fields.get("threads") == "1" and "batch" in fields:
+            rows[fields["batch"]] = row
+    return rows
+
+
+def first_difference(bench, committed, printed, match):
     """Name the first committed value the bench no longer prints, or
     return None."""
-    if not every_field:
+    if match == "batch":
+        by_batch = {config_fields(row).get("batch"): row
+                    for row in printed}
+        for batch, want in batch_rows(committed).items():
+            got = by_batch.get(batch, {})
+            if got.get("sim_us") != want["sim_us"]:
+                return (f"{bench} batch {batch} sim_us: committed "
+                        f"{want['sim_us']}, printed {got.get('sim_us')}")
+        return None
+    if match == "position":
         if len(printed) != len(committed):
             return (f"{bench}: {len(committed)} committed rows, "
                     f"{len(printed)} printed")
@@ -99,14 +135,15 @@ def first_difference(bench, committed, printed, every_field):
 def main():
     build = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "build")
     counts = []
-    for argv, name, every_field in CHECKS:
+    for argv, name, match in CHECKS:
         committed = committed_rows(ROOT / name)
         printed = printed_rows(build, argv)
-        diff = first_difference(argv[0], committed, printed, every_field)
+        diff = first_difference(argv[0], committed, printed, match)
         if diff is not None:
             print(f"sim_parity: FAIL {diff}")
             return 1
-        counts.append(f"{argv[0]} {len(committed)}")
+        checked = batch_rows(committed) if match == "batch" else committed
+        counts.append(f"{argv[0]} {len(checked)}")
     print(f"sim_parity: every committed row matches ({', '.join(counts)})")
     return 0
 
