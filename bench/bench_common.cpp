@@ -7,9 +7,8 @@
 
 #include "common/logging.hpp"
 #include "obs/json.hpp"
-#include "models/bigru_tagger.hpp"
+#include "models/bi_tagger.hpp"
 #include "models/bilstm_char_tagger.hpp"
-#include "models/bilstm_tagger.hpp"
 #include "models/rvnn.hpp"
 #include "models/td_lstm.hpp"
 #include "models/td_rnn.hpp"

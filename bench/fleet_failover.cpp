@@ -32,6 +32,7 @@
 #include "gpusim/faults.hpp"
 #include "serve/arrival.hpp"
 #include "serve/fleet.hpp"
+#include "serve/service_time.hpp"
 
 namespace {
 
@@ -72,20 +73,11 @@ runFleetPoint(const benchx::BenchCli& cli, std::size_t n_replicas,
 {
     // Calibrate one request's service time on a throwaway replica.
     BenchReplica sizing(cli);
-    double req_us = 0.0;
-    {
-        graph::ComputationGraph cg;
-        auto loss = sizing.rig.model().buildLoss(cg, 0);
-        const double before = sizing.handle->stats().wall_us;
-        auto r = sizing.handle->inferTry(sizing.rig.model().model(),
-                                         cg, loss);
-        if (!r.ok()) {
-            std::cerr << "fleet_failover: sizing probe failed: "
-                      << r.status().toString() << "\n";
-            std::exit(1);
-        }
-        req_us =
-            std::max(1.0, sizing.handle->stats().wall_us - before);
+    const double req_us = serve::probeBatchUs(
+        *sizing.handle, sizing.rig.device(), sizing.rig.model(), 1);
+    if (req_us < 0.0) {
+        std::cerr << "fleet_failover: sizing probe failed\n";
+        std::exit(1);
     }
 
     const double rate_per_sec = offered_mult * 1e6 / req_us;

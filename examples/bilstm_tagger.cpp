@@ -15,7 +15,7 @@
 #include "data/vocab.hpp"
 #include "exec/kernels.hpp"
 #include "graph/level_sort.hpp"
-#include "models/bilstm_tagger.hpp"
+#include "models/bi_tagger.hpp"
 #include "train/harness.hpp"
 #include "train/sgd.hpp"
 #include "vpps/handle.hpp"

@@ -5,7 +5,8 @@
  * Implements the depth-based variant of Neubig et al.'s on-the-fly
  * operation batching [9]: nodes are bucketed by their maximum depth
  * from the leaves, and same-signature nodes within a depth bucket are
- * merged into one batched kernel.
+ * merged into one batched kernel. TF-Fold (fold_executor.hpp) inherits
+ * this grouping and adds its own overheads.
  */
 #pragma once
 

@@ -1,27 +1,6 @@
 #include "exec/fold_executor.hpp"
 
-#include "exec/kernels.hpp"
-#include "graph/level_sort.hpp"
-
 namespace exec {
-
-std::vector<std::vector<graph::NodeId>>
-FoldExecutor::scheduleForward(graph::ComputationGraph& cg,
-                              const std::vector<bool>& live)
-{
-    const auto levels = graph::computeLevels(cg);
-    std::vector<std::vector<graph::NodeId>> schedule;
-    for (const auto& level : levels) {
-        std::vector<graph::NodeId> eligible;
-        for (graph::NodeId id : level)
-            if (live[id] && opLaunchesKernel(cg.node(id).op))
-                eligible.push_back(id);
-        for (auto& group :
-             groupBySignature(cg, eligible, host_.max_batch_group))
-            schedule.push_back(std::move(group));
-    }
-    return schedule;
-}
 
 double
 FoldExecutor::scheduleOverheadUs(std::size_t n_nodes,

@@ -4,32 +4,28 @@
  *
  * TensorFlow Fold [17] achieves dynamic batching by rewriting the
  * per-input graphs into a static graph with gather/concat glue and
- * depth-wise merged operations. Functionally it schedules like
- * depth-based batching, but pays (i) a higher per-group host cost for
- * the rewrite machinery, (ii) a fixed per-batch feed/fetch cost, and
- * (iii) extra device-side gather/scatter data movement around each
- * merged operation. Those overheads put it below both DyNet variants
- * in Fig 8, which this executor reproduces.
+ * depth-wise merged operations. It schedules exactly like depth-based
+ * batching -- it inherits DyNet-DB's level grouping -- but pays (i) a
+ * higher per-group host cost for the rewrite machinery, (ii) a fixed
+ * per-batch feed/fetch cost, and (iii) an extra gather/scatter glue
+ * kernel around each merged operation. Those overheads put it below
+ * both DyNet variants in Fig 8, which this executor reproduces.
  */
 #pragma once
 
-#include "exec/executor.hpp"
+#include "exec/depth_batch_executor.hpp"
 
 namespace exec {
 
-/** TF-Fold-like depth batching with rewrite overheads. */
-class FoldExecutor : public Executor
+/** DyNet-DB's grouping plus TF-Fold's rewrite overheads. */
+class FoldExecutor : public DepthBatchExecutor
 {
   public:
-    using Executor::Executor;
+    using DepthBatchExecutor::DepthBatchExecutor;
 
     const char* name() const override { return "TF-Fold"; }
 
   protected:
-    std::vector<std::vector<graph::NodeId>>
-    scheduleForward(graph::ComputationGraph& cg,
-                    const std::vector<bool>& live) override;
-
     double scheduleOverheadUs(std::size_t n_nodes,
                               std::size_t n_groups) const override;
 

@@ -157,66 +157,6 @@ Topology::rackOf(std::size_t d) const
     return d < racks_.size() ? racks_[d] : 0;
 }
 
-std::string
-Topology::describe() const
-{
-    std::ostringstream out;
-    out << "devices " << num_devices_ << "\n";
-    // Group explicit rack assignments back into one line per rack.
-    std::vector<std::size_t> rack_ids;
-    for (std::size_t d = 0; d < racks_.size(); ++d)
-        if (racks_[d] != 0 &&
-            std::find(rack_ids.begin(), rack_ids.end(), racks_[d]) ==
-                rack_ids.end())
-            rack_ids.push_back(racks_[d]);
-    for (std::size_t rack : rack_ids)
-    {
-        out << "rack " << rack;
-        for (std::size_t d = 0; d < racks_.size(); ++d)
-            if (racks_[d] == rack) out << " " << d;
-        out << "\n";
-    }
-    for (std::size_t a = 0; a < num_devices_; ++a)
-        for (std::size_t b = a + 1; b < num_devices_; ++b)
-            if (const LinkSpec* spec = link(a, b))
-                out << "link " << a << " " << b << " "
-                    << linkTypeName(spec->type)
-                    << " latency_ns=" << spec->latency_ns
-                    << " bytes_per_us=" << spec->bytes_per_us << "\n";
-    for (const Route& r : routes_)
-    {
-        out << "route " << r.a << " " << r.b << " via";
-        for (std::size_t hop : r.hops) out << " " << hop;
-        out << "\n";
-    }
-    for (const LinkFault& f : link_faults_)
-    {
-        out << "linkfault " << f.a << " " << f.b;
-        if (f.down_at_us >= 0.0)
-        {
-            out << " down_at_us="
-                << static_cast<std::uint64_t>(f.down_at_us)
-                << " down_for_us="
-                << static_cast<std::uint64_t>(
-                       f.down_for_us > 0.0 ? f.down_for_us : 0.0);
-        }
-        if (f.degrade_at_us >= 0.0)
-        {
-            out << " degrade_at_us="
-                << static_cast<std::uint64_t>(f.degrade_at_us)
-                << " degrade_for_us="
-                << static_cast<std::uint64_t>(
-                       f.degrade_for_us > 0.0 ? f.degrade_for_us : 0.0)
-                << " degrade_factor=" << f.degrade_factor;
-        }
-        if (f.loss_rate > 0.0)
-            out << " loss_ppm="
-                << static_cast<std::uint64_t>(f.loss_rate * 1e6 + 0.5);
-        out << "\n";
-    }
-    return out.str();
-}
-
 namespace {
 
 /** Splits one config line into whitespace-separated tokens. */
@@ -728,8 +668,9 @@ priceStages(const Topology& topo,
     return cost;
 }
 
-/** The binary-tree broadcast stage list: the mirrored second half of
- *  the tree all-reduce schedule, rank 0 outward. */
+/** The binary-tree broadcast stage list, rank 0 outward. It is also
+ *  the second half of the tree all-reduce, whose first half is these
+ *  stages mirrored. */
 std::vector<std::vector<Hop>>
 broadcastStages(std::size_t ranks)
 {
@@ -753,15 +694,8 @@ allReduceCost(const Topology& topo, Collective algo,
               std::uint64_t bytes, std::size_t ranks,
               std::size_t chunks)
 {
-    if (ranks == 0)
-        return Status::failure(ErrorCode::InvalidArgument,
-                               "all-reduce needs at least one rank");
-    if (ranks > topo.numDevices())
-        return Status::failure(
-            ErrorCode::InvalidArgument,
-            common::detail::concat("all-reduce over ", ranks,
-                                   " ranks but topology has ",
-                                   topo.numDevices(), " devices"));
+    Status valid = validateRanks(topo, ranks, "all-reduce");
+    if (!valid.ok()) return valid;
     if (chunks == 0) chunks = 1;
 
     CollectiveCost cost;
@@ -787,29 +721,21 @@ allReduceCost(const Topology& topo, Collective algo,
     }
     else
     {
-        // Binary-tree reduce to rank 0, then the mirrored broadcast:
-        // 2*ceil(log2 R) stages over the full payload.
+        // Binary-tree reduce to rank 0, then the broadcast back out:
+        // 2*ceil(log2 R) stages over the full payload. The reduce is
+        // the broadcast mirrored -- its stages in reverse order, every
+        // hop reversed.
         chunk_bytes =
             ceilDiv(std::max<std::uint64_t>(bytes, 1), chunks);
-        const std::uint64_t levels = ceilLog2(ranks);
-        std::vector<std::vector<Hop>> reduce_stages;
-        for (std::uint64_t level = 0; level < levels; ++level)
-        {
-            const std::size_t stride = std::size_t{1} << level;
-            std::vector<Hop> stage;
-            for (std::size_t r = 0; r + stride < ranks;
-                 r += 2 * stride)
-                stage.push_back(Hop{r + stride, r});
-            reduce_stages.push_back(std::move(stage));
-        }
-        stages = reduce_stages;
-        for (auto it = reduce_stages.rbegin();
-             it != reduce_stages.rend(); ++it)
+        const std::vector<std::vector<Hop>> broadcast =
+            broadcastStages(ranks);
+        for (auto it = broadcast.rbegin(); it != broadcast.rend(); ++it)
         {
             std::vector<Hop> stage = *it;
             for (Hop& hop : stage) std::swap(hop.src, hop.dst);
             stages.push_back(std::move(stage));
         }
+        stages.insert(stages.end(), broadcast.begin(), broadcast.end());
     }
 
     return priceStages(topo, stages, chunk_bytes, chunks);

@@ -153,9 +153,6 @@ class Topology
         return link_faults_;
     }
 
-    /** Render back to the parse() format (diagnostics, traces). */
-    std::string describe() const;
-
   private:
     struct Route
     {
@@ -226,7 +223,9 @@ struct CollectiveCost
  * ceil(payload/chunks), R concurrent messages per stage.
  * Tree: stages = 2*ceil(log2 R) (reduce then broadcast), per-stage
  * payload = bytes, chunk = ceil(bytes/chunks); stage s carries one
- * message per pair actually combined at that tree level.
+ * message per pair actually combined at that tree level. The
+ * schedule is broadcastCost()'s stages mirrored (reverse order, every
+ * hop reversed), then those stages.
  *
  * @return Unavailable when a needed rank pair has no link or route;
  * InvalidArgument when ranks == 0 or ranks > topo.numDevices().

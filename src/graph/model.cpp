@@ -1,5 +1,6 @@
 #include "graph/model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -135,6 +136,41 @@ Model::maxWeightRowLength() const
         if (p.kind == Parameter::Kind::WeightMatrix)
             row_max = std::max(row_max, p.shape.cols());
     return row_max;
+}
+
+namespace {
+
+gpusim::DeviceMemory::Offset
+bufferOf(const Parameter& p, ParamBuffer buffer)
+{
+    return buffer == ParamBuffer::Value ? p.value : p.grad;
+}
+
+} // namespace
+
+void
+Model::gather(const gpusim::Device& device, ParamBuffer buffer,
+              std::vector<float>& out) const
+{
+    const auto& mem = device.memory();
+    out.clear();
+    for (const auto& p : params_) {
+        const float* v = mem.data(bufferOf(p, buffer));
+        out.insert(out.end(), v, v + p.shape.size());
+    }
+}
+
+void
+Model::scatter(gpusim::Device& device, ParamBuffer buffer,
+               const std::vector<float>& flat) const
+{
+    auto& mem = device.memory();
+    const float* src = flat.data();
+    for (const auto& p : params_) {
+        const std::size_t len = p.shape.size();
+        std::copy(src, src + len, mem.data(bufferOf(p, buffer)));
+        src += len;
+    }
 }
 
 } // namespace graph

@@ -5,7 +5,9 @@
  * Weight matrices are the "recurring parameters" VPPS caches in the
  * register file; biases and embedding tables stay in DRAM (they are
  * either tiny or far too large to cache), matching the paper's focus
- * on weight-matrix persistency.
+ * on weight-matrix persistency. Model::gather() and Model::scatter()
+ * own the one flat layout of every parameter (ParamId order) that
+ * checkpoints, rollback snapshots and data-parallel gradients use.
  */
 #pragma once
 
@@ -49,6 +51,13 @@ struct Parameter
 
     /** @return parameter size in bytes (fp32). */
     double bytes() const { return 4.0 * static_cast<double>(shape.size()); }
+};
+
+/** Which of a parameter's two device buffers a flat copy moves. */
+enum class ParamBuffer : std::uint8_t
+{
+    Value, //!< the master copy
+    Grad   //!< the gradient accumulator
 };
 
 /**
@@ -97,6 +106,22 @@ class Model
     /** @return the longest row length among all weight matrices
      *  (row_max in Eq 1). */
     std::uint32_t maxWeightRowLength() const;
+
+    /**
+     * Copy every parameter's @p buffer out of @p device into @p out,
+     * concatenated in ParamId order: the one flat layout of
+     * checkpoints, rollback snapshots and data-parallel gradients.
+     * @p out is cleared and refilled, so a buffer the caller keeps
+     * keeps its capacity.
+     */
+    void gather(const gpusim::Device& device, ParamBuffer buffer,
+                std::vector<float>& out) const;
+
+    /** Copy @p flat, laid out as gather() lays it out, back into
+     *  every parameter's @p buffer. @p flat must hold at least
+     *  totalScalars() floats. */
+    void scatter(gpusim::Device& device, ParamBuffer buffer,
+                 const std::vector<float>& flat) const;
 
     /** @name Trainer hyper-parameters (queried by fb(), Section III-D)
      *  @{ */

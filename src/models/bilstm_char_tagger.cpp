@@ -17,8 +17,7 @@ BiLstmCharTagger::BiLstmCharTagger(const data::NerCorpus& corpus,
     : corpus_(corpus), vocab_(vocab),
       char_fwd_(model_, "char_fwd", char_embed_dim, embed_dim / 2),
       char_bwd_(model_, "char_bwd", char_embed_dim, embed_dim / 2),
-      fwd_(model_, "fwd", embed_dim, hidden_dim),
-      bwd_(model_, "bwd", embed_dim, hidden_dim)
+      body_(model_, embed_dim, hidden_dim)
 {
     if (embed_dim % 2 != 0)
         common::fatal("BiLstmCharTagger: embed_dim must be even");
@@ -26,11 +25,7 @@ BiLstmCharTagger::BiLstmCharTagger(const data::NerCorpus& corpus,
     embed_ = model_.addLookup("embed", vs, embed_dim);
     char_embed_ = model_.addLookup("char_embed", data::Vocab::kAlphabet,
                                    char_embed_dim);
-    w_mlp_ = model_.addWeightMatrix("W_mlp", mlp_dim, 2 * hidden_dim);
-    b_mlp_ = model_.addBias("b_mlp", mlp_dim);
-    w_tag_ = model_.addWeightMatrix("W_tag", data::NerCorpus::kNumTags,
-                                    mlp_dim);
-    b_tag_ = model_.addBias("b_tag", data::NerCorpus::kNumTags);
+    body_.addHead(model_, mlp_dim);
     model_.allocate(device, rng);
 }
 
@@ -58,36 +53,11 @@ Expr
 BiLstmCharTagger::buildLoss(ComputationGraph& cg, std::size_t index)
 {
     const data::TaggedSentence& s = corpus_.sentence(index);
-    const std::size_t n = s.length();
-
     std::vector<Expr> xs;
-    xs.reserve(n);
+    xs.reserve(s.length());
     for (std::uint32_t w : s.words)
         xs.push_back(embedWord(cg, w));
-
-    std::vector<Expr> hf(n), hb(n);
-    LstmBuilder::State f = fwd_.start(cg);
-    for (std::size_t i = 0; i < n; ++i) {
-        f = fwd_.next(model_, f, xs[i]);
-        hf[i] = f.h;
-    }
-    LstmBuilder::State b = bwd_.start(cg);
-    for (std::size_t i = n; i-- > 0;) {
-        b = bwd_.next(model_, b, xs[i]);
-        hb[i] = b.h;
-    }
-
-    std::vector<Expr> losses;
-    losses.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        Expr z = concat({hf[i], hb[i]});
-        Expr m = graph::tanh(matvec(model_, w_mlp_, z) +
-                             parameter(cg, model_, b_mlp_));
-        Expr logits = matvec(model_, w_tag_, m) +
-                      parameter(cg, model_, b_tag_);
-        losses.push_back(pickNegLogSoftmax(logits, s.tags[i]));
-    }
-    return sumLosses(std::move(losses));
+    return body_.loss(cg, model_, xs, s.tags);
 }
 
 } // namespace models

@@ -4,17 +4,15 @@
  *
  * Identical to BiLstmTagger except for words occurring fewer than
  * five times in the corpus: their embedding is produced by a second
- * bi-directional LSTM over the word's characters (Section IV-E).
+ * bi-directional LSTM over the word's characters (Section IV-E). The
+ * word vectors then go through the same BiTaggerBody as BiLSTM's.
  * Because rarity varies per word, the graph shape now depends on the
  * corpus statistics as well as the sentence length -- an extra source
  * of dynamism.
  */
 #pragma once
 
-#include "data/ner_corpus.hpp"
-#include "gpusim/device.hpp"
-#include "models/benchmark_model.hpp"
-#include "models/lstm.hpp"
+#include "models/bi_tagger.hpp"
 
 namespace models {
 
@@ -53,12 +51,7 @@ class BiLstmCharTagger : public BenchmarkModel
     graph::ParamId char_embed_;
     LstmBuilder char_fwd_;
     LstmBuilder char_bwd_;
-    LstmBuilder fwd_;
-    LstmBuilder bwd_;
-    graph::ParamId w_mlp_;
-    graph::ParamId b_mlp_;
-    graph::ParamId w_tag_;
-    graph::ParamId b_tag_;
+    BiTaggerBody<LstmBuilder> body_;
 };
 
 } // namespace models

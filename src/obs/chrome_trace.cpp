@@ -12,19 +12,13 @@ namespace {
 constexpr int kPid = 1; //!< one simulated process
 
 void
-appendDouble(std::string& out, double v)
-{
-    appendJsonDouble(out, v);
-}
-
-void
 appendCommon(std::string& out, const TraceEvent& e)
 {
     out += "\"cat\": ";
     appendJsonString(out, e.cat);
     out += ", \"pid\": " + std::to_string(kPid) +
            ", \"tid\": " + std::to_string(e.lane) + ", \"ts\": ";
-    appendDouble(out, e.ts_us);
+    appendJsonDouble(out, e.ts_us);
 }
 
 } // namespace
@@ -68,21 +62,21 @@ chromeTraceJson(const Tracer& tracer)
         switch (e.kind) {
           case EventKind::Complete:
             out += ", \"ph\": \"X\", \"dur\": ";
-            appendDouble(out, e.dur_us);
+            appendJsonDouble(out, e.dur_us);
             out += ", \"args\": {\"ctx\": " +
                    std::to_string(e.ctx) + ", \"a0\": ";
-            appendDouble(out, e.arg0);
+            appendJsonDouble(out, e.arg0);
             out += ", \"a1\": ";
-            appendDouble(out, e.arg1);
+            appendJsonDouble(out, e.arg1);
             out += "}}";
             break;
           case EventKind::Instant:
             out += ", \"ph\": \"i\", \"s\": \"t\", \"args\": "
                    "{\"ctx\": " +
                    std::to_string(e.ctx) + ", \"a0\": ";
-            appendDouble(out, e.arg0);
+            appendJsonDouble(out, e.arg0);
             out += ", \"a1\": ";
-            appendDouble(out, e.arg1);
+            appendJsonDouble(out, e.arg1);
             out += "}}";
             break;
           case EventKind::Counter:
@@ -91,7 +85,7 @@ chromeTraceJson(const Tracer& tracer)
             out += ", \"ph\": \"C\", \"args\": {";
             appendJsonString(out, e.name);
             out += ": ";
-            appendDouble(out, e.arg0);
+            appendJsonDouble(out, e.arg0);
             out += "}}";
             break;
         }

@@ -32,9 +32,11 @@ void appendJsonString(std::string& out, const std::string& s);
 std::string jsonQuoted(const std::string& s);
 
 /**
- * Append @p v in round-trip-exact "%.17g" form (shared by the trace
- * text format and both JSON exporters so dumps re-read by tooling
- * reconstruct the exact doubles).
+ * Append @p v in round-trip-exact "%.17g" form. It is the one double
+ * formatter of the trace text format and both JSON exporters: "%.17g"
+ * always reconstructs the same double, so canonical-text equality is
+ * bit equality of the values, and dumps re-read by tooling get the
+ * exact doubles back.
  */
 void appendJsonDouble(std::string& out, double v);
 

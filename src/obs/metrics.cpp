@@ -3,23 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/json.hpp"
 
 namespace obs {
-
-namespace {
-
-/** Same round-trip-exact rendering the tracer uses, so a metrics
- *  dump re-read by tooling reconstructs the exact doubles. */
-void
-appendDouble(std::string& out, double v)
-{
-    appendJsonDouble(out, v);
-}
-
-} // namespace
 
 Histogram::Histogram(std::vector<double> bucket_bounds)
     : bounds_(std::move(bucket_bounds)),
@@ -150,7 +137,7 @@ MetricsRegistry::json() const
         out += "    ";
         appendJsonString(out, name);
         out += ": ";
-        appendDouble(out, g.value());
+        appendJsonDouble(out, g.value());
     }
     out += first ? "},\n" : "\n  },\n";
 
@@ -163,15 +150,15 @@ MetricsRegistry::json() const
         appendJsonString(out, name);
         out += ": {\"count\": " + std::to_string(h.count());
         out += ", \"mean_us\": ";
-        appendDouble(out, h.mean());
+        appendJsonDouble(out, h.mean());
         out += ", \"p50_us\": ";
-        appendDouble(out, h.percentile(0.50));
+        appendJsonDouble(out, h.percentile(0.50));
         out += ", \"p95_us\": ";
-        appendDouble(out, h.percentile(0.95));
+        appendJsonDouble(out, h.percentile(0.95));
         out += ", \"p99_us\": ";
-        appendDouble(out, h.percentile(0.99));
+        appendJsonDouble(out, h.percentile(0.99));
         out += ", \"max_us\": ";
-        appendDouble(out, h.max());
+        appendJsonDouble(out, h.max());
         out += ", \"buckets\": [";
         const auto& bounds = h.bounds();
         const auto& counts = h.bucketCounts();
@@ -180,7 +167,7 @@ MetricsRegistry::json() const
                 out += ", ";
             out += "{\"le\": ";
             if (i < bounds.size())
-                appendDouble(out, bounds[i]);
+                appendJsonDouble(out, bounds[i]);
             else
                 out += "\"inf\"";
             out += ", \"count\": " + std::to_string(counts[i]) +

@@ -3,8 +3,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
+
+#include "obs/json.hpp"
 
 namespace obs {
 
@@ -24,17 +25,6 @@ struct ShardCache
     void* shard = nullptr;
 };
 thread_local ShardCache t_shard_cache;
-
-/** Exact round-trip float rendering ("%.17g" always reconstructs
- *  the same double), so canonical text equality is bit equality of
- *  the underlying values. */
-void
-appendDouble(std::string& out, double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-}
 
 } // namespace
 
@@ -170,7 +160,7 @@ formatEvent(const TraceEvent& e)
 {
     std::string line;
     line.reserve(96);
-    appendDouble(line, e.ts_us);
+    appendJsonDouble(line, e.ts_us);
     line += ' ';
     line += laneName(e.lane);
     line += ' ';
@@ -182,11 +172,11 @@ formatEvent(const TraceEvent& e)
     line += " ctx=";
     line += std::to_string(e.ctx);
     line += " dur=";
-    appendDouble(line, e.dur_us);
+    appendJsonDouble(line, e.dur_us);
     line += " a0=";
-    appendDouble(line, e.arg0);
+    appendJsonDouble(line, e.arg0);
     line += " a1=";
-    appendDouble(line, e.arg1);
+    appendJsonDouble(line, e.arg1);
     return line;
 }
 

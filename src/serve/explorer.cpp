@@ -16,6 +16,7 @@
 #include "models/tree_lstm.hpp"
 #include "serve/arrival.hpp"
 #include "serve/fleet.hpp"
+#include "serve/service_time.hpp"
 #include "vpps/handle.hpp"
 
 namespace serve {
@@ -147,15 +148,10 @@ scenarioArrivals(int host_threads, std::size_t n_requests,
                  double low_fraction)
 {
     Rig sizing(host_threads);
-    graph::ComputationGraph cg;
-    auto loss = sizing.bm->buildLoss(cg, 0);
-    const double before = sizing.handle->stats().wall_us;
-    auto res = sizing.handle->inferTry(sizing.bm->model(), cg, loss);
     const double req_us =
-        std::max(1.0, sizing.handle->stats().wall_us - before);
-    if (!res.ok())
-        common::panic("explorer: sizing probe failed: ",
-                      res.takeStatus().toString());
+        probeBatchUs(*sizing.handle, sizing.device, *sizing.bm, 1);
+    if (req_us < 0.0)
+        common::panic("explorer: sizing probe failed");
 
     ArrivalConfig ac;
     // Mild overload of the two-replica fleet so the fault catches

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/durability.hpp"
+#include "serve/service_time.hpp"
 #include "train/checkpoint_io.hpp"
 #include "train/harness.hpp"
 
@@ -81,13 +82,7 @@ Fleet::Fleet(std::vector<FleetReplica> replicas, FleetConfig cfg,
     was_suspect_.assign(slots_.size(), false);
 
     Slot& lead = slots_[first_active];
-    // Analytic prior for admission: nodes in one input's graph.
-    {
-        graph::ComputationGraph cg;
-        lead.r.bm->buildLoss(cg, 0);
-        nodes_per_item_ =
-            std::max<double>(1.0, static_cast<double>(cg.size()));
-    }
+    nodes_per_item_ = nodesPerItemPrior(*lead.r.bm);
     // The standby replication source: the lead replica's parameters,
     // serialized through the checkpoint wire format. Replicas are
     // expected to be constructed with identical seeds, so one blob
@@ -232,14 +227,13 @@ Fleet::onArrival(const Request& req)
 
     // Earliest start: the first live replica to free up, plus the
     // backlog spread across the live fleet.
-    const std::size_t live = liveReplicas();
     const double svc = serviceUs();
-    double est_start = std::max(now_, earliestFreeUs());
-    if (live > 0)
-        est_start += static_cast<double>(depth) * svc /
-                     static_cast<double>(live);
+    const BacklogEstimate est = estimateBacklog(
+        queue_, level, now_, earliestFreeUs(), 0.0, liveReplicas(),
+        [svc](std::size_t) { return svc; });
 
-    const auto dec = admission_.decide(req, depth, est_start, svc);
+    const auto dec =
+        admission_.decide(req, depth, est.start_us, est.service_us);
     count("fleet.arrivals");
     noteDisposition(counters_.bookDecision(dec, req.cls), req,
                     static_cast<double>(level),
@@ -346,21 +340,10 @@ Fleet::execute(std::size_t s, Queued q, bool as_hedge)
     sl.r.device->advanceClockTo(start);
     graph::ComputationGraph cg;
     auto loss = sl.r.bm->buildLoss(cg, q.req.input_index);
-    const double wall_before = h->stats().wall_us;
-    const double busy_before = sl.r.device->busyUs();
-    auto r = h->inferTry(sl.r.bm->model(), cg, loss);
-    // Simulated dispatch duration: pipelined wall time on success,
-    // device time burned by the failed attempt otherwise. A stall
-    // penalty is charged to the device clock, not the pipeline
-    // makespan, so occupancy is the max of the two -- otherwise a
-    // stalled dispatch would look fast and its hedge timer could
-    // never fire. Clamped so completion strictly follows dispatch.
-    const double busy_delta = sl.r.device->busyUs() - busy_before;
-    double dur = r.ok() ? std::max(h->stats().wall_us - wall_before,
-                                   busy_delta)
-                        : busy_delta;
-    if (dur < 1.0)
-        dur = 1.0;
+    const TimedInference t =
+        timedInfer(*h, *sl.r.device, sl.r.bm->model(), cg, loss);
+    const common::Result<float>& r = t.result;
+    const double dur = t.dur_us;
 
     fl.ok = r.ok();
     fl.err = r.ok() ? common::ErrorCode::Ok : r.status().code();

@@ -41,7 +41,9 @@
  * Dispatch accounting reconciles by construction: every routed
  * dispatch ends in exactly one of {completed, failed_over,
  * hedge_cancelled, fenced, lost}, alongside the request-level
- * identities inherited from the Server. The headline invariant
+ * identities inherited from the Server. Admission's backlog estimate
+ * and a dispatch's simulated duration follow the Server's rules
+ * (serve/service_time.hpp) at max_batch 1. The headline invariant
  * (fleet_failover + partition_tolerance tests): with R >= 2 replicas
  * and any single-device loss or single-link partition mid-load, no
  * admitted High-class request is lost, and all completed responses

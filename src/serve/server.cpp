@@ -8,6 +8,7 @@
 #include "graph/expr.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/service_time.hpp"
 
 namespace serve {
 
@@ -46,11 +47,7 @@ Server::Server(gpusim::Device& device, models::BenchmarkModel& bm,
       admission_(cfg.admission), batcher_(cfg.batch),
       breaker_(cfg.breaker)
 {
-    // Analytic prior: nodes per item from one input's graph.
-    graph::ComputationGraph cg;
-    bm_.buildLoss(cg, 0);
-    est_.nodes_per_item =
-        std::max<double>(1.0, static_cast<double>(cg.size()));
+    est_.nodes_per_item = nodesPerItemPrior(bm_);
     // Pre-JIT the breaker's escape hatch.
     auto st = handle_.prepareFallback(bm_.model());
     fallback_ready_ = st.ok();
@@ -61,30 +58,13 @@ Server::Server(gpusim::Device& device, models::BenchmarkModel& bm,
     now_ = device_.clockUs();
 }
 
-double
-Server::probeBatchUs(std::size_t items)
-{
-    const std::size_t n = bm_.datasetSize();
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        graph::ComputationGraph cg;
-        std::vector<Queued> probe(items);
-        for (std::size_t j = 0; j < items; ++j)
-            probe[j].req.input_index = j % n;
-        auto loss = buildBatchGraph(bm_, cg, probe);
-        const double before = handle_.stats().wall_us;
-        auto r = handle_.inferTry(bm_.model(), cg, loss);
-        if (r.ok())
-            return handle_.stats().wall_us - before;
-    }
-    return -1.0;
-}
-
 void
 Server::calibrate()
 {
     const std::size_t m = cfg_.batch.max_batch;
-    const double us1 = probeBatchUs(1);
-    const double usM = m > 1 ? probeBatchUs(m) : us1;
+    const double us1 = probeBatchUs(handle_, device_, bm_, 1);
+    const double usM =
+        m > 1 ? probeBatchUs(handle_, device_, bm_, m) : us1;
     if (us1 > 0.0 && usM > 0.0 && m > 1) {
         est_.per_item_us =
             std::max(0.0, (usM - us1) / static_cast<double>(m - 1));
@@ -123,19 +103,15 @@ Server::onArrival(const Request& req)
 
     // Earliest dispatch: device free, backoff gate open, plus the
     // backlog's worth of full batches queued ahead of this request.
-    const double busy_until =
-        in_flight_ ? in_flight_->done_at_us : now_;
-    double est_start = std::max({now_, busy_until, not_before_});
-    const std::size_t m = cfg_.batch.max_batch;
-    est_start += static_cast<double>(depth / std::max<std::size_t>(1, m)) *
-                 serviceUs(m);
-    const std::size_t batch_items = std::min(depth + 1, m);
-    const double est_service =
-        batcher_.windowUs(level) + serviceUs(batch_items);
+    const BacklogEstimate est = estimateBacklog(
+        batcher_, level, now_,
+        in_flight_ ? in_flight_->done_at_us : now_, not_before_, 1,
+        [this](std::size_t items) { return serviceUs(items); });
 
     // One instant per admission decision on the serve lane, with the
     // brown-out level and depth as payload.
-    const auto dec = admission_.decide(req, depth, est_start, est_service);
+    const auto dec =
+        admission_.decide(req, depth, est.start_us, est.service_us);
     noteDisposition(counters_.book(dec), req.id,
                     static_cast<double>(level),
                     static_cast<double>(depth));
@@ -192,16 +168,10 @@ Server::dispatch()
 
     graph::ComputationGraph cg;
     auto loss = buildBatchGraph(bm_, cg, items);
-    const double wall_before = handle_.stats().wall_us;
-    const double busy_before = device_.busyUs();
-    auto r = handle_.inferTry(bm_.model(), cg, loss);
-    // Simulated batch duration: the handle's pipelined wall time on
-    // success; the device time burned by the failed attempts
-    // otherwise. Clamped so completion strictly follows dispatch.
-    double dur = r.ok() ? handle_.stats().wall_us - wall_before
-                        : device_.busyUs() - busy_before;
-    if (dur < 1.0)
-        dur = 1.0;
+    const TimedInference t =
+        timedInfer(handle_, device_, bm_.model(), cg, loss);
+    const bool ok = t.result.ok();
+    const double dur = t.dur_us;
 
     ++counters_.batches;
     count(device_, "serve.batches");
@@ -213,8 +183,8 @@ Server::dispatch()
         tracer->complete(obs::kLaneServe, "serve",
                          primary ? "batch" : "fallback_batch", now_,
                          dur, 0, static_cast<double>(items.size()),
-                         r.ok() ? 1.0 : 0.0);
-    in_flight_ = InFlight{std::move(items), r.ok(), primary, now_ + dur};
+                         ok ? 1.0 : 0.0);
+    in_flight_ = InFlight{std::move(items), ok, primary, now_ + dur};
 }
 
 void

@@ -7,8 +7,9 @@
  * open-loop arrival trace feeds admission control (bounded queue +
  * deadline feasibility against the cost model), admitted requests
  * wait in a deadline-aware dynamic batcher, and batches execute
- * through vpps::Handle's recoverable inference path. Robustness
- * mechanics:
+ * through vpps::Handle's recoverable inference path. Its sizing
+ * probe, node prior, backlog estimate and dispatch timing are the
+ * Fleet's too (serve/service_time.hpp). Robustness mechanics:
  *
  *  - per-request timeout enforcement in simulated time, with
  *    cancellation of queued requests whose deadline already passed;
@@ -84,11 +85,11 @@ public:
 
     /**
      * Measure the batch service time by probing batches of size 1
-     * and max_batch through the live handle (a few attempts each,
-     * tolerating injected faults). Falls back to the JIT cost
-     * model's analytic estimate when probes fail. Call before run()
-     * for measurement-based admission; otherwise the analytic prior
-     * is used throughout.
+     * and max_batch through the live handle (serve::probeBatchUs: a
+     * few attempts each, tolerating injected faults). Falls back to
+     * the JIT cost model's analytic estimate when probes fail. Call
+     * before run() for measurement-based admission; otherwise the
+     * analytic prior is used throughout.
      */
     void calibrate();
 
@@ -137,9 +138,6 @@ private:
         bool was_primary = true;
         double done_at_us = 0.0;
     };
-
-    /** One timed inference probe; @return batch wall us or < 0. */
-    double probeBatchUs(std::size_t items);
 
     void onArrival(const Request& req);
     void dispatch();

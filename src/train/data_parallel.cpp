@@ -30,37 +30,6 @@ struct Replica
     std::unique_ptr<vpps::Handle> handle;
 };
 
-/** All parameter values, concatenated in ParamId order (the
- *  TrainCheckpoint layout). */
-std::vector<float>
-captureParams(const graph::Model& model, const gpusim::Device& device)
-{
-    std::vector<float> out;
-    const auto& mem = device.memory();
-    for (graph::ParamId id = 0; id < model.numParams(); ++id)
-    {
-        const auto& p = model.param(id);
-        const float* v = mem.data(p.value);
-        out.insert(out.end(), v, v + p.shape.size());
-    }
-    return out;
-}
-
-/** All gradient accumulators, concatenated in ParamId order. */
-std::vector<float>
-captureGrads(const graph::Model& model, const gpusim::Device& device)
-{
-    std::vector<float> out;
-    const auto& mem = device.memory();
-    for (graph::ParamId id = 0; id < model.numParams(); ++id)
-    {
-        const auto& p = model.param(id);
-        const float* g = mem.data(p.grad);
-        out.insert(out.end(), g, g + p.shape.size());
-    }
-    return out;
-}
-
 /**
  * Apply the canonical step gradient as one SGD update on a replica:
  * the gradient is written into the device-side accumulators and the
@@ -73,17 +42,14 @@ double
 applyUpdate(graph::Model& model, gpusim::Device& device,
             const std::vector<float>& grad)
 {
+    model.scatter(device, graph::ParamBuffer::Grad, grad);
     auto& mem = device.memory();
-    std::size_t offset = 0;
     for (graph::ParamId id = 0; id < model.numParams(); ++id)
     {
-        auto& p = model.param(id);
-        const std::size_t len = p.shape.size();
-        std::memcpy(mem.data(p.grad), grad.data() + offset,
-                    len * sizeof(float));
-        tensor::sgdUpdate(mem.data(p.value), mem.data(p.grad), len,
-                          model.learning_rate, model.weight_decay);
-        offset += len;
+        const auto& p = model.param(id);
+        tensor::sgdUpdate(mem.data(p.value), mem.data(p.grad),
+                          p.shape.size(), model.learning_rate,
+                          model.weight_decay);
     }
 
     const double scalars =
@@ -157,13 +123,13 @@ trainDataParallel(const ReplicaFactory& factory,
     // Replicas must start from identical parameter bits (same seeds
     // in the factory); anything else silently breaks the determinism
     // contract, so refuse up front.
-    const std::vector<float> params0 = captureParams(
-        replicas[0].ctx->bench().model(), replicas[0].ctx->device());
+    std::vector<float> params0, pr;
+    replicas[0].ctx->bench().model().gather(
+        replicas[0].ctx->device(), graph::ParamBuffer::Value, params0);
     for (std::size_t r = 1; r < R; ++r)
     {
-        const std::vector<float> pr = captureParams(
-            replicas[r].ctx->bench().model(),
-            replicas[r].ctx->device());
+        replicas[r].ctx->bench().model().gather(
+            replicas[r].ctx->device(), graph::ParamBuffer::Value, pr);
         if (pr.size() != params0.size() ||
             std::memcmp(pr.data(), params0.data(),
                         params0.size() * sizeof(float)) != 0)
@@ -236,12 +202,13 @@ trainDataParallel(const ReplicaFactory& factory,
                     report.status = res.takeStatus();
                     report.completed = false;
                     report.total_us = t_job;
-                    report.final_params = captureParams(
-                        model0, replicas[0].ctx->device());
+                    model0.gather(replicas[0].ctx->device(),
+                                  graph::ParamBuffer::Value,
+                                  report.final_params);
                     return report;
                 }
                 losses[m] = res.value();
-                grads[m] = captureGrads(model, dev);
+                model.gather(dev, graph::ParamBuffer::Grad, grads[m]);
                 micro_us = dev.busyUs() - micro0;
             }
             const double delta = dev.busyUs() - busy0;
@@ -367,14 +334,13 @@ trainDataParallel(const ReplicaFactory& factory,
     }
 
     report.total_us = t_job;
-    report.final_params =
-        captureParams(model0, replicas[0].ctx->device());
+    model0.gather(replicas[0].ctx->device(), graph::ParamBuffer::Value,
+                  report.final_params);
     report.replicas_identical = true;
     for (std::size_t r = 1; r < R; ++r)
     {
-        const std::vector<float> pr = captureParams(
-            replicas[r].ctx->bench().model(),
-            replicas[r].ctx->device());
+        replicas[r].ctx->bench().model().gather(
+            replicas[r].ctx->device(), graph::ParamBuffer::Value, pr);
         if (pr.size() != report.final_params.size() ||
             std::memcmp(pr.data(), report.final_params.data(),
                         pr.size() * sizeof(float)) != 0)

@@ -123,8 +123,8 @@ struct DataParallelReport
      *  microbatch losses). */
     std::vector<float> losses;
 
-    /** Final parameters of replica 0, concatenated in ParamId order
-     *  (the TrainCheckpoint layout). */
+    /** Final parameters of replica 0, in graph::Model::gather()'s
+     *  layout (the TrainCheckpoint layout). */
     std::vector<float> final_params;
 
     /** All replicas ended with bitwise-identical parameters. */

@@ -86,12 +86,7 @@ captureCheckpoint(const graph::Model& model,
     ckpt.next_input = next_input;
     ckpt.learning_rate = model.learning_rate;
     ckpt.weight_decay = model.weight_decay;
-    const auto& mem = device.memory();
-    for (graph::ParamId id = 0; id < model.numParams(); ++id) {
-        const auto& p = model.param(id);
-        const float* v = mem.data(p.value);
-        ckpt.params.insert(ckpt.params.end(), v, v + p.shape.size());
-    }
+    model.gather(device, graph::ParamBuffer::Value, ckpt.params);
     if (obs::Tracer* tracer = device.tracer())
         tracer->instant(obs::kLaneHost, "train", "checkpoint",
                         device.busyUs(),
@@ -109,9 +104,7 @@ restoreCheckpoint(const TrainCheckpoint& ckpt, graph::Model& model,
     // Validate before mutating anything: a size mismatch means the
     // checkpoint was captured from a different model, and a partial
     // restore would corrupt the parameters it was meant to protect.
-    std::size_t needed = 0;
-    for (graph::ParamId id = 0; id < model.numParams(); ++id)
-        needed += model.param(id).shape.size();
+    const std::size_t needed = model.totalScalars();
     if (needed > ckpt.params.size())
         return common::Status::failure(
             common::ErrorCode::InvalidArgument,
@@ -122,17 +115,7 @@ restoreCheckpoint(const TrainCheckpoint& ckpt, graph::Model& model,
 
     model.learning_rate = ckpt.learning_rate;
     model.weight_decay = ckpt.weight_decay;
-    auto& mem = device.memory();
-    std::size_t pos = 0;
-    for (graph::ParamId id = 0; id < model.numParams(); ++id) {
-        const auto& p = model.param(id);
-        std::copy(ckpt.params.begin() +
-                      static_cast<std::ptrdiff_t>(pos),
-                  ckpt.params.begin() +
-                      static_cast<std::ptrdiff_t>(pos + p.shape.size()),
-                  mem.data(p.value));
-        pos += p.shape.size();
-    }
+    model.scatter(device, graph::ParamBuffer::Value, ckpt.params);
     if (obs::Tracer* tracer = device.tracer())
         tracer->instant(obs::kLaneHost, "train", "restore",
                         device.busyUs(),

@@ -76,7 +76,7 @@ struct TrainCheckpoint
     std::size_t next_input = 0;
     float learning_rate = 0.0f;
     float weight_decay = 0.0f;
-    /** All parameter values, concatenated in ParamId order. */
+    /** All parameter values in graph::Model::gather()'s layout. */
     std::vector<float> params;
 };
 

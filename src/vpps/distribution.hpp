@@ -94,10 +94,10 @@ struct VppsOptions
     /**
      * Skip batches whose loss is non-finite: parameters are rolled
      * back to their pre-batch snapshot, so one poisoned batch cannot
-     * destroy the model. Only active in functional mode (timing-only
-     * runs have no real loss to test).
+     * destroy the model. Always on; only active in functional mode
+     * (timing-only runs have no real loss to test).
      */
-    bool nan_guard = true;
+    static constexpr bool nan_guard = true;
 
     /**
      * Degrade the specialization (next untried rpw, then the GEMM

@@ -269,35 +269,6 @@ Handle::rederiveAfterShrink(graph::Model& model)
     return common::Status();
 }
 
-void
-Handle::captureParamSnapshot(const graph::Model& model)
-{
-    auto& mem = device_.memory();
-    param_snapshot_.clear();
-    for (graph::ParamId id = 0; id < model.numParams(); ++id) {
-        const auto& p = model.param(id);
-        const float* v = mem.data(p.value);
-        param_snapshot_.insert(param_snapshot_.end(), v,
-                               v + p.shape.size());
-    }
-}
-
-void
-Handle::restoreParamSnapshot(const graph::Model& model)
-{
-    auto& mem = device_.memory();
-    std::size_t pos = 0;
-    for (graph::ParamId id = 0; id < model.numParams(); ++id) {
-        const auto& p = model.param(id);
-        std::copy(param_snapshot_.begin() +
-                      static_cast<std::ptrdiff_t>(pos),
-                  param_snapshot_.begin() +
-                      static_cast<std::ptrdiff_t>(pos + p.shape.size()),
-                  mem.data(p.value));
-        pos += p.shape.size();
-    }
-}
-
 float
 Handle::fb(graph::Model& model, graph::ComputationGraph& cg,
            graph::Expr loss)
@@ -454,6 +425,10 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
     int alloc_attempts = 0;
     int hang_attempts = 0;
     bool snapshotted = false;
+    auto restoreSnapshot = [&] {
+        model.scatter(device_, graph::ParamBuffer::Value,
+                      param_snapshot_);
+    };
     bool skipped = false;
     float batch_loss = 0.0f;
     double kernel_us = 0.0;
@@ -540,12 +515,12 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
 
         // Snapshot parameters before the kernel can mutate them
         // (UpdateVec instructions run mid-script), so a hung or
-        // poisoned batch can roll back. Fault-free runs with the NaN
-        // guard off skip the copy entirely.
-        if (!snapshotted &&
-            (inj != nullptr ||
-             (opts_.nan_guard && device_.functional()))) {
-            captureParamSnapshot(model);
+        // poisoned batch can roll back. Fault-free timing-only runs,
+        // which have no loss for the NaN guard to test, skip the copy
+        // entirely.
+        if (!snapshotted && (inj != nullptr || device_.functional())) {
+            model.gather(device_, graph::ParamBuffer::Value,
+                         param_snapshot_);
             snapshotted = true;
         }
 
@@ -634,7 +609,7 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
                 rung("hang_recovery",
                      static_cast<double>(hang_attempts + 1));
                 rung("rollback");
-                restoreParamSnapshot(model);
+                restoreSnapshot();
                 mem.resetTo(mark);
                 if (hang_attempts++ >= opts_.max_retransmits)
                     return Status::failure(
@@ -646,7 +621,7 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
             // Malformed scripts and genuine barrier deadlocks are
             // deterministic: replaying the same script cannot help.
             if (snapshotted)
-                restoreParamSnapshot(model);
+                restoreSnapshot();
             mem.resetTo(mark);
             return run.takeStatus();
         }
@@ -671,7 +646,7 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
         }
         if (readback_dead) {
             if (snapshotted)
-                restoreParamSnapshot(model);
+                restoreSnapshot();
             mem.resetTo(mark);
             return Status::failure(
                        ErrorCode::NumericalFault,
@@ -684,14 +659,13 @@ Handle::fbTry(graph::Model& model, graph::ComputationGraph& cg,
         // abandon the update, restore the pre-batch parameters, and
         // report the batch skipped rather than spreading NaNs into
         // every weight.
-        if (opts_.nan_guard && device_.functional() &&
-            !std::isfinite(batch_loss)) {
+        if (device_.functional() && !std::isfinite(batch_loss)) {
             ++rec.skipped_batches;
             ++rec.rollbacks;
             rung("skipped_batch");
             rung("rollback");
             rec.recovery_us += device_.busyUs() - attempt_gpu_start;
-            restoreParamSnapshot(model);
+            restoreSnapshot();
             skipped = true;
         }
         break;

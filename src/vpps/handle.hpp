@@ -300,12 +300,6 @@ class Handle
      *  opts.rpw. */
     int currentRpw() const;
 
-    /** Copy every parameter's master values out of device memory. */
-    void captureParamSnapshot(const graph::Model& model);
-
-    /** Restore the last captured snapshot (rollback). */
-    void restoreParamSnapshot(const graph::Model& model);
-
     /**
      * Re-derive every live DistributionPlan against the (shrunken)
      * current device spec after a hot SM disable: re-JITs the primary
@@ -346,7 +340,8 @@ class Handle
     bool route_to_fallback_ = false;
     /** @} */
 
-    /** Pre-batch parameter values for rollback, one flat buffer. */
+    /** Pre-batch parameter values for rollback, in Model::gather()'s
+     *  layout; refilled, not reallocated, by every snapshot. */
     std::vector<float> param_snapshot_;
 };
 

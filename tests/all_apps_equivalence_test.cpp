@@ -8,7 +8,9 @@
  * One timing-only batch per app also pins its simulated time, two
  * functional batches pin its losses and trained parameters, and one
  * batch run three times pins what a script-cache hit computes and
- * charges.
+ * charges. Inference is batch invariant: four requests served
+ * together compute each request's loss exactly as served alone.
+ * Tree-LSTM and BiLSTM also pin one batch through each baseline.
  */
 #include <gtest/gtest.h>
 
@@ -21,10 +23,12 @@
 #include "data/ner_corpus.hpp"
 #include "data/treebank.hpp"
 #include "data/vocab.hpp"
+#include "exec/agenda_batch_executor.hpp"
+#include "exec/depth_batch_executor.hpp"
+#include "exec/fold_executor.hpp"
 #include "exec/naive_executor.hpp"
-#include "models/bigru_tagger.hpp"
+#include "models/bi_tagger.hpp"
 #include "models/bilstm_char_tagger.hpp"
-#include "models/bilstm_tagger.hpp"
 #include "models/rvnn.hpp"
 #include "models/td_lstm.hpp"
 #include "models/td_rnn.hpp"
@@ -413,6 +417,125 @@ TEST_P(AllAppsEquivalenceTest, RepeatedBatchIsPinned)
         ++checked;
     }
     EXPECT_GT(checked, 0);
+}
+
+TEST_P(AllAppsEquivalenceTest, BatchedInferenceMatchesSingleItemBitwise)
+{
+    // Batch invariance, the property cross-request batching in the
+    // serving fleet rests on: forward VPPS has no cross-VPP reduction
+    // and sums each MatVec row in a fixed order, so a request's loss
+    // computed inside a four-request super-graph must equal its loss
+    // served alone, bit for bit, at any host thread count.
+    constexpr std::size_t kRequests = 4;
+    for (int threads : {1, 8}) {
+        SCOPED_TRACE(testing::Message() << threads << " host threads");
+        Factory f(gpusim::DeviceSpec{});
+        auto m = f.make(GetParam());
+        vpps::VppsOptions opts;
+        opts.rpw = 2;
+        opts.async = false;
+        opts.host_threads = threads;
+        vpps::Handle handle(m->model(), f.device, opts);
+
+        std::uint32_t single[kRequests] = {};
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            graph::ComputationGraph cg;
+            const graph::Expr loss = m->buildLoss(cg, i);
+            auto r = handle.inferTry(m->model(), cg, loss);
+            ASSERT_TRUE(r.ok()) << r.status().toString();
+            const float v = r.value();
+            std::memcpy(&single[i], &v, sizeof(float));
+        }
+
+        graph::ComputationGraph cg;
+        std::vector<graph::Expr> losses;
+        for (std::size_t i = 0; i < kRequests; ++i)
+            losses.push_back(m->buildLoss(cg, i));
+        auto r = handle.inferTry(m->model(), cg,
+                                 graph::sumLosses(losses));
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        // The batch's workspace is released but not cleared, so each
+        // request's loss node still holds what the batch computed.
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            const float v =
+                f.device.memory().data(cg.node(losses[i].id).fwd)[0];
+            std::uint32_t bits;
+            std::memcpy(&bits, &v, sizeof(float));
+            EXPECT_EQ(bits, single[i])
+                << "request " << i << std::hex << std::showbase
+                << ": batched " << bits << ", alone " << single[i];
+        }
+    }
+}
+
+/** Simulated cost and loss of one batch through a baseline. */
+struct BaselinePin
+{
+    const char* app;
+    const char* system;
+    double cpu_us;
+    double gpu_us;
+    std::uint64_t launches;
+    std::uint32_t loss_bits;
+};
+
+const BaselinePin kBaselinePins[] = {
+    {"Tree-LSTM", "Naive", 0x1.c15cccccccccdp+12, 0x1.79068a5723f38p+14,
+     2179, 0x40d1eda2},
+    {"Tree-LSTM", "DyNet-DB", 0x1.282cccccccccdp+11,
+     0x1.5b0ed6c0c40cap+11, 276, 0x40d1eda2},
+    {"Tree-LSTM", "DyNet-AB", 0x1.75fd70a3d70a4p+11,
+     0x1.aed11bc01d978p+11, 371, 0x40d1eda2},
+    {"Tree-LSTM", "TF-Fold", 0x1.2296666666666p+12,
+     0x1.0b3a1e1314b9bp+12, 480, 0x40d1eda2},
+    {"BiLSTM", "Naive", 0x1.0d75eac67846p+13, 0x1.80779e86a1f5ap+14,
+     2602, 0x42ad31b0},
+    {"BiLSTM", "DyNet-DB", 0x1.9b061180477e7p+11, 0x1.a5ee47aaa73ep+11,
+     392, 0x42ad31b0},
+    {"BiLSTM", "DyNet-AB", 0x1.cabdbf94c25fbp+11, 0x1.c69ea2b05799p+11,
+     430, 0x42ad31b0},
+    {"BiLSTM", "TF-Fold", 0x1.b4c308c023bf4p+12, 0x1.719cc97af9443p+12,
+     738, 0x42ad31b0},
+};
+
+std::unique_ptr<exec::Executor>
+makeBaseline(const std::string& system, gpusim::Device& device)
+{
+    const gpusim::HostSpec host;
+    if (system == "Naive")
+        return std::make_unique<exec::NaiveExecutor>(device, host);
+    if (system == "DyNet-DB")
+        return std::make_unique<exec::DepthBatchExecutor>(device, host);
+    if (system == "DyNet-AB")
+        return std::make_unique<exec::AgendaBatchExecutor>(device, host);
+    return std::make_unique<exec::FoldExecutor>(device, host);
+}
+
+TEST(BaselineBatch, OneBatchPerStrategyIsPinned)
+{
+    // The baselines' schedules and overhead models must not move
+    // under refactors either: one functional four-input batch through
+    // each strategy pins its host and device time, its kernel
+    // launches and its loss bits.
+    for (const BaselinePin& pin : kBaselinePins) {
+        SCOPED_TRACE(testing::Message() << pin.app << " on "
+                                        << pin.system);
+        Factory f(gpusim::DeviceSpec{});
+        auto m = f.make(pin.app);
+        auto executor = makeBaseline(pin.system, f.device);
+        ASSERT_STREQ(executor->name(), pin.system);
+        graph::ComputationGraph cg;
+        const float loss = executor->trainBatch(
+            m->model(), cg, train::buildSuperGraph(*m, cg, 0, 4));
+        const exec::ExecStats& s = executor->stats();
+        EXPECT_EQ(s.cpu_us, pin.cpu_us) << std::hexfloat << s.cpu_us;
+        EXPECT_EQ(s.gpu_us, pin.gpu_us) << std::hexfloat << s.gpu_us;
+        EXPECT_EQ(s.launches, pin.launches);
+        std::uint32_t bits;
+        std::memcpy(&bits, &loss, sizeof(bits));
+        EXPECT_EQ(bits, pin.loss_bits)
+            << std::hex << std::showbase << bits;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(SevenApps, AllAppsEquivalenceTest,

@@ -6,13 +6,15 @@
  * and 8 host threads, under either all-reduce transport -- and the
  * overlapped schedule beats the barrier-after-backward baseline on
  * the same arithmetic. A golden comm-lane trace pins the canonical
- * emission.
+ * emission, and one two-replica run per transport pins its losses,
+ * final parameters and simulated time.
  */
 #include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "data/treebank.hpp"
 #include "data/vocab.hpp"
 #include "models/tree_lstm.hpp"
@@ -219,6 +221,65 @@ TEST(DistDeterminism, MetricsCoverCommAndSteps)
               run.value().comm_messages);
     EXPECT_EQ(metrics.counter("comm.bytes_on_wire").value(),
               run.value().comm_bytes_on_wire);
+}
+
+/** What a two-replica run computes and charges under one transport. */
+struct TwoReplicaPin
+{
+    gpusim::Collective algo;
+    std::uint32_t loss_bits[3];
+    std::uint64_t params_digest; //!< FNV-1a of final_params' bytes
+    double total_us;
+    double allreduce_us;
+};
+
+TEST(DataParallel, TwoReplicaRunIsPinned)
+{
+    // DistDeterminism compares runs with each other, so a fault every
+    // run shares -- a gradient scattered into the wrong parameter, a
+    // collective priced differently -- passes there. Literals
+    // recorded at R = 2 under each transport catch it.
+    const TwoReplicaPin pins[] = {
+        {gpusim::Collective::RingAllReduce,
+         {0x41e63c72, 0x41c1fb34, 0x41bee5df},
+         0xa4b13039dcbf6b0eull,
+         0x1.f8d56c3673e3fp+14,
+         0x1.fb5c28f5c28f6p+3},
+        {gpusim::Collective::TreeAllReduce,
+         {0x41e63c72, 0x41c1fb34, 0x41bee5df},
+         0xa4b13039dcbf6b0eull,
+         0x1.f8d64340b1549p+14,
+         0x1.0b5c28f5c28f6p+4},
+    };
+    for (const TwoReplicaPin& pin : pins) {
+        SCOPED_TRACE(pin.algo == gpusim::Collective::RingAllReduce
+                         ? "ring"
+                         : "tree");
+        auto opts = baseOptions(2, 1);
+        opts.algo = pin.algo;
+        auto run = train::trainDataParallel(treeLstmFactory(), opts);
+        ASSERT_TRUE(run.ok()) << run.status().toString();
+        const train::DataParallelReport& rep = run.value();
+        ASSERT_TRUE(rep.completed) << rep.status.toString();
+        ASSERT_EQ(rep.losses.size(), 3u);
+        for (std::size_t step = 0; step < 3; ++step) {
+            std::uint32_t bits;
+            std::memcpy(&bits, &rep.losses[step], sizeof(bits));
+            EXPECT_EQ(bits, pin.loss_bits[step])
+                << "step " << step << std::hex << std::showbase
+                << ": " << bits;
+        }
+        const std::uint64_t digest = common::fnv1a64(
+            reinterpret_cast<const std::uint8_t*>(
+                rep.final_params.data()),
+            rep.final_params.size() * sizeof(float));
+        EXPECT_EQ(digest, pin.params_digest)
+            << std::hex << std::showbase << digest;
+        EXPECT_EQ(rep.total_us, pin.total_us)
+            << std::hexfloat << rep.total_us;
+        EXPECT_EQ(rep.allreduce_us, pin.allreduce_us)
+            << std::hexfloat << rep.allreduce_us;
+    }
 }
 
 TEST(DistDeterminism, ConfigErrorsAreStructured)

@@ -23,7 +23,7 @@
 #include "data/ner_corpus.hpp"
 #include "data/treebank.hpp"
 #include "data/vocab.hpp"
-#include "models/bilstm_tagger.hpp"
+#include "models/bi_tagger.hpp"
 #include "models/rvnn.hpp"
 #include "models/td_lstm.hpp"
 #include "models/tree_lstm.hpp"

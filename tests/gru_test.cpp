@@ -10,7 +10,7 @@
 #include "exec/kernels.hpp"
 #include "exec/naive_executor.hpp"
 #include "graph/level_sort.hpp"
-#include "models/bigru_tagger.hpp"
+#include "models/bi_tagger.hpp"
 #include "models/gru.hpp"
 #include "train/harness.hpp"
 #include "vpps/handle.hpp"

@@ -16,7 +16,7 @@
 #include "exec/depth_batch_executor.hpp"
 #include "exec/fold_executor.hpp"
 #include "exec/naive_executor.hpp"
-#include "models/bilstm_tagger.hpp"
+#include "models/bi_tagger.hpp"
 #include "models/rvnn.hpp"
 #include "models/tree_lstm.hpp"
 #include "train/harness.hpp"

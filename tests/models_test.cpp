@@ -9,8 +9,8 @@
 #include "data/vocab.hpp"
 #include "exec/naive_executor.hpp"
 #include "graph/level_sort.hpp"
+#include "models/bi_tagger.hpp"
 #include "models/bilstm_char_tagger.hpp"
-#include "models/bilstm_tagger.hpp"
 #include "models/lstm.hpp"
 #include "models/rvnn.hpp"
 #include "models/td_lstm.hpp"

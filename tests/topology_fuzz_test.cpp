@@ -197,10 +197,6 @@ TEST(TopologyFuzz, ValidRackAndLinkFaultDirectivesParse)
     ASSERT_EQ(topo.linkFaults().size(), 2u);
     EXPECT_DOUBLE_EQ(topo.linkFaults()[0].down_at_us, 100.0);
     EXPECT_DOUBLE_EQ(topo.linkFaults()[1].loss_rate, 2500e-6);
-    // describe() must round-trip both directives bitwise.
-    auto again = Topology::parse(topo.describe());
-    ASSERT_TRUE(again.ok()) << again.status().toString();
-    EXPECT_EQ(again.value().describe(), topo.describe());
 }
 
 TEST(TopologyFuzz, ValidConfigsStillParse)

@@ -20,7 +20,7 @@
 #include "data/vocab.hpp"
 #include "exec/agenda_batch_executor.hpp"
 #include "exec/naive_executor.hpp"
-#include "models/bigru_tagger.hpp"
+#include "models/bi_tagger.hpp"
 #include "models/rvnn.hpp"
 #include "models/td_lstm.hpp"
 #include "models/tree_lstm.hpp"
