@@ -9,33 +9,25 @@
  */
 #include "bench_common.hpp"
 
-#include <iostream>
-
 int
-main()
+main(int argc, char** argv)
 {
-    benchx::AppRig rig("Tree-LSTM");
-
-    common::Table table({"batch", "sync (inputs/s)",
-                         "async (inputs/s)", "speedup"});
+    const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "ablation_async");
+    benchx::AppRig rig("Tree-LSTM", 0, 0, cli.functional);
     for (std::size_t batch : benchx::kBatchSizes) {
         const std::size_t n = benchx::AppRig::pointInputs(batch);
-        vpps::VppsOptions sync_opts = benchx::AppRig::defaultOptions();
-        sync_opts.async = false;
-        const auto sync = rig.measureVpps(n, batch, sync_opts);
-        vpps::VppsOptions async_opts = benchx::AppRig::defaultOptions();
-        async_opts.async = true;
-        const auto async = rig.measureVpps(n, batch, async_opts);
-        table.addRow(
-            {std::to_string(batch),
-             common::Table::fmt(sync.inputs_per_sec, 1),
-             common::Table::fmt(async.inputs_per_sec, 1),
-             common::Table::fmt(
-                 async.inputs_per_sec / sync.inputs_per_sec, 2)});
+        vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
+        opts.host_threads = cli.threads;
+        opts.async = false;
+        const auto sync = rig.measureVpps(n, batch, opts);
+        opts.async = true;
+        const auto async = rig.measureVpps(n, batch, opts);
+        report.row("app=Tree-LSTM,batch=" + std::to_string(batch),
+                   {{"sync_inputs_per_sec", sync.inputs_per_sec},
+                    {"async_inputs_per_sec", async.inputs_per_sec},
+                    {"speedup",
+                     async.inputs_per_sec / sync.inputs_per_sec}});
     }
-    benchx::printTable(
-        "Ablation: host/device asynchrony (Tree-LSTM, "
-        "hidden=embed=256)",
-        table);
     return 0;
 }

@@ -12,58 +12,49 @@
  */
 #include "bench_common.hpp"
 
-#include <iostream>
-
 int
-main()
+main(int argc, char** argv)
 {
-    common::Table table({"app", "batch", "cached (inputs/s)",
-                         "GEMM (inputs/s)", "cached/GEMM",
-                         "GEMM wgrad DRAM MB/input"});
+    const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "ablation_grad_strategy");
     for (const std::string app : {"Tree-LSTM", "TD-RNN"}) {
-        benchx::AppRig rig(app);
+        benchx::AppRig rig(app, 0, 0, cli.functional);
         for (std::size_t batch : {std::size_t(1), std::size_t(4),
                                   std::size_t(16), std::size_t(64)}) {
             const std::size_t inputs =
                 benchx::AppRig::pointInputs(batch);
-            vpps::VppsOptions cached = benchx::AppRig::defaultOptions();
-            cached.cache_gradients = true;
-            const auto rc = rig.measureVpps(inputs, batch, cached);
+            vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
+            opts.host_threads = cli.threads;
+            opts.cache_gradients = true;
+            const auto rc = rig.measureVpps(inputs, batch, opts);
 
-            vpps::VppsOptions gemm = benchx::AppRig::defaultOptions();
-            gemm.cache_gradients = false;
+            opts.cache_gradients = false;
             rig.device().resetStats();
-            const auto rg = rig.measureVpps(inputs, batch, gemm);
+            const auto rg = rig.measureVpps(inputs, batch, opts);
             const double wgrad_mb =
                 (rig.device().traffic().loadBytes(
                      gpusim::MemSpace::WeightGrads) +
                  rig.device().traffic().storeBytes(
                      gpusim::MemSpace::WeightGrads)) /
                 (1024.0 * 1024.0) / static_cast<double>(inputs);
-            table.addRow(
-                {app, std::to_string(batch),
-                 common::Table::fmt(rc.inputs_per_sec, 1),
-                 common::Table::fmt(rg.inputs_per_sec, 1),
-                 common::Table::fmt(
-                     rc.inputs_per_sec / rg.inputs_per_sec, 2),
-                 common::Table::fmt(wgrad_mb, 2)});
+            report.row("app=" + app + ",batch=" + std::to_string(batch),
+                       {{"cached_inputs_per_sec", rc.inputs_per_sec},
+                        {"gemm_inputs_per_sec", rg.inputs_per_sec},
+                        {"cached_over_gemm",
+                         rc.inputs_per_sec / rg.inputs_per_sec},
+                        {"gemm_wgrad_mb_per_input", wgrad_mb}});
         }
     }
-    benchx::printTable(
-        "Ablation: gradient accumulation strategy (register-cached "
-        "vs staged-GEMM fallback)",
-        table);
 
     // Capacity-forced fallback: at hidden 512 the TD-LSTM's 5H x H
     // transforms no longer fit alongside their gradients.
     benchx::AppRig big("TD-LSTM", 512);
-    vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
-    auto plan = vpps::DistributionPlan::buildAuto(
+    const vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
+    const auto plan = vpps::DistributionPlan::buildAuto(
         big.model().model(), big.device().spec(), opts, opts.rpw);
-    std::cout << "TD-LSTM at hidden 512: auto distribution selects "
-              << plan.ctasPerSm() << " CTA(s)/SM, gradients "
-              << (plan.gradientsCached() ? "cached"
-                                         : "via GEMM fallback")
-              << " (register capacity decision)\n";
+    report.row("app=TD-LSTM,hidden=512",
+               {{"ctas_per_sm", plan.ctasPerSm()},
+                {"gradients_cached",
+                 plan.gradientsCached() ? 1.0 : 0.0}});
     return 0;
 }

@@ -6,46 +6,38 @@
  * Larger rpw means fewer warps per matrix -- fewer per-VPP matrix
  * instructions and fewer remote atomic stores in the transposed
  * product -- but coarser blocks and therefore worse inter-CTA load
- * balance. The bench sweeps every valid fixed rpw and then lets the
- * profile-guided tuner pick, verifying it lands on (or adjacent to)
- * the best fixed setting.
+ * balance. The bench sweeps every valid fixed rpw (one row each) and
+ * then lets the profile-guided tuner pick: one row per candidate it
+ * measured (`rpw=auto,candidate=R`), then its pick (`rpw=auto`),
+ * which should land on (or adjacent to) the best fixed setting.
  */
 #include "bench_common.hpp"
 
 #include <iostream>
 
 int
-main()
+main(int argc, char** argv)
 {
-    benchx::AppRig rig("Tree-LSTM");
+    const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "ablation_rpw");
+    benchx::AppRig rig("Tree-LSTM", 0, 0, cli.functional);
     vpps::VppsOptions base = benchx::AppRig::defaultOptions();
+    base.host_threads = cli.threads;
     const int max_rpw = vpps::DistributionPlan::maxRpw(
         rig.model().model(), rig.device().spec(), base);
-    std::cout << "valid rpw range: 1.." << max_rpw << "\n";
 
     const std::size_t batch = 16;
     const std::size_t inputs = 96;
-
-    common::Table table(
-        {"rpw", "throughput (inputs/s)", "kernel us/input"});
-    double best_tp = 0.0;
-    int best_rpw = 1;
+    const std::string app = "app=Tree-LSTM,batch=16,rpw=";
     for (int rpw = 1; rpw <= max_rpw; ++rpw) {
         vpps::VppsOptions opts = base;
         opts.rpw = rpw;
         const auto r = rig.measureVpps(inputs, batch, opts);
-        if (r.inputs_per_sec > best_tp) {
-            best_tp = r.inputs_per_sec;
-            best_rpw = rpw;
-        }
-        table.addRow({std::to_string(rpw),
-                      common::Table::fmt(r.inputs_per_sec, 1),
-                      common::Table::fmt(r.gpu_us / inputs, 1)});
+        report.row(app + std::to_string(rpw),
+                   {{"sim_us", r.wall_us},
+                    {"inputs_per_sec", r.inputs_per_sec},
+                    {"kernel_us_per_input", r.gpu_us / inputs}});
     }
-    benchx::printTable(
-        "Ablation: fixed rpw sweep (Tree-LSTM, batch 16)", table);
-    std::cout << "best fixed rpw: " << best_rpw << " ("
-              << common::Table::fmt(best_tp, 1) << " inputs/s)\n";
 
     // Profile-guided selection (rpw = 0): trains through the
     // candidates and locks the winner.
@@ -63,16 +55,14 @@ main()
     }
     const auto tune = handle.tuneResult();
     if (!tune) {
-        std::cout << "tuner did not converge\n";
+        std::cerr << "ablation_rpw: tuner did not converge\n";
         return 1;
     }
-    common::Table profile({"candidate rpw", "mean batch us"});
     for (const auto& [rpw, us] : tune->profile)
-        profile.addRow(
-            {std::to_string(rpw), common::Table::fmt(us, 1)});
-    benchx::printTable("Profile-guided tuner measurements", profile);
-    std::cout << "tuner picked rpw " << tune->best_rpw
-              << " after training " << trained
-              << " inputs (best fixed: " << best_rpw << ")\n";
+        report.row(app + "auto,candidate=" + std::to_string(rpw),
+                   {{"mean_batch_us", us}});
+    report.row(app + "auto",
+               {{"tuned_rpw", tune->best_rpw},
+                {"trained_inputs", static_cast<double>(trained)}});
     return 0;
 }

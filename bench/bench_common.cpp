@@ -2,8 +2,10 @@
 
 #include <malloc.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 
 #include "common/logging.hpp"
 #include "obs/json.hpp"
@@ -117,16 +119,9 @@ AppRig::measureVpps(std::size_t num_inputs, std::size_t batch,
     return train::measureVpps(handle, *model_, num_inputs, batch);
 }
 
-void
-printTable(const std::string& title, const common::Table& table)
-{
-    std::cout << "\n== " << title << " ==\n"
-              << table.str() << "\ncsv:\n"
-              << table.csv() << std::flush;
-}
-
 BenchCli
-parseBenchArgs(int argc, char** argv)
+parseBenchArgs(int argc, char** argv,
+               const std::vector<std::string>& own_flags)
 {
     BenchCli cli;
     // Accepts both "--flag value" and "--flag=value" for the
@@ -157,13 +152,17 @@ parseBenchArgs(int argc, char** argv)
         } else if (valueOf(arg, "--trace", i, cli.trace_path) ||
                    valueOf(arg, "--metrics", i, cli.metrics_path)) {
             // handled by valueOf
-        } else if (valueOf(arg, "--out", i, cli.out_path)) {
-            cli.json = true; // the file collects the JSON lines
+        } else if (std::find(own_flags.begin(), own_flags.end(),
+                             arg) != own_flags.end()) {
+            cli.given.push_back(arg);
         } else {
             std::cerr << "usage: " << argv[0]
                       << " [--threads N] [--json] [--functional]"
                          " [--vpps-only] [--trace FILE]"
-                         " [--metrics FILE] [--out FILE]\n";
+                         " [--metrics FILE]";
+            for (const std::string& flag : own_flags)
+                std::cerr << " [" << flag << "]";
+            std::cerr << "\n";
             std::exit(2);
         }
     }
@@ -210,54 +209,110 @@ ObsScope::~ObsScope()
     }
 }
 
-namespace {
+Report::Report(const BenchCli& cli, std::string bench)
+    : json_(cli.json), bench_(std::move(bench)),
+      last_(std::chrono::steady_clock::now())
+{
+}
 
-/** JSONL accumulated for --out, atomically rewritten after every
- *  line so an interrupted bench never leaves a truncated file. */
-std::string g_json_out_path;
-std::string g_json_out_lines;
+Report::~Report() { flushTable(); }
 
 void
-flushJsonOutFile()
+Report::row(const std::string& config, const Fields& fields)
 {
-    if (g_json_out_path.empty())
+    const auto now = std::chrono::steady_clock::now();
+    const double host_wall_ms =
+        std::chrono::duration<double, std::milli>(now - last_).count();
+    last_ = now;
+    if (json_) {
+        std::string line = "{\"bench\":" + obs::jsonQuoted(bench_) +
+                           ",\"config\":" + obs::jsonQuoted(config);
+        for (const auto& [key, value] : fields) {
+            line += ',' + obs::jsonQuoted(key) + ':';
+            obs::appendJsonDouble(line, value);
+        }
+        line += ",\"host_wall_ms\":";
+        obs::appendJsonDouble(line, host_wall_ms);
+        std::cout << line << "}\n" << std::flush;
         return;
-    if (auto st = obs::writeTextFileAtomic(g_json_out_path,
-                                           g_json_out_lines);
-        !st.ok())
-        common::warn("bench: ", st.toString());
+    }
+    // Table columns: the config's keys (a bare token is a key with an
+    // empty cell), then the field names.
+    std::vector<std::string> columns;
+    std::vector<std::string> cells;
+    std::istringstream pairs(config);
+    for (std::string pair; std::getline(pairs, pair, ',');) {
+        const std::size_t eq = pair.find('=');
+        columns.push_back(pair.substr(0, eq));
+        cells.push_back(eq == std::string::npos ? ""
+                                                : pair.substr(eq + 1));
+    }
+    for (const auto& [key, value] : fields) {
+        columns.push_back(key);
+        cells.emplace_back();
+        obs::appendJsonDouble(cells.back(), value);
+    }
+    if (columns != columns_)
+        flushTable();
+    if (!table_) {
+        table_.emplace(columns);
+        columns_ = std::move(columns);
+    }
+    table_->addRow(std::move(cells));
+}
+
+void
+Report::flushTable()
+{
+    if (!table_)
+        return;
+    std::cout << "\n== " << bench_ << " ==\n"
+              << table_->str() << std::flush;
+    table_.reset();
+    columns_.clear();
+}
+
+namespace {
+
+/** "DyNet-DB" -> "dynet_db_inputs_per_sec". */
+std::string
+rateField(const std::string& system)
+{
+    std::string key;
+    for (const char c : system)
+        key += c == '-' ? '_'
+                        : static_cast<char>(std::tolower(
+                              static_cast<unsigned char>(c)));
+    return key + "_inputs_per_sec";
 }
 
 } // namespace
 
 void
-printJsonResult(const BenchCli& cli, const std::string& bench,
-                const std::string& config, double sim_us,
-                double host_wall_ms, const JsonExtras& extras)
+throughputSweep(Report& report, AppRig& rig, const BenchCli& cli,
+                const std::string& prefix, const std::string& suffix,
+                const std::vector<std::string>& baselines)
 {
-    if (!cli.json)
-        return;
-    // The schema every bench emits (see EXPERIMENTS.md): bench and
-    // config through the shared JSON escaper, so a hostile config
-    // string can never break a downstream parser.
-    std::string line;
-    line += "{\"bench\":" + obs::jsonQuoted(bench);
-    line += ",\"config\":" + obs::jsonQuoted(config);
-    line += ",\"sim_us\":" + common::Table::fmt(sim_us, 3);
-    line += ",\"host_wall_ms\":" +
-            common::Table::fmt(host_wall_ms, 3);
-    for (const auto& [key, value] : extras)
-        line += ',' + obs::jsonQuoted(key) + ':' +
-                common::Table::fmt(value, 3);
-    line += "}\n";
-    std::cout << line << std::flush;
-    if (!cli.out_path.empty()) {
-        // Rewrite the file after every line rather than only at
-        // process exit: a long sweep killed halfway still leaves a
-        // complete (if shorter) JSONL file, never a torn one.
-        g_json_out_path = cli.out_path;
-        g_json_out_lines += line;
-        flushJsonOutFile();
+    vpps::VppsOptions opts = AppRig::defaultOptions();
+    opts.host_threads = cli.threads;
+    for (const std::size_t batch : kBatchSizes) {
+        const std::size_t n = AppRig::pointInputs(batch);
+        const auto vpps = rig.measureVpps(n, batch, opts);
+        Fields fields = {{"sim_us", vpps.wall_us},
+                         {rateField("VPPS"), vpps.inputs_per_sec}};
+        if (!cli.vpps_only) {
+            double best = 0.0;
+            for (const std::string& which : baselines) {
+                const double rate =
+                    rig.measureBaseline(which, n, batch).inputs_per_sec;
+                fields.emplace_back(rateField(which), rate);
+                best = std::max(best, rate);
+            }
+            fields.emplace_back("vpps_over_best",
+                                vpps.inputs_per_sec / best);
+        }
+        report.row(prefix + "batch=" + std::to_string(batch) + suffix,
+                   fields);
     }
 }
 

@@ -4,17 +4,20 @@
  *
  * Provides the paper's evaluation setup (Section IV): a simulated
  * Titan V, synthetic SST / WikiNER corpora, the six applications at
- * their published dimensions, and helpers that measure simulated
- * training throughput for VPPS and the baselines. Benches run the
- * simulator in timing-only mode (identical simulated durations,
- * no functional float math) so the whole suite finishes quickly.
+ * their published dimensions, helpers that measure simulated
+ * training throughput for VPPS and the baselines, and the one row
+ * format every bench reports through. Benches run the simulator in
+ * timing-only mode (identical simulated durations, no functional
+ * float math) so the whole suite finishes quickly.
  */
 #pragma once
 
+#include <algorithm>
 #include <chrono>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/table.hpp"
 #include "obs/chrome_trace.hpp"
@@ -96,16 +99,12 @@ class AppRig
     std::unique_ptr<models::BenchmarkModel> model_;
 };
 
-/** Print a table plus its CSV form under a paper-style heading. */
-void printTable(const std::string& title, const common::Table& table);
-
 /**
- * Command-line knobs shared by the figure benches:
+ * Command-line knobs shared by the benches:
  *
  *   --threads N    host interpreter threads for VPPS measurements
  *                  (0 = VPPS_HOST_THREADS env, else serial)
- *   --json         emit one JSON result line per measurement point
- *                  instead of the pretty tables
+ *   --json         print each row as one JSON line instead of tables
  *   --functional   run the functional float math too (the default is
  *                  timing-only); interpretation then dominates host
  *                  wall-clock, which is what the host-parallel engine
@@ -116,12 +115,8 @@ void printTable(const std::string& title, const common::Table& table);
  *                  F (open in chrome://tracing or ui.perfetto.dev);
  *                  --trace=F also accepted
  *   --metrics F    write the metrics-registry JSON dump to F
- *   --out F        also collect the JSON result lines into F,
- *                  atomically rewritten (temp-write + rename) after
- *                  every line; implies --json. A killed or crashed
- *                  bench can therefore never leave a truncated
- *                  BENCH_*.json -- the file is either absent, a
- *                  complete prefix of the lines, or the complete run
+ *
+ * plus the bench's own on/off flags (`--faults`, `--smoke`).
  */
 struct BenchCli
 {
@@ -131,11 +126,23 @@ struct BenchCli
     bool vpps_only = false;
     std::string trace_path;   //!< empty = tracing off
     std::string metrics_path; //!< empty = no metrics dump
-    std::string out_path;     //!< empty = stdout only
+    std::vector<std::string> given; //!< the bench's own flags given
+
+    /** @return whether the bench's own flag @p flag was given. */
+    bool
+    has(const std::string& flag) const
+    {
+        return std::find(given.begin(), given.end(), flag) !=
+               given.end();
+    }
 };
 
-/** Parse the shared bench flags; exits with usage on unknown args. */
-BenchCli parseBenchArgs(int argc, char** argv);
+/**
+ * Parse the shared flags and the bench's own @p own_flags; exits with
+ * usage on anything else.
+ */
+BenchCli parseBenchArgs(int argc, char** argv,
+                        const std::vector<std::string>& own_flags = {});
 
 /**
  * RAII observability attachment for a bench: installs a tracer and a
@@ -165,47 +172,64 @@ class ObsScope
     std::unique_ptr<obs::MetricsRegistry> metrics_;
 };
 
-/**
- * Structured result fields appended to a bench JSON line as extra
- * numeric keys. Booleans go in as 0/1. Results belong here, not
- * inside the config string: config identifies the scenario, extras
- * carry what it measured.
- */
-using JsonExtras = std::vector<std::pair<std::string, double>>;
+/** Named results of one measurement, in print order; booleans go in
+ *  as 0/1. */
+using Fields = std::vector<std::pair<std::string, double>>;
 
 /**
- * When --json is on, print one machine-readable line following the
- * common schema (documented in EXPERIMENTS.md):
- *   {"bench":"...","config":"...","sim_us":...,"host_wall_ms":...,
- *    <extras...>}
- * sim_us is the simulated wall time of the measurement and
- * host_wall_ms the host-side wall-clock it took to simulate -- the
- * perf-trajectory number future PRs track in BENCH_*.json. Both
- * string fields pass through the shared JSON escaper.
+ * The one output path of every bench. A bench hands each measurement
+ * over once, as a row of
+ *
+ *   bench         the binary's name
+ *   config        comma-separated `key=value` pairs naming the
+ *                 scenario: everything needed to reproduce the row
+ *   fields        `sim_us` (the simulated duration, when the row has
+ *                 one) and every other simulated result
+ *   host_wall_ms  host wall-clock since the previous row, or since the
+ *                 report began: the cost of simulating the row
+ *
+ * Under --json each row prints as one line,
+ *   {"bench":...,"config":...,<fields...>,"host_wall_ms":...}
+ * with every number in round-trip "%.17g" form (obs::appendJsonDouble),
+ * so a last-bit move shows. Otherwise the rows render as tables under
+ * a "== bench ==" heading: one table per run of consecutive rows that
+ * share their config keys and field names, the last one when the
+ * report is destroyed. tools/sim_parity.py checks every row of every
+ * bench against the golden, bench/sim_golden.jsonl.
  */
-void printJsonResult(const BenchCli& cli, const std::string& bench,
-                     const std::string& config, double sim_us,
-                     double host_wall_ms,
-                     const JsonExtras& extras = {});
-
-/** Steady-clock stopwatch for host wall-clock reporting. */
-class WallTimer
+class Report
 {
   public:
-    WallTimer() : start_(std::chrono::steady_clock::now()) {}
+    Report(const BenchCli& cli, std::string bench);
+    ~Report();
 
-    /** Milliseconds since construction or the last reset(). */
-    double
-    elapsedMs() const
-    {
-        const auto d = std::chrono::steady_clock::now() - start_;
-        return std::chrono::duration<double, std::milli>(d).count();
-    }
+    Report(const Report&) = delete;
+    Report& operator=(const Report&) = delete;
 
-    void reset() { start_ = std::chrono::steady_clock::now(); }
+    void row(const std::string& config, const Fields& fields);
 
   private:
-    std::chrono::steady_clock::time_point start_;
+    void flushTable();
+
+    bool json_;
+    std::string bench_;
+    std::chrono::steady_clock::time_point last_;
+    std::vector<std::string> columns_; //!< of the pending table
+    std::optional<common::Table> table_;
 };
+
+/**
+ * The throughput sweep of Figs 8, 9 and 12 and the BiGRU extension:
+ * at every batch size of kBatchSizes, VPPS and then each of
+ * @p baselines in order, all on @p rig. One row per batch: config
+ * "<prefix>batch=B<suffix>"; fields `sim_us` (the VPPS run's),
+ * `vpps_inputs_per_sec`, each baseline's rate (`dynet_db_inputs_per_sec`
+ * for "DyNet-DB") and `vpps_over_best`, VPPS's rate over the best
+ * baseline's. --vpps-only skips the baselines and the ratio.
+ */
+void throughputSweep(Report& report, AppRig& rig, const BenchCli& cli,
+                     const std::string& prefix,
+                     const std::string& suffix,
+                     const std::vector<std::string>& baselines);
 
 } // namespace benchx

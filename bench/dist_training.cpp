@@ -14,11 +14,9 @@
  * count that still improves throughput per interconnect (the scaling
  * knee) and how much the overlapped schedule buys over the barrier.
  *
- *   ./dist_training --json --out BENCH_DIST.json
  *   ./dist_training --smoke          # CI: 2 cells, 1 step
  */
 #include <cstring>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <string>
@@ -39,7 +37,7 @@ class BenchReplica : public train::ReplicaContext
     BenchReplica() : device_(gpusim::DeviceSpec{}, 128u << 20)
     {
         // A wide embedding makes the gradient payload big enough
-        // (~10 MB) that the PCIe collective competes with compute at
+        // (~21 MB) that the PCIe collective competes with compute at
         // high replica counts, while the trees stay small -- that
         // tension is what the sweep is probing.
         vocab_ = std::make_unique<data::Vocab>(20000, 400000);
@@ -69,7 +67,6 @@ struct Cell
     bool overlap;
     train::DataParallelReport report;
     double inputs_per_sec = 0.0;
-    double wall_ms = 0.0;
 };
 
 bool
@@ -85,20 +82,12 @@ bitwiseEqual(const std::vector<float>& a, const std::vector<float>& b)
 int
 main(int argc, char** argv)
 {
-    // --smoke is ours; everything else goes to the shared parser.
-    bool smoke = false;
-    std::vector<char*> rest;
-    for (int i = 0; i < argc; ++i)
-    {
-        if (std::string(argv[i]) == "--smoke")
-            smoke = true;
-        else
-            rest.push_back(argv[i]);
-    }
-    const benchx::BenchCli cli = benchx::parseBenchArgs(
-        static_cast<int>(rest.size()), rest.data());
+    const benchx::BenchCli cli =
+        benchx::parseBenchArgs(argc, argv, {"--smoke"});
+    benchx::Report report(cli, "dist_training");
     common::setVerbose(false);
 
+    const bool smoke = cli.has("--smoke");
     const std::vector<std::size_t> replica_counts =
         smoke ? std::vector<std::size_t>{1, 2}
               : std::vector<std::size_t>{1, 2, 4, 8};
@@ -108,16 +97,15 @@ main(int argc, char** argv)
                     gpusim::LinkType::NVLink, gpusim::LinkType::PCIe};
     const std::size_t steps = smoke ? 1 : 4;
 
-    common::Table table({"link", "replicas", "schedule", "sim_ms",
-                         "compute_ms", "allreduce_ms", "exposed_ms",
-                         "inputs_per_s", "speedup_vs_r1"});
-
     std::vector<Cell> cells;
     std::vector<float> ref_losses, ref_params;
     bool ok = true;
 
     for (const gpusim::LinkType link : links)
     {
+        // Speedups are against this link's R=1 overlap cell, the
+        // first one the loop runs.
+        double base_total_us = 0.0;
         for (const std::size_t r : replica_counts)
         {
             for (const bool overlap : {true, false})
@@ -132,13 +120,11 @@ main(int argc, char** argv)
                 opts.vpps.rpw = 2;
                 opts.vpps.host_threads = cli.threads;
 
-                benchx::WallTimer timer;
                 auto run = train::trainDataParallel(
                     [](std::size_t) {
                         return std::make_unique<BenchReplica>();
                     },
                     opts);
-                const double wall_ms = timer.elapsedMs();
                 if (!run.ok() || !run.value().completed)
                 {
                     common::warn("dist_training: cell failed: ",
@@ -154,7 +140,6 @@ main(int argc, char** argv)
                 cell.link = link;
                 cell.overlap = overlap;
                 cell.report = std::move(run).value();
-                cell.wall_ms = wall_ms;
                 const double inputs = static_cast<double>(
                     steps * opts.microbatches *
                     opts.microbatch_size);
@@ -179,60 +164,38 @@ main(int argc, char** argv)
                         overlap ? " overlap" : " barrier");
                     ok = false;
                 }
+
+                const train::DataParallelReport& rep = cell.report;
+                if (r == 1 && overlap)
+                    base_total_us = rep.total_us;
+                const double base =
+                    base_total_us > 0.0 ? base_total_us : rep.total_us;
+                report.row(
+                    std::string("link=") + gpusim::linkTypeName(link) +
+                        ",replicas=" + std::to_string(r) +
+                        ",schedule=" +
+                        (overlap ? "overlap" : "barrier") +
+                        ",microbatches=8,microbatch_size=2,steps=" +
+                        std::to_string(steps),
+                    {{"sim_us", rep.total_us},
+                     {"compute_us", rep.compute_us},
+                     {"allreduce_us", rep.allreduce_us},
+                     {"exposed_comm_us", rep.exposed_comm_us},
+                     {"update_us", rep.update_us},
+                     {"overlap_total_us", rep.overlap_total_us},
+                     {"barrier_total_us", rep.barrier_total_us},
+                     {"inputs_per_sec", cell.inputs_per_sec},
+                     {"speedup_vs_r1", base / rep.total_us},
+                     {"comm_messages",
+                      static_cast<double>(rep.comm_messages)},
+                     {"comm_bytes_on_wire",
+                      static_cast<double>(rep.comm_bytes_on_wire)},
+                     {"replicas_identical",
+                      rep.replicas_identical ? 1.0 : 0.0}});
                 cells.push_back(std::move(cell));
             }
         }
     }
-
-    // Per-(link, R): table rows + JSON lines, speedup vs the same
-    // link's R=1 overlap cell.
-    std::map<int, double> base_total; // link -> R=1 overlap total_us
-    for (const Cell& c : cells)
-        if (c.replicas == 1 && c.overlap)
-            base_total[static_cast<int>(c.link)] = c.report.total_us;
-    for (const Cell& c : cells)
-    {
-        const double base =
-            base_total.count(static_cast<int>(c.link))
-                ? base_total[static_cast<int>(c.link)]
-                : c.report.total_us;
-        const double speedup = base / c.report.total_us;
-        table.addRow(
-            {gpusim::linkTypeName(c.link),
-             std::to_string(c.replicas),
-             c.overlap ? "overlap" : "barrier",
-             common::Table::fmt(c.report.total_us / 1000.0, 2),
-             common::Table::fmt(c.report.compute_us / 1000.0, 2),
-             common::Table::fmt(c.report.allreduce_us / 1000.0, 2),
-             common::Table::fmt(c.report.exposed_comm_us / 1000.0, 2),
-             common::Table::fmt(c.inputs_per_sec, 1),
-             common::Table::fmt(speedup, 2)});
-        benchx::printJsonResult(
-            cli, "dist_training",
-            std::string("link=") + gpusim::linkTypeName(c.link) +
-                ",replicas=" + std::to_string(c.replicas) +
-                ",schedule=" + (c.overlap ? "overlap" : "barrier") +
-                ",microbatches=8,microbatch_size=2,steps=" +
-                std::to_string(steps),
-            c.report.total_us, c.wall_ms,
-            {{"compute_us", c.report.compute_us},
-             {"allreduce_us", c.report.allreduce_us},
-             {"exposed_comm_us", c.report.exposed_comm_us},
-             {"update_us", c.report.update_us},
-             {"overlap_total_us", c.report.overlap_total_us},
-             {"barrier_total_us", c.report.barrier_total_us},
-             {"inputs_per_sec", c.inputs_per_sec},
-             {"speedup_vs_r1", speedup},
-             {"comm_messages",
-              static_cast<double>(c.report.comm_messages)},
-             {"comm_bytes_on_wire",
-              static_cast<double>(c.report.comm_bytes_on_wire)},
-             {"replicas_identical",
-              c.report.replicas_identical ? 1.0 : 0.0}});
-    }
-    benchx::printTable("Data-parallel TreeLSTM scaling "
-                       "(replicas x interconnect x schedule)",
-                       table);
 
     // Scaling knee per interconnect: the largest R whose overlapped
     // run still beats the next-smaller R. On NVLink the collective is
@@ -258,24 +221,17 @@ main(int argc, char** argv)
                         d.replicas == knee)
                         overlap_gain = d.report.total_us /
                                        c.report.total_us;
-        std::cout << "dist_training: " << gpusim::linkTypeName(link)
-                  << " scales to R=" << knee << " (" << best
-                  << " inputs/s); overlap beats barrier there by "
-                  << overlap_gain << "x\n";
-        benchx::printJsonResult(
-            cli, "dist_training_summary",
-            std::string("link=") + gpusim::linkTypeName(link),
-            0.0, 0.0,
-            {{"best_replicas", static_cast<double>(knee)},
-             {"best_inputs_per_sec", best},
-             {"overlap_gain_at_best", overlap_gain},
-             {"bitwise_identical_sweep", ok ? 1.0 : 0.0}});
+        report.row(std::string("link=") + gpusim::linkTypeName(link),
+                   {{"best_replicas", static_cast<double>(knee)},
+                    {"best_inputs_per_sec", best},
+                    {"overlap_gain_at_best", overlap_gain},
+                    {"bitwise_identical_sweep", ok ? 1.0 : 0.0}});
     }
 
     // NVLink-vs-PCIe crossover: the smallest replica count at which
-    // the interconnect choice costs more than 10% throughput. Below
-    // it the collective hides under backward on either fabric; above
-    // it PCIe's exposed all-reduce eats the scaling.
+    // the interconnect choice costs more than 10% throughput (0 for
+    // none). Below it the collective hides under backward on either
+    // fabric; above it PCIe's exposed all-reduce eats the scaling.
     if (links.size() >= 2)
     {
         std::map<std::size_t, double> nv, pc;
@@ -291,19 +247,9 @@ main(int argc, char** argv)
                 crossover = r;
                 break;
             }
-        if (crossover)
-            std::cout << "dist_training: interconnect crossover at "
-                         "R="
-                      << crossover
-                      << " (PCIe falls >10% behind NVLink)\n";
-        else
-            std::cout << "dist_training: no interconnect crossover "
-                         "in this sweep\n";
-        benchx::printJsonResult(
-            cli, "dist_training_crossover", "threshold=0.9", 0.0,
-            0.0,
-            {{"crossover_replicas",
-              static_cast<double>(crossover)}});
+        report.row("threshold=0.9",
+                   {{"crossover_replicas",
+                     static_cast<double>(crossover)}});
     }
 
     return ok ? 0 : 1;

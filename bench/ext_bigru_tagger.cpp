@@ -12,33 +12,14 @@
  */
 #include "bench_common.hpp"
 
-#include <iostream>
-
 int
-main()
+main(int argc, char** argv)
 {
-    benchx::AppRig rig("BiGRU");
-    common::Table table(
-        {"batch", "VPPS", "DyNet-DB", "DyNet-AB", "VPPS/best"});
-    for (std::size_t batch : benchx::kBatchSizes) {
-        const std::size_t n = benchx::AppRig::pointInputs(batch);
-        const auto vpps = rig.measureVpps(n, batch);
-        const auto db = rig.measureBaseline("DyNet-DB", n, batch);
-        const auto ab = rig.measureBaseline("DyNet-AB", n, batch);
-        const double best =
-            std::max(db.inputs_per_sec, ab.inputs_per_sec);
-        table.addRow({std::to_string(batch),
-                      common::Table::fmt(vpps.inputs_per_sec, 1),
-                      common::Table::fmt(db.inputs_per_sec, 1),
-                      common::Table::fmt(ab.inputs_per_sec, 1),
-                      common::Table::fmt(
-                          vpps.inputs_per_sec / best, 2)});
-    }
-    benchx::printTable(
-        "Extension: BiGRU tagger throughput (the GRU variant the "
-        "paper says needs no re-crafting)",
-        table);
-    std::cout << "expectation: same qualitative curve as BiLSTM "
-                 "(Fig 12), with no GRU-specific VPPS code\n";
+    const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "ext_bigru_tagger");
+    benchx::AppRig rig("BiGRU", 0, 0, cli.functional);
+    benchx::throughputSweep(report, rig, cli, "app=BiGRU,",
+                            ",threads=" + std::to_string(cli.threads),
+                            {"DyNet-DB", "DyNet-AB"});
     return 0;
 }

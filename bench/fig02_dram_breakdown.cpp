@@ -10,24 +10,18 @@
  */
 #include "bench_common.hpp"
 
-#include <iostream>
-
 int
-main()
+main(int argc, char** argv)
 {
-    const std::vector<std::string> apps = {
-        "Tree-LSTM", "BiLSTM", "BiLSTMwChar",
-        "TD-RNN",    "TD-LSTM", "RvNN"};
-
-    common::Table table({"app", "weights %", "activations %",
-                         "gradients %", "other %"});
-    double weight_share_sum = 0.0;
-    for (const auto& app : apps) {
-        benchx::AppRig rig(app);
+    const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "fig02_dram_breakdown");
+    for (const std::string app : {"Tree-LSTM", "BiLSTM", "BiLSTMwChar",
+                                  "TD-RNN", "TD-LSTM", "RvNN"}) {
+        benchx::AppRig rig(app, 0, 0, cli.functional);
         rig.device().resetStats();
         // Paper training settings: small-batch training is the
         // regime the motivation section measures.
-        rig.measureBaseline("DyNet-AB", 32, 4);
+        const auto r = rig.measureBaseline("DyNet-AB", 32, 4);
         const auto& t = rig.device().traffic();
         const double total = t.totalLoadBytes();
         const double weights =
@@ -40,18 +34,12 @@ main()
             t.loadBytes(gpusim::MemSpace::WeightGrads) +
             t.loadBytes(gpusim::MemSpace::ParamGrads);
         const double other = total - weights - acts - grads;
-        weight_share_sum += weights / total;
-        table.addRow({app,
-                      common::Table::fmt(100.0 * weights / total, 1),
-                      common::Table::fmt(100.0 * acts / total, 1),
-                      common::Table::fmt(100.0 * grads / total, 1),
-                      common::Table::fmt(100.0 * other / total, 1)});
+        report.row("app=" + app,
+                   {{"sim_us", r.wall_us},
+                    {"weights_pct", 100.0 * weights / total},
+                    {"activations_pct", 100.0 * acts / total},
+                    {"gradients_pct", 100.0 * grads / total},
+                    {"other_pct", 100.0 * other / total}});
     }
-    benchx::printTable(
-        "Fig 2: DRAM load distribution training in DyNet-AB", table);
-    std::cout << "mean weight-load share: "
-              << common::Table::fmt(
-                     100.0 * weight_share_sum / apps.size(), 1)
-              << "% (paper: weights are the majority of loads)\n";
     return 0;
 }

@@ -15,66 +15,19 @@
  */
 #include "bench_common.hpp"
 
-#include <iostream>
-
 int
 main(int argc, char** argv)
 {
     const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "fig08_treelstm_throughput");
     benchx::AppRig rig("Tree-LSTM", 0, 0, cli.functional);
     // --trace/--metrics capture the whole sweep on this rig's device
     // (flight-recorder: a long sweep keeps the most recent window).
     benchx::ObsScope obs(rig.device(), cli);
-    vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
-    opts.host_threads = cli.threads;
-
-    common::Table table({"batch", "VPPS", "DyNet-DB", "DyNet-AB",
-                         "TF-Fold", "VPPS/bestDyNet"});
-    double speedup_sum = 0.0;
-    double vpps_wall_ms = 0.0;
-    for (std::size_t batch : benchx::kBatchSizes) {
-        const std::size_t n = benchx::AppRig::pointInputs(batch);
-        benchx::WallTimer timer;
-        const auto vpps = rig.measureVpps(n, batch, opts);
-        const double host_ms = timer.elapsedMs();
-        vpps_wall_ms += host_ms;
-        benchx::printJsonResult(
-            cli, "fig08_treelstm_throughput",
-            "app=Tree-LSTM,batch=" + std::to_string(batch) +
-                ",threads=" + std::to_string(cli.threads) +
-                ",functional=" + (cli.functional ? "1" : "0"),
-            vpps.wall_us, host_ms);
-        if (cli.vpps_only)
-            continue;
-        const auto db = rig.measureBaseline("DyNet-DB", n, batch);
-        const auto ab = rig.measureBaseline("DyNet-AB", n, batch);
-        const auto fold = rig.measureBaseline("TF-Fold", n, batch);
-        const double best_dynet =
-            std::max(db.inputs_per_sec, ab.inputs_per_sec);
-        const double speedup = vpps.inputs_per_sec / best_dynet;
-        speedup_sum += speedup;
-        table.addRow({std::to_string(batch),
-                      common::Table::fmt(vpps.inputs_per_sec, 1),
-                      common::Table::fmt(db.inputs_per_sec, 1),
-                      common::Table::fmt(ab.inputs_per_sec, 1),
-                      common::Table::fmt(fold.inputs_per_sec, 1),
-                      common::Table::fmt(speedup, 2)});
-    }
-    benchx::printJsonResult(cli, "fig08_treelstm_throughput",
-                            "app=Tree-LSTM,sweep=total,threads=" +
-                                std::to_string(cli.threads) +
-                                ",functional=" +
-                                (cli.functional ? "1" : "0"),
-                            0.0, vpps_wall_ms);
-    if (cli.json || cli.vpps_only)
-        return 0;
-    benchx::printTable(
-        "Fig 8: Tree-LSTM training throughput (inputs/s), "
-        "hidden=embed=256",
-        table);
-    std::cout << "mean VPPS speedup over best DyNet variant: "
-              << common::Table::fmt(
-                     speedup_sum / benchx::kBatchSizes.size(), 2)
-              << "x (paper: 1.48x)\n";
+    benchx::throughputSweep(
+        report, rig, cli, "app=Tree-LSTM,",
+        ",threads=" + std::to_string(cli.threads) +
+            ",functional=" + (cli.functional ? "1" : "0"),
+        {"DyNet-DB", "DyNet-AB", "TF-Fold"});
     return 0;
 }

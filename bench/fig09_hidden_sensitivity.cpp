@@ -10,69 +10,32 @@
  * of two (25%); at larger hidden sizes the large-batch decline
  * disappears because the GPU -- not the CPU -- is the bottleneck; and
  * VPPS stays above DyNet at every hidden size.
+ *
+ * Each hidden size reports the occupancy decision the distribution
+ * made (`ctas_per_sm`, `gradients_cached`), then its sweep.
  */
 #include "bench_common.hpp"
-
-#include <iostream>
 
 int
 main(int argc, char** argv)
 {
     const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
-    const std::vector<std::uint32_t> hiddens = {128, 256, 384};
-
-    for (std::uint32_t hidden : hiddens) {
-        benchx::AppRig rig("Tree-LSTM", hidden, 128,
-                           cli.functional);
-
-        // Report the occupancy decision the distribution made.
-        vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
-        opts.host_threads = cli.threads;
-        auto plan = vpps::DistributionPlan::buildAuto(
+    benchx::Report report(cli, "fig09_hidden_sensitivity");
+    for (const std::uint32_t hidden : {128u, 256u, 384u}) {
+        benchx::AppRig rig("Tree-LSTM", hidden, 128, cli.functional);
+        const std::string app =
+            "app=Tree-LSTM,hidden=" + std::to_string(hidden);
+        const vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
+        const auto plan = vpps::DistributionPlan::buildAuto(
             rig.model().model(), rig.device().spec(), opts, opts.rpw);
-        if (!cli.json)
-            std::cout << "hidden " << hidden << ": "
-                      << plan.ctasPerSm()
-                  << " CTA(s)/SM (occupancy "
-                  << common::Table::fmt(plan.ctasPerSm() * 12.5, 1)
-                  << "%), gradients "
-                  << (plan.gradientsCached() ? "cached" : "via GEMM")
-                  << "\n";
-
-        common::Table table(
-            {"batch", "VPPS", "DyNet-DB", "DyNet-AB", "VPPS/best"});
-        for (std::size_t batch : benchx::kBatchSizes) {
-            const std::size_t n = benchx::AppRig::pointInputs(batch);
-            benchx::WallTimer timer;
-            const auto vpps = rig.measureVpps(n, batch, opts);
-            benchx::printJsonResult(
-                cli, "fig09_hidden_sensitivity",
-                "app=Tree-LSTM,hidden=" + std::to_string(hidden) +
-                    ",batch=" + std::to_string(batch) +
-                    ",threads=" + std::to_string(cli.threads),
-                vpps.wall_us, timer.elapsedMs());
-            if (cli.vpps_only)
-                continue;
-            const auto db = rig.measureBaseline("DyNet-DB", n, batch);
-            const auto ab = rig.measureBaseline("DyNet-AB", n, batch);
-            const double best =
-                std::max(db.inputs_per_sec, ab.inputs_per_sec);
-            table.addRow(
-                {std::to_string(batch),
-                 common::Table::fmt(vpps.inputs_per_sec, 1),
-                 common::Table::fmt(db.inputs_per_sec, 1),
-                 common::Table::fmt(ab.inputs_per_sec, 1),
-                 common::Table::fmt(vpps.inputs_per_sec / best, 2)});
-        }
-        if (!cli.json && !cli.vpps_only)
-            benchx::printTable("Fig 9: Tree-LSTM throughput, hidden=" +
-                                   std::to_string(hidden) +
-                                   ", embed=128",
-                               table);
+        report.row(app,
+                   {{"ctas_per_sm", plan.ctasPerSm()},
+                    {"gradients_cached",
+                     plan.gradientsCached() ? 1.0 : 0.0}});
+        benchx::throughputSweep(report, rig, cli, app + ",",
+                                ",threads=" +
+                                    std::to_string(cli.threads),
+                                {"DyNet-DB", "DyNet-AB"});
     }
-    if (!cli.json && !cli.vpps_only)
-        std::cout << "paper: VPPS mean rate drops 8.5% from hidden "
-                     "128 to 256 and 12.2% from 256 to 384 (occupancy "
-                     "halves at 384)\n";
     return 0;
 }

@@ -3,9 +3,10 @@
  * Fig 10: per-input execution-time breakdown of VPPS on Tree-LSTM
  * (hidden = embed = 256) across batch sizes: CPU components (graph
  * construction, forward scheduling, backward scheduling, script
- * transfer) next to the GPU kernel duration. Host and device run
- * concurrently, so components are reported side by side as in the
- * paper.
+ * transfer) next to the GPU kernel duration, all in us per input.
+ * Host and device run concurrently, so components are reported side
+ * by side as in the paper; `cpu_bound` is 1 where the CPU is the
+ * bottleneck.
  *
  * Expected shape (paper): at small batches the kernel dominates (it
  * is the bottleneck); per-input kernel time shrinks with batch size
@@ -15,43 +16,34 @@
  */
 #include "bench_common.hpp"
 
-#include <iostream>
-
 int
-main()
+main(int argc, char** argv)
 {
-    benchx::AppRig rig("Tree-LSTM");
-
-    common::Table table({"batch", "graph (us)", "fwd sched (us)",
-                         "bwd sched (us)", "transfer (us)",
-                         "CPU total (us)", "GPU kernel (us)",
-                         "bottleneck"});
+    const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "fig10_time_breakdown");
+    benchx::AppRig rig("Tree-LSTM", 0, 0, cli.functional);
+    vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
+    opts.host_threads = cli.threads;
     for (std::size_t batch : benchx::kBatchSizes) {
         const std::size_t n = benchx::AppRig::pointInputs(batch);
         rig.device().resetStats();
-        vpps::Handle handle(rig.model().model(), rig.device(),
-                            benchx::AppRig::defaultOptions());
-        train::measureVpps(handle, rig.model(), n, batch);
+        vpps::Handle handle(rig.model().model(), rig.device(), opts);
+        const auto r = train::measureVpps(handle, rig.model(), n, batch);
         const auto& s = handle.stats();
         const double per_input =
             static_cast<double>(s.batches) * batch;
         auto norm = [per_input](double us) { return us / per_input; };
         const double cpu = norm(s.cpuUs());
         const double gpu = norm(s.gpuUs());
-        table.addRow({std::to_string(batch),
-                      common::Table::fmt(norm(s.graph_us), 1),
-                      common::Table::fmt(norm(s.fwd_sched_us), 1),
-                      common::Table::fmt(norm(s.bwd_sched_us), 1),
-                      common::Table::fmt(norm(s.transfer_us), 1),
-                      common::Table::fmt(cpu, 1),
-                      common::Table::fmt(gpu, 1),
-                      cpu > gpu ? "CPU" : "GPU"});
+        report.row("app=Tree-LSTM,batch=" + std::to_string(batch),
+                   {{"sim_us", r.wall_us},
+                    {"graph_us_per_input", norm(s.graph_us)},
+                    {"fwd_sched_us_per_input", norm(s.fwd_sched_us)},
+                    {"bwd_sched_us_per_input", norm(s.bwd_sched_us)},
+                    {"transfer_us_per_input", norm(s.transfer_us)},
+                    {"cpu_us_per_input", cpu},
+                    {"gpu_us_per_input", gpu},
+                    {"cpu_bound", cpu > gpu ? 1.0 : 0.0}});
     }
-    benchx::printTable(
-        "Fig 10: VPPS per-input time breakdown, Tree-LSTM "
-        "hidden=embed=256 (CPU and GPU overlap)",
-        table);
-    std::cout << "paper: GPU kernel dominates at small batch; CPU "
-                 "scheduling becomes the bottleneck at large batch\n";
     return 0;
 }

@@ -14,60 +14,18 @@
  */
 #include "bench_common.hpp"
 
-#include <iostream>
-
 int
 main(int argc, char** argv)
 {
     const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
-    const std::vector<std::string> apps = {
-        "BiLSTM", "BiLSTMwChar", "TD-RNN", "TD-LSTM", "RvNN"};
-
-    vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
-    opts.host_threads = cli.threads;
-    for (const auto& app : apps) {
+    benchx::Report report(cli, "fig12_other_apps");
+    for (const std::string app :
+         {"BiLSTM", "BiLSTMwChar", "TD-RNN", "TD-LSTM", "RvNN"}) {
         benchx::AppRig rig(app, 0, 0, cli.functional);
-        common::Table table(
-            {"batch", "VPPS", "DyNet-DB", "DyNet-AB", "VPPS/best"});
-        double best_ratio = 0.0;
-        std::size_t best_batch = 0;
-        for (std::size_t batch : benchx::kBatchSizes) {
-            const std::size_t n = benchx::AppRig::pointInputs(batch);
-            benchx::WallTimer timer;
-            const auto vpps = rig.measureVpps(n, batch, opts);
-            benchx::printJsonResult(
-                cli, "fig12_other_apps",
-                "app=" + app + ",batch=" + std::to_string(batch) +
-                    ",threads=" + std::to_string(cli.threads),
-                vpps.wall_us, timer.elapsedMs());
-            if (cli.vpps_only)
-                continue;
-            const auto db = rig.measureBaseline("DyNet-DB", n, batch);
-            const auto ab = rig.measureBaseline("DyNet-AB", n, batch);
-            const double best =
-                std::max(db.inputs_per_sec, ab.inputs_per_sec);
-            const double ratio = vpps.inputs_per_sec / best;
-            if (ratio > best_ratio) {
-                best_ratio = ratio;
-                best_batch = batch;
-            }
-            table.addRow({std::to_string(batch),
-                          common::Table::fmt(vpps.inputs_per_sec, 1),
-                          common::Table::fmt(db.inputs_per_sec, 1),
-                          common::Table::fmt(ab.inputs_per_sec, 1),
-                          common::Table::fmt(ratio, 2)});
-        }
-        if (cli.json || cli.vpps_only)
-            continue;
-        benchx::printTable("Fig 12: " + app + " training throughput",
-                           table);
-        std::cout << app << ": max VPPS speedup "
-                  << common::Table::fmt(best_ratio, 2) << "x at batch "
-                  << best_batch << "\n";
+        benchx::throughputSweep(report, rig, cli, "app=" + app + ",",
+                                ",threads=" +
+                                    std::to_string(cli.threads),
+                                {"DyNet-DB", "DyNet-AB"});
     }
-    if (!cli.json && !cli.vpps_only)
-        std::cout << "\npaper: BiLSTM peaks at 6.08x (batch 2); "
-                     "TD-RNN and RvNN let DyNet catch up at smaller "
-                     "batches than the other apps\n";
     return 0;
 }

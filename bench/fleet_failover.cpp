@@ -171,24 +171,10 @@ runFleetPoint(const benchx::BenchCli& cli, std::size_t n_replicas,
 int
 main(int argc, char** argv)
 {
-    bool soak = false;
-    std::vector<char*> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--faults")
-            soak = true;
-        else
-            args.push_back(argv[i]);
-    }
-    const auto cli = benchx::parseBenchArgs(
-        static_cast<int>(args.size()), args.data());
-
-    common::Table table({"replicas", "arrivals", "completed",
-                         "goodput/s", "failed over", "lost",
-                         "hedges", "p99 ms", "shed+rejected"});
+    const auto cli = benchx::parseBenchArgs(argc, argv, {"--faults"});
+    benchx::Report report(cli, "fleet_failover");
     for (const std::size_t r : {std::size_t{1}, std::size_t{2},
                                 std::size_t{3}}) {
-        benchx::WallTimer timer;
         const auto pt = runFleetPoint(cli, r, 1.8, 240, 0.25, 0.0,
                                       /*observe=*/r == 3);
         const auto& c = pt.report.counters;
@@ -198,58 +184,40 @@ main(int argc, char** argv)
                       << r << "\n";
             return 1;
         }
-        table.addRow(
-            {std::to_string(r), std::to_string(c.arrivals),
-             std::to_string(c.completed),
-             common::Table::fmt(pt.goodput_per_sec, 1),
-             std::to_string(c.failed_over), std::to_string(c.lost),
-             std::to_string(c.hedges),
-             common::Table::fmt(pt.report.latency.p99_us / 1e3, 2),
-             std::to_string(c.shed + c.rejected_queue_full +
-                            c.rejected_infeasible)});
-        benchx::printJsonResult(
-            cli, "fleet_failover",
+        report.row(
             "replicas=" + std::to_string(r) +
                 ",load=1.80,wedge_frac=0.25",
-            pt.report.sim_end_us, timer.elapsedMs(),
-            {{"goodput_per_sec", pt.goodput_per_sec},
+            {{"sim_us", pt.report.sim_end_us},
+             {"arrivals", static_cast<double>(c.arrivals)},
              {"completed", static_cast<double>(c.completed)},
+             {"goodput_per_sec", pt.goodput_per_sec},
              {"failed_over", static_cast<double>(c.failed_over)},
              {"lost", static_cast<double>(c.lost)},
              {"hedges", static_cast<double>(c.hedges)},
              {"device_losses", static_cast<double>(c.device_losses)},
-             {"p99_us", pt.report.latency.p99_us}});
+             {"p99_us", pt.report.latency.p99_us},
+             {"shed_rejected",
+              static_cast<double>(c.shed + c.rejected_queue_full +
+                                  c.rejected_infeasible)}});
     }
-    if (!cli.json)
-        benchx::printTable(
-            "Goodput under single-replica loss (Tree-LSTM fleet, "
-            "offered load 1.8x one replica, wedge at 25% of trace)",
-            table);
 
-    if (soak) {
+    if (cli.has("--faults")) {
         // Device loss AND a flaky survivor at once: replica 0 wedges
         // while replica 1 runs a 10% transient fault rate, still at
         // 1.8x a single replica's capacity. Pass = the fleet
         // survives, exactly one device loss, and every counter
         // identity reconciles.
-        benchx::WallTimer timer;
         const auto pt =
             runFleetPoint(cli, 3, 1.8, 160, 0.25, 0.10, false);
         const auto& c = pt.report.counters;
         const bool ok = c.reconciled() && c.completed > 0 &&
                         c.device_losses == 1;
-        benchx::printJsonResult(
-            cli, "fleet_failover", "soak_faults=0.10,replicas=3",
-            pt.report.sim_end_us, timer.elapsedMs(),
-            {{"completed", static_cast<double>(c.completed)},
-             {"failed_over", static_cast<double>(c.failed_over)},
-             {"lost", static_cast<double>(c.lost)},
-             {"reconciled", ok ? 1.0 : 0.0}});
-        if (!cli.json)
-            std::cout << "soak: " << (ok ? "PASS" : "FAIL")
-                      << " (completed " << c.completed
-                      << ", failed over " << c.failed_over << ", lost "
-                      << c.lost << ")\n";
+        report.row("soak_faults=0.10,replicas=3",
+                   {{"sim_us", pt.report.sim_end_us},
+                    {"completed", static_cast<double>(c.completed)},
+                    {"failed_over", static_cast<double>(c.failed_over)},
+                    {"lost", static_cast<double>(c.lost)},
+                    {"reconciled", ok ? 1.0 : 0.0}});
         if (!ok) {
             std::cerr << "fleet_failover: soak failed -- counters "
                          "did not reconcile or the loss was not "

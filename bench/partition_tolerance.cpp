@@ -35,13 +35,15 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "serve/explorer.hpp"
 
 namespace {
 
 serve::NetExplorerConfig
-explorerConfig(const benchx::BenchCli& cli, bool smoke)
+explorerConfig(const benchx::BenchCli& cli)
 {
+    const bool smoke = cli.has("--smoke");
     serve::NetExplorerConfig cfg;
     cfg.host_threads = cli.threads > 0 ? cli.threads : 1;
     cfg.max_points = smoke ? 4 : 12;
@@ -62,25 +64,14 @@ extraViolations(const std::vector<std::string>& violations)
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    bool soak = false;
-    std::vector<char*> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--smoke")
-            smoke = true;
-        else if (std::string(argv[i]) == "--faults")
-            soak = true;
-        else
-            args.push_back(argv[i]);
-    }
-    const auto cli = benchx::parseBenchArgs(
-        static_cast<int>(args.size()), args.data());
+    const auto cli =
+        benchx::parseBenchArgs(argc, argv, {"--smoke", "--faults"});
+    benchx::Report report(cli, "partition_tolerance");
+    common::setVerbose(false);
     bool ok = true;
 
     // 1. The link-down sweep.
-    const serve::NetExplorerConfig cfg = explorerConfig(cli, smoke);
-    benchx::WallTimer timer;
+    const serve::NetExplorerConfig cfg = explorerConfig(cli);
     const serve::ExploreReport sweep =
         serve::exploreLinkDownPoints(cfg);
     for (const auto& f : sweep.failures) {
@@ -89,15 +80,13 @@ main(int argc, char** argv)
         extraViolations(f.violations);
     }
     ok = ok && sweep.passed();
-    benchx::printJsonResult(
-        cli, "partition_tolerance",
+    report.row(
         "sweep,points=" + std::to_string(sweep.points_tested.size()) +
             ",down_for_us=" + std::to_string(
                 static_cast<long long>(cfg.down_for_us)) +
             ",threads=" + std::to_string(cfg.host_threads),
-        static_cast<double>(sweep.baseline_end),
-        timer.elapsedMs(),
-        {{"baseline_completed",
+        {{"sim_us", static_cast<double>(sweep.baseline_end)},
+         {"baseline_completed",
           static_cast<double>(sweep.baseline_completed)},
          {"points_tested",
           static_cast<double>(sweep.points_tested.size())},
@@ -107,23 +96,20 @@ main(int argc, char** argv)
     // 2. Goodput under a mid-trace partition.
     serve::NetExplorerConfig pcfg = cfg;
     pcfg.down_for_us = 8'000.0;
-    timer.reset();
     const serve::PartitionMeasurement part =
         serve::measurePartition(pcfg, 1.0 / 3.0);
     ok = ok && part.violations.empty();
-    benchx::printJsonResult(
-        cli, "partition_tolerance",
+    report.row(
         "partition,at_fraction=0.33,down_for_us=8000",
-        part.faulted_end_us, timer.elapsedMs(),
-        {{"baseline_goodput", part.baseline_goodput},
+        {{"sim_us", part.faulted_end_us},
+         {"baseline_goodput", part.baseline_goodput},
          {"faulted_goodput", part.faulted_goodput},
          {"completed", static_cast<double>(part.completed)},
          {"fenced", static_cast<double>(part.fenced)},
          {"fence_drops", static_cast<double>(part.fence_drops)},
          {"timeouts", static_cast<double>(part.timeouts)},
          {"retransmits", static_cast<double>(part.retransmits)},
-         {"sends_blocked",
-          static_cast<double>(part.sends_blocked)},
+         {"sends_blocked", static_cast<double>(part.sends_blocked)},
          {"unreachable_skips",
           static_cast<double>(part.unreachable_skips)},
          {"link_downs", static_cast<double>(part.link_downs)},
@@ -132,16 +118,14 @@ main(int argc, char** argv)
     // 3. Rack-local vs cross-rack standby promotion.
     serve::PromotionMeasurement prom[2];
     for (const bool rack_local : {true, false}) {
-        timer.reset();
         serve::PromotionMeasurement m =
             serve::measurePromotion(cfg, rack_local);
         ok = ok && m.violations.empty() && m.joined;
-        benchx::printJsonResult(
-            cli, "partition_tolerance",
+        report.row(
             std::string("promotion,rack_local=") +
                 (rack_local ? "1" : "0"),
-            static_cast<double>(m.ship_us), timer.elapsedMs(),
-            {{"joined", m.joined ? 1.0 : 0.0},
+            {{"sim_us", static_cast<double>(m.ship_us)},
+             {"joined", m.joined ? 1.0 : 0.0},
              {"ship_us", static_cast<double>(m.ship_us)},
              {"ship_bytes", static_cast<double>(m.ship_bytes)},
              {"ship_chunks", static_cast<double>(m.ship_chunks)},
@@ -149,29 +133,6 @@ main(int argc, char** argv)
              {"completed", static_cast<double>(m.completed)},
              {"violations", extraViolations(m.violations)}});
         prom[rack_local ? 0 : 1] = m;
-    }
-
-    if (!cli.json) {
-        common::Table table({"measurement", "result"});
-        table.addRow({"sweep points",
-                      std::to_string(sweep.points_tested.size())});
-        table.addRow({"sweep failures",
-                      std::to_string(sweep.failures.size())});
-        table.addRow({"baseline goodput/s",
-                      common::Table::fmt(part.baseline_goodput, 1)});
-        table.addRow({"partitioned goodput/s",
-                      common::Table::fmt(part.faulted_goodput, 1)});
-        table.addRow({"fenced / fence drops",
-                      std::to_string(part.fenced) + " / " +
-                          std::to_string(part.fence_drops)});
-        table.addRow({"rack-local ship us",
-                      std::to_string(prom[0].ship_us)});
-        table.addRow({"cross-rack ship us",
-                      std::to_string(prom[1].ship_us)});
-        benchx::printTable(
-            "Partition tolerance (no admitted High lost, post-heal "
-            "bitwise identical, accounting reconciled)",
-            table);
     }
     if (prom[0].joined && prom[1].joined &&
         prom[0].ship_us >= prom[1].ship_us) {
@@ -182,7 +143,7 @@ main(int argc, char** argv)
         ok = false;
     }
 
-    if (soak) {
+    if (cli.has("--faults")) {
         // Seeded-loss soak: 10% per-hop message loss layered onto
         // the partition episode, run twice. The loss stream is
         // seeded per link, so both runs must agree field-for-field
@@ -190,7 +151,6 @@ main(int argc, char** argv)
         serve::NetExplorerConfig lcfg = cfg;
         lcfg.loss_rate = 0.10;
         lcfg.down_for_us = 8'000.0;
-        timer.reset();
         const serve::PartitionMeasurement a =
             serve::measurePartition(lcfg, 0.5);
         const serve::PartitionMeasurement b =
@@ -203,22 +163,16 @@ main(int argc, char** argv)
         const bool soak_ok = deterministic &&
                              a.violations.empty() &&
                              b.violations.empty();
-        benchx::printJsonResult(
-            cli, "partition_tolerance",
+        report.row(
             "soak,loss_rate=0.10,at_fraction=0.50",
-            a.faulted_end_us, timer.elapsedMs(),
-            {{"retransmits", static_cast<double>(a.retransmits)},
+            {{"sim_us", a.faulted_end_us},
+             {"retransmits", static_cast<double>(a.retransmits)},
              {"timeouts", static_cast<double>(a.timeouts)},
              {"fenced", static_cast<double>(a.fenced)},
              {"completed", static_cast<double>(a.completed)},
              {"deterministic", deterministic ? 1.0 : 0.0},
              {"violations", extraViolations(a.violations) +
                                 extraViolations(b.violations)}});
-        if (!cli.json)
-            std::cout << "soak: " << (soak_ok ? "PASS" : "FAIL")
-                      << " (retransmits " << a.retransmits
-                      << ", fenced " << a.fenced << ", completed "
-                      << a.completed << ")\n";
         ok = ok && soak_ok;
     }
 

@@ -17,44 +17,19 @@
  */
 #include "bench_common.hpp"
 
-#include <iostream>
 #include <optional>
 
 #include "gpusim/faults.hpp"
-
-namespace {
-
-/** Format a recovery-counter summary like "3rt 1rl 2hg". */
-std::string
-counterSummary(const vpps::RecoveryStats& r)
-{
-    std::string s;
-    const auto add = [&s](std::uint64_t n, const char* tag) {
-        if (n > 0)
-            s += (s.empty() ? "" : " ") + std::to_string(n) + tag;
-    };
-    add(r.script_retransmits, "rt");
-    add(r.weight_reloads, "wl");
-    add(r.relaunches, "rl");
-    add(r.hang_recoveries, "hg");
-    add(r.alloc_retries, "al");
-    add(r.loss_retries, "ls");
-    add(r.rollbacks, "rb");
-    return s.empty() ? "-" : s;
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
 {
     const auto cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "robustness_recovery");
     const std::size_t batch = 16;
     const std::size_t n = 8 * benchx::AppRig::pointInputs(batch);
 
     // -- Part 1: transient-fault overhead curve ---------------------
-    common::Table table({"fault rate", "inputs/s", "vs fault-free",
-                         "recoveries", "counters", "recovery ms"});
     double baseline_ips = 0.0;
     for (const double rate : {0.0, 0.01, 0.05, 0.2}) {
         benchx::AppRig rig("Tree-LSTM");
@@ -68,38 +43,32 @@ main(int argc, char** argv)
         if (rate > 0.0)
             rig.device().installFaults(
                 gpusim::FaultPlan::uniform(rate, 42));
-        benchx::WallTimer timer;
         vpps::Handle handle(rig.model().model(), rig.device(), opts);
         const auto r =
             train::measureVpps(handle, rig.model(), n, batch);
         const auto& rec = handle.stats().recovery;
         if (rate == 0.0)
             baseline_ips = r.inputs_per_sec;
-        table.addRow({common::Table::fmt(rate, 2),
-                      common::Table::fmt(r.inputs_per_sec, 1),
-                      common::Table::fmt(
-                          r.inputs_per_sec / baseline_ips, 3),
-                      std::to_string(rec.totalRecoveries()),
-                      counterSummary(rec),
-                      common::Table::fmt(rec.recovery_us / 1e3, 2)});
-        benchx::printJsonResult(
-            cli, "robustness_recovery",
+        auto count = [](std::uint64_t v) {
+            return static_cast<double>(v);
+        };
+        report.row(
             "transient_rate=" + common::Table::fmt(rate, 2),
-            r.wall_us, timer.elapsedMs(),
-            {{"inputs_per_sec", r.inputs_per_sec},
-             {"recoveries",
-              static_cast<double>(rec.totalRecoveries())},
-             {"recovery_ms", rec.recovery_us / 1e3}});
+            {{"sim_us", r.wall_us},
+             {"inputs_per_sec", r.inputs_per_sec},
+             {"vs_fault_free", r.inputs_per_sec / baseline_ips},
+             {"recoveries", count(rec.totalRecoveries())},
+             {"recovery_ms", rec.recovery_us / 1e3},
+             {"script_retransmits", count(rec.script_retransmits)},
+             {"weight_reloads", count(rec.weight_reloads)},
+             {"relaunches", count(rec.relaunches)},
+             {"hang_recoveries", count(rec.hang_recoveries)},
+             {"alloc_retries", count(rec.alloc_retries)},
+             {"loss_retries", count(rec.loss_retries)},
+             {"rollbacks", count(rec.rollbacks)}});
     }
-    if (!cli.json)
-        benchx::printTable(
-            "Transient-fault recovery overhead (Tree-LSTM, batch 16, "
-            "seeded plan, bitwise-identical results)",
-            table);
 
     // -- Part 2: checkpoint-interval sweep under batch-killing faults
-    common::Table ck({"ckpt every", "inputs/s", "restores",
-                      "replayed batches", "checkpoints"});
     for (const std::size_t every : {1, 4, 16}) {
         benchx::AppRig rig("Tree-LSTM");
         auto opts = benchx::AppRig::defaultOptions();
@@ -109,34 +78,20 @@ main(int argc, char** argv)
         plan.seed = 42;
         plan.script_ecc_rate = 0.5;
         rig.device().installFaults(plan);
-        benchx::WallTimer timer;
         vpps::Handle handle(rig.model().model(), rig.device(), opts);
         train::RecoveryOptions ropts;
         ropts.checkpoint_every_batches = every;
         ropts.max_restores = 10000;
         const auto rep = train::measureVppsRecoverable(
             handle, rig.device(), rig.model(), n, batch, ropts);
-        ck.addRow({std::to_string(every),
-                   common::Table::fmt(
-                       rep.throughput.inputs_per_sec, 1),
-                   std::to_string(rep.restores),
-                   std::to_string(rep.replayed_batches),
-                   std::to_string(rep.checkpoints)});
-        benchx::printJsonResult(
-            cli, "robustness_recovery",
-            "checkpoint_every=" + std::to_string(every),
-            rep.throughput.wall_us, timer.elapsedMs(),
-            {{"inputs_per_sec", rep.throughput.inputs_per_sec},
-             {"restores", static_cast<double>(rep.restores)},
-             {"replayed_batches",
-              static_cast<double>(rep.replayed_batches)},
-             {"checkpoints",
-              static_cast<double>(rep.checkpoints)}});
+        report.row("checkpoint_every=" + std::to_string(every),
+                   {{"sim_us", rep.throughput.wall_us},
+                    {"inputs_per_sec", rep.throughput.inputs_per_sec},
+                    {"restores", static_cast<double>(rep.restores)},
+                    {"replayed_batches",
+                     static_cast<double>(rep.replayed_batches)},
+                    {"checkpoints",
+                     static_cast<double>(rep.checkpoints)}});
     }
-    if (!cli.json)
-        benchx::printTable(
-            "Checkpointed recovery under batch-killing faults "
-            "(script ECC 50%, 1 retransmit)",
-            ck);
     return 0;
 }

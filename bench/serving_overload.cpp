@@ -26,7 +26,6 @@ namespace {
 
 struct LoadPoint
 {
-    double multiplier = 0.0;
     serve::Report report;
     double goodput_per_sec = 0.0;
 };
@@ -77,7 +76,6 @@ runLoadPoint(const benchx::BenchCli& cli, double multiplier,
         rig.model().datasetSize()));
 
     LoadPoint pt;
-    pt.multiplier = multiplier;
     pt.report = server.report();
     if (pt.report.sim_end_us > 0.0)
         pt.goodput_per_sec =
@@ -91,25 +89,9 @@ runLoadPoint(const benchx::BenchCli& cli, double multiplier,
 int
 main(int argc, char** argv)
 {
-    // Strip the bench-specific flag before the shared parser (which
-    // exits on anything it does not know).
-    bool soak = false;
-    std::vector<char*> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--faults")
-            soak = true;
-        else
-            args.push_back(argv[i]);
-    }
-    const auto cli = benchx::parseBenchArgs(
-        static_cast<int>(args.size()), args.data());
-
-    common::Table table({"offered/capacity", "arrivals", "completed",
-                         "goodput/s", "p50 ms", "p99 ms", "shed",
-                         "rejected", "timed out"});
+    const auto cli = benchx::parseBenchArgs(argc, argv, {"--faults"});
+    benchx::Report report(cli, "serving_overload");
     for (const double mult : {0.25, 0.5, 0.7, 1.0, 1.5, 2.0}) {
-        benchx::WallTimer timer;
         const auto pt =
             runLoadPoint(cli, mult, 240, 0.0, mult == 2.0);
         const auto& c = pt.report.counters;
@@ -119,54 +101,34 @@ main(int argc, char** argv)
                       << mult << "x load\n";
             return 1;
         }
-        table.addRow(
-            {common::Table::fmt(mult, 2),
-             std::to_string(c.arrivals),
-             std::to_string(c.completed),
-             common::Table::fmt(pt.goodput_per_sec, 1),
-             common::Table::fmt(pt.report.latency.p50_us / 1e3, 2),
-             common::Table::fmt(pt.report.latency.p99_us / 1e3, 2),
-             std::to_string(c.shed),
-             std::to_string(c.rejected_queue_full +
-                            c.rejected_infeasible),
-             std::to_string(c.timed_out)});
-        benchx::printJsonResult(
-            cli, "serving_overload",
+        report.row(
             "load=" + common::Table::fmt(mult, 2),
-            pt.report.sim_end_us, timer.elapsedMs(),
-            {{"goodput_per_sec", pt.goodput_per_sec},
-             {"p99_us", pt.report.latency.p99_us},
+            {{"sim_us", pt.report.sim_end_us},
+             {"arrivals", static_cast<double>(c.arrivals)},
              {"completed", static_cast<double>(c.completed)},
+             {"goodput_per_sec", pt.goodput_per_sec},
+             {"p50_us", pt.report.latency.p50_us},
+             {"p99_us", pt.report.latency.p99_us},
              {"shed", static_cast<double>(c.shed)},
              {"rejected",
               static_cast<double>(c.rejected_queue_full +
-                                  c.rejected_infeasible)}});
+                                  c.rejected_infeasible)},
+             {"timed_out", static_cast<double>(c.timed_out)}});
     }
-    if (!cli.json)
-        benchx::printTable(
-            "Overload sweep (Tree-LSTM endpoint, open-loop Poisson "
-            "arrivals, admission + brown-out enabled)",
-            table);
 
-    if (soak) {
+    if (cli.has("--faults")) {
         // Overload and a hostile device at once: 15% transient fault
         // rate across every category, 2x offered load. Survival +
         // reconciled accounting is the pass criterion.
-        benchx::WallTimer timer;
         const auto pt = runLoadPoint(cli, 2.0, 160, 0.15);
         const auto& c = pt.report.counters;
         const bool ok = c.reconciled() && c.completed > 0;
-        benchx::printJsonResult(
-            cli, "serving_overload", "soak_faults=0.15",
-            pt.report.sim_end_us, timer.elapsedMs(),
-            {{"completed", static_cast<double>(c.completed)},
-             {"failed", static_cast<double>(c.failed)},
-             {"reconciled", ok ? 1.0 : 0.0}});
-        if (!cli.json)
-            std::cout << "soak: " << (ok ? "PASS" : "FAIL")
-                      << " (completed " << c.completed << ", failed "
-                      << c.failed << ", timed out " << c.timed_out
-                      << ")\n";
+        report.row("soak_faults=0.15",
+                   {{"sim_us", pt.report.sim_end_us},
+                    {"completed", static_cast<double>(c.completed)},
+                    {"failed", static_cast<double>(c.failed)},
+                    {"timed_out", static_cast<double>(c.timed_out)},
+                    {"reconciled", ok ? 1.0 : 0.0}});
         if (!ok) {
             std::cerr << "serving_overload: soak failed -- counters "
                          "did not reconcile or nothing completed\n";

@@ -2,7 +2,8 @@
  * @file
  * Table I: megabytes of weight matrices loaded from device DRAM while
  * training 128 Tree-LSTM inputs, across batch sizes, for VPPS and
- * DyNet-AB (hidden = embed = 256).
+ * DyNet-AB (hidden = embed = 256). The first row is the model's
+ * cacheable weight-matrix size.
  *
  * Expected shape (paper): VPPS loads exactly (weight bytes) x (number
  * of batches) -- 352.62 MB at batch 1 halving with every batch-size
@@ -12,8 +13,6 @@
  * GEMMs that load W once per group.
  */
 #include "bench_common.hpp"
-
-#include <iostream>
 
 namespace {
 
@@ -27,37 +26,34 @@ weightMb(const gpusim::Device& device)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     constexpr std::size_t kInputs = 128;
-    benchx::AppRig rig("Tree-LSTM");
+    const benchx::BenchCli cli = benchx::parseBenchArgs(argc, argv);
+    benchx::Report report(cli, "table1_weight_loads");
+    benchx::AppRig rig("Tree-LSTM", 0, 0, cli.functional);
+    vpps::VppsOptions opts = benchx::AppRig::defaultOptions();
+    opts.host_threads = cli.threads;
 
-    const double weights_mb =
-        rig.model().model().totalWeightMatrixBytes() / (1024.0 * 1024.0);
-    std::cout << "cacheable weight matrices: "
-              << common::Table::fmt(weights_mb, 2) << " MB\n";
-
-    common::Table table(
-        {"batch", "VPPS (MB)", "DyNet-AB (MB)", "AB/VPPS"});
+    report.row("app=Tree-LSTM",
+               {{"cacheable_weight_mb",
+                 rig.model().model().totalWeightMatrixBytes() /
+                     (1024.0 * 1024.0)}});
     for (std::size_t batch : benchx::kBatchSizes) {
         rig.device().resetStats();
-        rig.measureVpps(kInputs, batch);
+        const auto r = rig.measureVpps(kInputs, batch, opts);
         const double vpps_mb = weightMb(rig.device());
 
         rig.device().resetStats();
         rig.measureBaseline("DyNet-AB", kInputs, batch);
         const double ab_mb = weightMb(rig.device());
 
-        table.addRow({std::to_string(batch),
-                      common::Table::fmt(vpps_mb, 2),
-                      common::Table::fmt(ab_mb, 2),
-                      common::Table::fmt(ab_mb / vpps_mb, 1)});
+        report.row("app=Tree-LSTM,inputs=128,batch=" +
+                       std::to_string(batch),
+                   {{"sim_us", r.wall_us},
+                    {"vpps_weight_mb", vpps_mb},
+                    {"dynet_ab_weight_mb", ab_mb},
+                    {"ab_over_vpps", ab_mb / vpps_mb}});
     }
-    benchx::printTable(
-        "Table I: weight bytes loaded training 128 inputs (Tree-LSTM, "
-        "hidden=embed=256)",
-        table);
-    std::cout << "paper: VPPS 352.62 -> 2.75 MB (exact halving); "
-                 "DyNet-AB 2.82 GB -> 692 MB\n";
     return 0;
 }

@@ -47,8 +47,8 @@ void appendJsonDouble(std::string& out, double v);
  * durable checkpoint store uses (durable/manifest.hpp). A reader (or
  * a crash mid-export) therefore sees either the previous complete
  * file or the new complete file, never a truncated JSON document.
- * Used by every exporter that lands on disk: Chrome traces, metrics
- * dumps, and the benches' committed BENCH_*.json trajectories.
+ * Used by every exporter that lands on disk: Chrome traces and
+ * metrics dumps.
  */
 common::Status writeTextFileAtomic(const std::string& path,
                                    const std::string& content);

@@ -38,7 +38,8 @@ serializeCheckpoint(const TrainCheckpoint& ckpt)
 {
     std::vector<std::uint8_t> out;
     out.reserve(kHeaderBytes + 4 * ckpt.params.size() + kDigestBytes);
-    out.insert(out.end(), kMagic, kMagic + 4);
+    for (const std::uint8_t b : kMagic)
+        out.push_back(b);
     putU32(out, kCheckpointVersion);
     putU64(out, static_cast<std::uint64_t>(ckpt.next_input));
     putF32(out, ckpt.learning_rate);

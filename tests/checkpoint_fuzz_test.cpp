@@ -176,9 +176,10 @@ TEST(CheckpointBlob, SeededRandomFuzzNeverCrashes)
         // is only that the decoder never crashes and every rejection
         // is structured.
         auto r = train::deserializeCheckpoint(blob);
-        if (!r.ok())
+        if (!r.ok()) {
             EXPECT_EQ(r.status().code(),
                       common::ErrorCode::InvalidArgument);
+        }
     }
 }
 

@@ -400,12 +400,14 @@ TEST(DurableParsersFuzz, SeededRandomFuzzNeverCrashes)
         // Random bytes may by cosmic luck parse; the requirement is
         // only that no parser crashes and every rejection is
         // structured.
-        if (auto r = durable::parseManifest(blob); !r.ok())
+        if (auto r = durable::parseManifest(blob); !r.ok()) {
             EXPECT_EQ(r.status().code(),
                       common::ErrorCode::InvalidArgument);
-        if (auto r = serve::parseFleetState(blob); !r.ok())
+        }
+        if (auto r = serve::parseFleetState(blob); !r.ok()) {
             EXPECT_EQ(r.status().code(),
                       common::ErrorCode::InvalidArgument);
+        }
         (void)serve::decodeAdmit(blob);
         (void)serve::decodeOutcome(blob);
         const auto rr = durable::readWal(blob, 1);

@@ -291,7 +291,9 @@ TEST(TopologyFuzz, SeededRandomFuzzNeverCrashes)
             EXPECT_GE(f.loss_rate, 0.0) << text;
             EXPECT_LE(f.loss_rate, 1.0) << text;
             if (f.degrade_at_us >= 0.0)
+            {
                 EXPECT_GE(f.degrade_factor, 2u) << text;
+            }
         }
         for (std::size_t a = 0; a < topo.numDevices(); ++a)
             for (std::size_t b = 0; b < topo.numDevices(); ++b)

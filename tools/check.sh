@@ -15,17 +15,19 @@
 # mutually exclusive with ASan) and runs the decoder hardening and
 # serving suites: the fuzz tests push random and bit-flipped scripts
 # through decode, so any out-of-bounds dereference a validation gap
-# would permit becomes a hard failure here. The pass finishes with
-# the serving-overload soak (offered load 2x capacity AND a 15%
-# transient fault rate) and the fleet-failover soak (a wedged replica
-# AND a 10% transient rate on a survivor): both benches exit nonzero
-# unless the server survives with fully reconciled request accounting.
-# It continues with a crash-point explorer smoke (8 host-crash
-# boundaries swept under ASan, each recovering the durable fleet from
-# simulated stable storage, DESIGN.md section 4.10) and closes with
-# the net-fault soak: a mid-trace link partition layered with 10%
-# seeded message loss, run twice -- the runs must agree
-# field-for-field and lose no admitted High request (section 4.12).
+# would permit becomes a hard failure here. The pass continues with a
+# crash-point explorer smoke (8 host-crash boundaries swept under
+# ASan, each recovering the durable fleet from simulated stable
+# storage, DESIGN.md section 4.10) and closes with the whole sim
+# golden (tools/sim_parity.py): every bench runs under ASan and must
+# print its rows of bench/sim_golden.jsonl exactly. That includes the
+# serving-overload soak (offered load 2x capacity AND a 15% transient
+# fault rate), the fleet-failover soak (a wedged replica AND a 10%
+# transient rate on a survivor) and the net-fault soak (a mid-trace
+# link partition layered with 10% seeded message loss, run twice):
+# each exits nonzero unless accounting reconciles, the two net runs
+# agree field-for-field and no admitted High request is lost
+# (section 4.12).
 #
 # A fourth pass rebuilds with gcov instrumentation (-DVPPS_COVERAGE)
 # and gates line coverage of the observability layer (src/obs), the
@@ -91,17 +93,11 @@ cmake --build "$ASAN_DIR" -j"$(nproc)"
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
       -R 'DecoderFuzz|MalformedScript|Serving\.|FaultRecovery'
 
-echo "== serving-overload soak (2x capacity, fault rate 0.15) =="
-"$ASAN_DIR"/bench/serving_overload --faults
-
-echo "== fleet-failover soak (device loss + fault rate 0.10) =="
-"$ASAN_DIR"/bench/fleet_failover --faults
-
 echo "== crash-point explorer smoke (8 boundaries under ASan) =="
 "$ASAN_DIR"/tools/crash_explore --points 8
 
-echo "== net-fault soak (mid-trace partition + 10% seeded loss) =="
-"$ASAN_DIR"/bench/partition_tolerance --faults
+echo "== sim golden, every bench with its soaks (ASan build) =="
+python3 tools/sim_parity.py "$ASAN_DIR"
 
 echo "== coverage gate (src/obs, src/gpusim/topology, src/serve/{net,explorer} >= 90%) =="
 cmake -B "$COV_DIR" -S . -DVPPS_COVERAGE=ON \
