@@ -49,35 +49,11 @@ Table::str() const
 }
 
 std::string
-Table::csv() const
-{
-    std::ostringstream oss;
-    auto emit_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                oss << ',';
-            oss << row[c];
-        }
-        oss << '\n';
-    };
-    emit_row(headers_);
-    for (const auto& row : rows_)
-        emit_row(row);
-    return oss.str();
-}
-
-std::string
 Table::fmt(double v, int precision)
 {
     std::ostringstream oss;
     oss << std::fixed << std::setprecision(precision) << v;
     return oss.str();
-}
-
-std::string
-Table::fmtInt(long long v)
-{
-    return std::to_string(v);
 }
 
 } // namespace common

@@ -12,8 +12,7 @@ namespace common {
 
 /**
  * Accumulates rows of string cells and renders them with aligned,
- * padded columns. Also supports CSV output so the bench results can
- * be post-processed.
+ * padded columns.
  */
 class Table
 {
@@ -27,12 +26,8 @@ class Table
     /** Render as an aligned text table. */
     std::string str() const;
 
-    /** Render as CSV. */
-    std::string csv() const;
-
-    /** Number formatting helpers used by the bench harnesses. */
+    /** Fixed-point number formatting used by the bench harnesses. */
     static std::string fmt(double v, int precision = 2);
-    static std::string fmtInt(long long v);
 
   private:
     std::vector<std::string> headers_;

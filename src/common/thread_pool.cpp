@@ -1,20 +1,51 @@
 #include "common/thread_pool.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+
+#include "common/logging.hpp"
 
 namespace common {
+
+namespace {
+
+/** VPPS_HOST_THREADS when it is wholly a positive integer, else 0. */
+long long
+envThreadCount()
+{
+    const char* env = std::getenv("VPPS_HOST_THREADS");
+    if (env == nullptr)
+        return 0;
+    const char* end = env + std::strlen(env);
+    long long v = 0;
+    const auto [stop, ec] = std::from_chars(env, end, v);
+    if (ec == std::errc::result_out_of_range && stop == end && *env != '-')
+        return std::numeric_limits<long long>::max();
+    if (ec != std::errc() || stop != end || v <= 0) {
+        warn("ignoring VPPS_HOST_THREADS='", env,
+             "': not a positive integer");
+        return 0;
+    }
+    return v;
+}
+
+} // namespace
 
 int
 resolveThreadCount(int requested)
 {
-    if (requested > 0)
-        return requested;
-    if (const char* env = std::getenv("VPPS_HOST_THREADS")) {
-        const int v = std::atoi(env);
-        if (v > 0)
-            return v;
+    const long long threads =
+        requested > 0 ? requested : envThreadCount();
+    if (threads <= 0)
+        return 1;
+    if (threads > kMaxHostThreads) {
+        warn("host thread count ", threads, " capped at ",
+             kMaxHostThreads);
+        return kMaxHostThreads;
     }
-    return 1;
+    return static_cast<int>(threads);
 }
 
 ThreadPool::ThreadPool(int threads)

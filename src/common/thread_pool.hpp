@@ -28,10 +28,16 @@
 
 namespace common {
 
+/** Upper bound on resolved host threads. Results are bitwise
+ *  identical at any thread count, so the cap moves no output. */
+inline constexpr int kMaxHostThreads = 256;
+
 /**
  * Resolve a host-thread-count request: an explicit positive request
- * wins; otherwise the VPPS_HOST_THREADS environment variable;
- * otherwise 1 (the serial path).
+ * wins; otherwise the VPPS_HOST_THREADS environment variable when it
+ * is wholly a positive integer (anything else is ignored with a
+ * warning); otherwise 1 (the serial path). Either source is capped at
+ * kMaxHostThreads, with a warning.
  */
 int resolveThreadCount(int requested);
 

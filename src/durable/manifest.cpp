@@ -9,101 +9,39 @@ namespace {
 /** Sanity cap on embedded file names. */
 constexpr std::uint32_t kMaxNameBytes = 4096;
 
-common::Status
-malformed(const std::string& what)
-{
-    return common::Status::failure(
-        common::ErrorCode::InvalidArgument,
-        "malformed manifest: " + what);
-}
-
-void
-putString(std::vector<std::uint8_t>& out, const std::string& s)
-{
-    common::putU32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
 } // namespace
 
 std::vector<std::uint8_t>
 serializeManifest(const Manifest& m)
 {
-    std::vector<std::uint8_t> out;
-    common::putU32(out, kManifestMagic);
-    common::putU32(out, kManifestVersion);
+    std::vector<std::uint8_t> out = common::beginImage(
+        kManifestMagic, kManifestVersion,
+        8 + 4 + m.checkpoint_file.size() + 8 + 8 + 4 +
+            m.wal_file.size());
     common::putU64(out, m.generation);
-    putString(out, m.checkpoint_file);
+    common::putName(out, m.checkpoint_file);
     common::putU64(out, m.checkpoint_bytes);
     common::putU64(out, m.checkpoint_digest);
-    putString(out, m.wal_file);
-    common::putU64(out, common::fnv1a64(out.data(), out.size()));
+    common::putName(out, m.wal_file);
+    common::sealImage(out);
     return out;
 }
 
 common::Result<Manifest>
 parseManifest(const std::uint8_t* data, std::size_t size)
 {
-    std::size_t pos = 0;
-    auto need = [&](std::size_t n) { return size - pos >= n; };
-
-    if (size < 8)
-        return malformed("image shorter than magic+version");
-    if (common::getU32(data) != kManifestMagic)
-        return malformed("bad magic");
-    if (common::getU32(data + 4) != kManifestVersion)
-        return malformed("unsupported version " +
-                         std::to_string(common::getU32(data + 4)));
-    pos = 8;
-
+    common::WireReader r(data, size, "malformed manifest");
+    r.openImage(kManifestMagic, kManifestVersion);
     Manifest m;
-    if (!need(8))
-        return malformed("truncated before generation");
-    m.generation = common::getU64(data + pos);
-    pos += 8;
-    if (m.generation == 0)
-        return malformed("generation must be positive");
-
-    auto readString = [&](std::string& out,
-                          const char* field) -> common::Status {
-        if (!need(4))
-            return malformed(std::string("truncated before ") +
-                             field + " length");
-        const std::uint32_t len = common::getU32(data + pos);
-        pos += 4;
-        if (len == 0 || len > kMaxNameBytes)
-            return malformed(std::string(field) +
-                             " length out of range: " +
-                             std::to_string(len));
-        if (!need(len))
-            return malformed(std::string("truncated inside ") +
-                             field);
-        out.assign(reinterpret_cast<const char*>(data + pos), len);
-        pos += len;
-        return {};
-    };
-
-    if (auto st = readString(m.checkpoint_file, "checkpoint_file");
-        !st.ok())
-        return st;
-    if (!need(16))
-        return malformed("truncated before checkpoint size/digest");
-    m.checkpoint_bytes = common::getU64(data + pos);
-    pos += 8;
-    m.checkpoint_digest = common::getU64(data + pos);
-    pos += 8;
-    if (auto st = readString(m.wal_file, "wal_file"); !st.ok())
-        return st;
-
-    if (!need(8))
-        return malformed("truncated before trailing digest");
-    const std::uint64_t stored = common::getU64(data + pos);
-    const std::uint64_t actual = common::fnv1a64(data, pos);
-    pos += 8;
-    if (stored != actual)
-        return malformed("trailing digest mismatch");
-    if (pos != size)
-        return malformed("trailing bytes after digest");
+    m.generation = r.u64("generation");
+    r.check(m.generation != 0, "generation must be positive");
+    m.checkpoint_file = r.name(kMaxNameBytes, "checkpoint_file");
+    m.checkpoint_bytes = r.u64("checkpoint size");
+    m.checkpoint_digest = r.u64("checkpoint digest");
+    m.wal_file = r.name(kMaxNameBytes, "wal_file");
+    r.closeImage();
+    if (!r.ok())
+        return r.takeStatus();
     return m;
 }
 

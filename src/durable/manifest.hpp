@@ -25,10 +25,10 @@
  * durable_store_test proves this by interrupting an install at every
  * store operation.
  *
- * The manifest's own wire format follows the checkpoint_io idiom:
- * magic, version, length-prefixed fields in a fixed order, trailing
- * FNV-1a 64 digest, validation in layout order with a structured
- * error naming the first violated field.
+ * The manifest is a sealed image (common/wire.hpp) like the
+ * checkpoint blob: magic, version, length-prefixed fields in a fixed
+ * order, trailing FNV-1a 64 digest, validation in layout order with a
+ * structured error naming the first violated field.
  */
 #pragma once
 

@@ -8,14 +8,14 @@ std::vector<std::uint8_t>
 encodeWalRecord(std::uint32_t type, std::uint64_t seq,
                 const std::vector<std::uint8_t>& payload)
 {
-    std::vector<std::uint8_t> frame;
-    frame.reserve(kWalHeaderBytes + payload.size() + kWalDigestBytes);
-    common::putU32(frame,
-                   static_cast<std::uint32_t>(payload.size()));
-    common::putU32(frame, type);
+    // A frame is a sealed image whose two header words are the
+    // payload length and the record type.
+    std::vector<std::uint8_t> frame = common::beginImage(
+        static_cast<std::uint32_t>(payload.size()), type,
+        8 + payload.size());
     common::putU64(frame, seq);
     frame.insert(frame.end(), payload.begin(), payload.end());
-    common::putU64(frame, common::fnv1a64(frame.data(), frame.size()));
+    common::sealImage(frame);
     return frame;
 }
 
@@ -24,52 +24,27 @@ readWal(const std::uint8_t* data, std::size_t size,
         std::uint64_t first_seq)
 {
     WalReadResult out;
-    std::size_t pos = 0;
-    std::uint64_t expect_seq = first_seq;
-    auto stop = [&](std::string why) {
-        out.torn = true;
-        out.tail_error = std::move(why);
-    };
-    while (pos < size) {
-        if (size - pos < kWalHeaderBytes) {
-            stop("truncated record header");
-            break;
-        }
-        const std::uint32_t len = common::getU32(data + pos);
-        if (len > kWalMaxPayloadBytes) {
-            stop("payload length " + std::to_string(len) +
-                 " exceeds cap");
-            break;
-        }
-        const std::size_t frame_bytes =
-            kWalHeaderBytes + len + kWalDigestBytes;
-        if (size - pos < frame_bytes) {
-            stop("truncated record body");
-            break;
-        }
-        const std::uint64_t stored = common::getU64(
-            data + pos + kWalHeaderBytes + len);
-        const std::uint64_t actual =
-            common::fnv1a64(data + pos, kWalHeaderBytes + len);
-        if (stored != actual) {
-            stop("record digest mismatch");
-            break;
-        }
+    common::WireReader r(data, size, "wal record");
+    for (std::uint64_t seq = first_seq; r.remaining() > 0; ++seq) {
+        const std::size_t start = r.pos();
+        const std::uint32_t len = r.u32("record header");
+        r.check(len <= kWalMaxPayloadBytes, "payload length ", len,
+                " exceeds cap");
         WalRecord rec;
-        rec.type = common::getU32(data + pos + 4);
-        rec.seq = common::getU64(data + pos + 8);
-        if (rec.seq != expect_seq) {
-            stop("sequence discontinuity: got " +
-                 std::to_string(rec.seq) + ", expected " +
-                 std::to_string(expect_seq));
+        rec.type = r.u32("record header");
+        rec.seq = r.u64("record header");
+        const auto payload = r.bytes(len, "record body");
+        r.digest(start, "record digest");
+        r.check(rec.seq == seq, "sequence discontinuity: got ",
+                rec.seq, ", expected ", seq);
+        if (!r.ok()) {
+            out.torn = true;
+            out.tail_error = r.takeStatus().error().message;
             break;
         }
-        rec.payload.assign(data + pos + kWalHeaderBytes,
-                           data + pos + kWalHeaderBytes + len);
+        rec.payload.assign(payload.begin(), payload.end());
         out.records.push_back(std::move(rec));
-        pos += frame_bytes;
-        out.clean_bytes = pos;
-        ++expect_seq;
+        out.clean_bytes = r.pos();
     }
     return out;
 }

@@ -2,10 +2,12 @@
  * @file
  * Shared node placement and kernel execution for graph executors.
  *
- * Both the baselines and the VPPS interpreter funnel their functional
- * math through computeNodeForward()/computeNodeBackward(); the
- * baselines additionally charge per-kernel costs via the group cost
- * functions here, while VPPS charges per-instruction costs inside the
+ * The baselines run their functional math through
+ * computeNodeForward()/computeNodeBackward() and charge per-kernel
+ * costs via the group cost functions here. VPPS shares only the
+ * buffer placement (placeForward()/placeBackward()): its interpreter
+ * runs each instruction's math through vectorPayload() and the
+ * tensor:: kernels, and charges per-instruction costs inside the
  * script executor.
  */
 #pragma once

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "common/logging.hpp"
+
 namespace gpusim {
 
 namespace {
@@ -46,9 +48,14 @@ FaultPlan::fromEnv()
     const char* rate_env = std::getenv("VPPS_FAULT_RATE");
     if (!rate_env)
         return std::nullopt;
-    const double rate = std::atof(rate_env);
-    if (rate <= 0.0)
+    // At a rate of 1 every draw fires and no transfer ever succeeds.
+    char* end = nullptr;
+    const double rate = std::strtod(rate_env, &end);
+    if (*end != '\0' || !(rate > 0.0 && rate < 1.0)) {
+        common::warn("ignoring VPPS_FAULT_RATE='", rate_env,
+                     "': not a rate in (0, 1)");
         return std::nullopt;
+    }
     std::uint64_t seed = 1;
     if (const char* seed_env = std::getenv("VPPS_FAULT_SEED"))
         seed = std::strtoull(seed_env, nullptr, 10);

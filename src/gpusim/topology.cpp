@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <unordered_set>
 
@@ -19,6 +21,15 @@ using common::Status;
  *  adjacency matrix (N^2 LinkSpecs) at a few MB even for hostile
  *  configs. */
 constexpr std::size_t kMaxParsedDevices = 512;
+
+/** A @p devices x @p devices adjacency with no link installed. */
+std::vector<LinkSpec>
+noLinks(std::size_t devices)
+{
+    LinkSpec none;
+    none.bytes_per_us = 0;
+    return std::vector<LinkSpec>(devices * devices, none);
+}
 
 } // namespace
 
@@ -69,8 +80,7 @@ Topology::uniform(std::size_t devices, LinkSpec spec)
     assert(spec.bytes_per_us > 0 && "uniform(): zero-bandwidth link");
     Topology topo;
     topo.num_devices_ = devices;
-    topo.links_.assign(devices * devices, LinkSpec{});
-    for (LinkSpec& slot : topo.links_) slot.bytes_per_us = 0;
+    topo.links_ = noLinks(devices);
     for (std::size_t a = 0; a < devices; ++a)
         for (std::size_t b = a + 1; b < devices; ++b)
         {
@@ -151,6 +161,18 @@ Topology::transferNs(std::size_t a, std::size_t b,
     return total;
 }
 
+Topology
+Topology::withHubRoutes(std::size_t hub) const
+{
+    Topology out = *this;
+    for (std::size_t a = 0; a < num_devices_; ++a)
+        for (std::size_t b = a + 1; b < num_devices_; ++b)
+            if (link(a, b) == nullptr && route(a, b).empty() &&
+                link(a, hub) != nullptr && link(hub, b) != nullptr)
+                out.routes_.push_back(Route{a, b, {hub}});
+    return out;
+}
+
 std::size_t
 Topology::rackOf(std::size_t d) const
 {
@@ -193,409 +215,307 @@ parseU64(const std::string& text, std::uint64_t* out)
     return true;
 }
 
-Status
-lineError(std::size_t line_no, const std::string& why)
-{
-    return Status::failure(
-        ErrorCode::InvalidArgument,
-        common::detail::concat("topology config line ", line_no, ": ",
-                               why));
-}
-
 } // namespace
+
+/** Builds one Topology from config text, a line at a time. Every
+ *  error names its line. */
+struct Topology::Parser
+{
+    Topology topo;
+    bool have_devices = false;
+    std::vector<bool> rack_assigned;
+    std::size_t line_no = 0;
+    std::vector<std::string> tokens; //!< the current line
+
+    /** One directive: its verb, its token count bounds and usage, and
+     *  the member that parses a line of it. */
+    struct Directive
+    {
+        const char* verb;
+        std::size_t min_tokens;
+        std::size_t max_tokens;
+        const char* usage;
+        Status (Parser::*parse)();
+    };
+    static const Directive kDirectives[];
+    const Directive* dir = nullptr; //!< the current line's
+
+    Status
+    error(const std::string& why) const
+    {
+        return Status::failure(
+            ErrorCode::InvalidArgument,
+            common::detail::concat("topology config line ", line_no,
+                                   ": ", why));
+    }
+
+    Status usage() const { return error(dir->usage); }
+
+    /** Parse the current line with its directive's member. */
+    Status line();
+
+    /** @p token as a device id: an integer below the device count. */
+    Status
+    device(const std::string& token, const char* what,
+           std::size_t* out) const
+    {
+        std::uint64_t d = 0;
+        if (!parseU64(token, &d))
+            return error(common::detail::concat(what,
+                                                " must be an integer"));
+        if (d >= topo.num_devices_)
+            return error(common::detail::concat(what,
+                                                " out of range: ", d));
+        *out = static_cast<std::size_t>(d);
+        return Status();
+    }
+
+    /** tokens[1] and tokens[2] as two distinct device ids. */
+    Status
+    endpoints(std::size_t* a, std::size_t* b) const
+    {
+        const std::string what = tokens[0] + " endpoint";
+        if (Status st = device(tokens[1], what.c_str(), a); !st.ok())
+            return st;
+        if (Status st = device(tokens[2], what.c_str(), b); !st.ok())
+            return st;
+        if (*a == *b)
+            return error(tokens[0] + " endpoints must differ");
+        return Status();
+    }
+
+    /** tokens[first..] as key=value options: @p keys names the keys
+     *  this directive accepts, each at most once, and values[k] gets
+     *  the value of keys[k] (empty where the line gives none). */
+    Status
+    options(std::size_t first, std::span<const char* const> keys,
+            std::span<std::optional<std::uint64_t>> values) const
+    {
+        for (std::size_t i = first; i < tokens.size(); ++i)
+        {
+            const std::string& opt = tokens[i];
+            const std::size_t eq = opt.find('=');
+            if (eq == std::string::npos)
+                return error(common::detail::concat(
+                    "expected key=value, got '", opt, "'"));
+            std::uint64_t value = 0;
+            if (!parseU64(opt.substr(eq + 1), &value))
+                return error(common::detail::concat("bad integer in '",
+                                                    opt, "'"));
+            const std::string key = opt.substr(0, eq);
+            const auto k = std::find(keys.begin(), keys.end(), key);
+            if (k == keys.end())
+                return error(common::detail::concat(
+                    "unknown ", tokens[0], " option '", key, "'"));
+            std::optional<std::uint64_t>& slot =
+                values[static_cast<std::size_t>(k - keys.begin())];
+            if (slot) return error("duplicate " + key);
+            slot = value;
+        }
+        return Status();
+    }
+
+    Status
+    devices()
+    {
+        if (have_devices)
+            return error("duplicate 'devices' directive");
+        std::uint64_t count = 0;
+        if (!parseU64(tokens[1], &count)) return usage();
+        if (count == 0) return error("need at least one device");
+        if (count > kMaxParsedDevices)
+            return error(common::detail::concat(
+                "device count ", count, " exceeds limit ",
+                kMaxParsedDevices));
+        topo.num_devices_ = static_cast<std::size_t>(count);
+        topo.links_ = noLinks(topo.num_devices_);
+        topo.racks_.assign(topo.num_devices_, 0);
+        rack_assigned.assign(topo.num_devices_, false);
+        have_devices = true;
+        return Status();
+    }
+
+    Status
+    link()
+    {
+        std::size_t a = 0;
+        std::size_t b = 0;
+        if (Status st = endpoints(&a, &b); !st.ok()) return st;
+        std::optional<LinkType> type;
+        for (LinkType t : {LinkType::NVLink, LinkType::PCIe,
+                           LinkType::NIC})
+            if (tokens[3] == linkTypeName(t)) type = t;
+        if (!type)
+            return error(common::detail::concat("unknown link type '",
+                                                tokens[3], "'"));
+        static constexpr const char* kKeys[] = {"latency_ns",
+                                                "bytes_per_us"};
+        std::optional<std::uint64_t> v[std::size(kKeys)];
+        if (Status st = options(4, kKeys, v); !st.ok()) return st;
+        LinkSpec spec = defaultLink(*type);
+        spec.latency_ns = v[0].value_or(spec.latency_ns);
+        spec.bytes_per_us = v[1].value_or(spec.bytes_per_us);
+        if (spec.bytes_per_us == 0)
+            return error("zero-bandwidth link not allowed");
+        if (topo.link(a, b) != nullptr)
+            return error(common::detail::concat("duplicate link ", a,
+                                                " ", b));
+        topo.links_[topo.linkIndex(a, b)] = spec;
+        topo.links_[topo.linkIndex(b, a)] = spec;
+        return Status();
+    }
+
+    Status
+    route()
+    {
+        if (tokens[3] != "via") return usage();
+        Route r;
+        if (Status st = endpoints(&r.a, &r.b); !st.ok()) return st;
+        std::unordered_set<std::size_t> seen{r.a, r.b};
+        for (std::size_t i = 4; i < tokens.size(); ++i)
+        {
+            std::size_t hop = 0;
+            if (Status st = device(tokens[i], "route hop", &hop);
+                !st.ok())
+                return st;
+            if (!seen.insert(hop).second)
+                return error(common::detail::concat(
+                    "cyclic route: device ", hop, " repeats"));
+            r.hops.push_back(hop);
+        }
+        // Every consecutive hop must be an installed link, so a
+        // parsed route is usable without further checks.
+        std::vector<std::size_t> path = r.hops;
+        path.insert(path.begin(), r.a);
+        path.push_back(r.b);
+        for (std::size_t i = 0; i + 1 < path.size(); ++i)
+            if (topo.link(path[i], path[i + 1]) == nullptr)
+                return error(common::detail::concat(
+                    "route uses missing link ", path[i], " -> ",
+                    path[i + 1]));
+        if (!topo.route(r.a, r.b).empty())
+            return error(common::detail::concat("duplicate route ",
+                                                r.a, " ", r.b));
+        topo.routes_.push_back(std::move(r));
+        return Status();
+    }
+
+    Status
+    rack()
+    {
+        std::uint64_t rack = 0;
+        if (!parseU64(tokens[1], &rack))
+            return error("rack id must be an integer");
+        if (rack > kMaxParsedDevices)
+            return error(common::detail::concat(
+                "rack id ", rack, " exceeds limit ", kMaxParsedDevices));
+        for (std::size_t i = 2; i < tokens.size(); ++i)
+        {
+            std::size_t d = 0;
+            if (Status st = device(tokens[i], "rack member", &d);
+                !st.ok())
+                return st;
+            if (rack_assigned[d])
+                return error(common::detail::concat(
+                    "device ", d, " already assigned to rack ",
+                    topo.racks_[d]));
+            rack_assigned[d] = true;
+            topo.racks_[d] = static_cast<std::size_t>(rack);
+        }
+        return Status();
+    }
+
+    Status
+    linkfault()
+    {
+        LinkFault fault;
+        if (Status st = endpoints(&fault.a, &fault.b); !st.ok())
+            return st;
+        if (topo.link(fault.a, fault.b) == nullptr)
+            return error(common::detail::concat(
+                "linkfault on missing link ", fault.a, " ", fault.b));
+        static constexpr const char* kKeys[] = {
+            "down_at_us",     "down_for_us",    "degrade_at_us",
+            "degrade_for_us", "degrade_factor", "loss_ppm"};
+        std::optional<std::uint64_t> v[std::size(kKeys)];
+        if (Status st = options(3, kKeys, v); !st.ok()) return st;
+        const auto& [down_at, down_for, degrade_at, degrade_for,
+                     factor, loss] = v;
+        if (loss == 0u) return error("loss_ppm must be positive");
+        if (loss > 1'000'000u)
+            return error(common::detail::concat(
+                "loss_ppm ", *loss, " exceeds 1000000"));
+        if (!down_at && !degrade_at && !loss)
+            return error("linkfault needs down_at_us, degrade_at_us, "
+                         "or loss_ppm");
+        if (down_for && !down_at)
+            return error("down_for_us without down_at_us");
+        if ((degrade_for || factor) && !degrade_at)
+            return error(
+                "degrade window fields without degrade_at_us");
+        if (degrade_at && factor.value_or(1) < 2)
+            return error("degrade_at_us requires degrade_factor >= 2");
+        if (down_at) fault.down_at_us = static_cast<double>(*down_at);
+        if (down_for) fault.down_for_us = static_cast<double>(*down_for);
+        if (degrade_at)
+            fault.degrade_at_us = static_cast<double>(*degrade_at);
+        if (degrade_for)
+            fault.degrade_for_us = static_cast<double>(*degrade_for);
+        fault.degrade_factor = factor.value_or(fault.degrade_factor);
+        fault.loss_rate = static_cast<double>(loss.value_or(0)) * 1e-6;
+        topo.link_faults_.push_back(fault);
+        return Status();
+    }
+};
+
+const Topology::Parser::Directive Topology::Parser::kDirectives[] = {
+    {"devices", 2, 2, "expected 'devices N'", &Parser::devices},
+    {"link", 4, SIZE_MAX,
+     "expected 'link A B TYPE [latency_ns=X] [bytes_per_us=Y]'",
+     &Parser::link},
+    {"route", 5, SIZE_MAX, "expected 'route A B via H1 [H2 ...]'",
+     &Parser::route},
+    {"rack", 3, SIZE_MAX, "expected 'rack R D1 [D2 ...]'",
+     &Parser::rack},
+    {"linkfault", 4, SIZE_MAX,
+     "expected 'linkfault A B key=value [...]'", &Parser::linkfault},
+};
+
+Status
+Topology::Parser::line()
+{
+    dir = nullptr;
+    for (const Directive& d : kDirectives)
+        if (tokens[0] == d.verb) dir = &d;
+    if (dir != &kDirectives[0] && !have_devices)
+        return error("'devices N' must come first");
+    if (dir == nullptr)
+        return error(common::detail::concat("unknown directive '",
+                                            tokens[0], "'"));
+    if (tokens.size() < dir->min_tokens ||
+        tokens.size() > dir->max_tokens)
+        return usage();
+    return (this->*dir->parse)();
+}
 
 Result<Topology>
 Topology::parse(const std::string& text)
 {
-    Topology topo;
-    bool have_devices = false;
-    std::unordered_set<std::uint64_t> route_keys;
-    std::vector<bool> rack_assigned;
-
+    Parser p;
     std::istringstream in(text);
     std::string line;
-    std::size_t line_no = 0;
     while (std::getline(in, line))
     {
-        ++line_no;
-        const std::vector<std::string> tokens = tokenize(line);
-        if (tokens.empty()) continue;
-        const std::string& verb = tokens[0];
-
-        if (verb == "devices")
-        {
-            if (have_devices)
-                return lineError(line_no,
-                                 "duplicate 'devices' directive");
-            std::uint64_t count = 0;
-            if (tokens.size() != 2 || !parseU64(tokens[1], &count))
-                return lineError(line_no,
-                                 "expected 'devices N'");
-            if (count == 0)
-                return lineError(line_no,
-                                 "need at least one device");
-            if (count > kMaxParsedDevices)
-                return lineError(
-                    line_no,
-                    common::detail::concat("device count ", count,
-                                           " exceeds limit ",
-                                           kMaxParsedDevices));
-            topo.num_devices_ = static_cast<std::size_t>(count);
-            topo.links_.assign(topo.num_devices_ * topo.num_devices_,
-                               LinkSpec{});
-            for (LinkSpec& slot : topo.links_) slot.bytes_per_us = 0;
-            topo.racks_.assign(topo.num_devices_, 0);
-            rack_assigned.assign(topo.num_devices_, false);
-            have_devices = true;
-            continue;
-        }
-        if (!have_devices)
-            return lineError(line_no,
-                             "'devices N' must come first");
-
-        if (verb == "link")
-        {
-            if (tokens.size() < 4)
-                return lineError(
-                    line_no,
-                    "expected 'link A B TYPE [latency_ns=X] "
-                    "[bytes_per_us=Y]'");
-            std::uint64_t a = 0;
-            std::uint64_t b = 0;
-            if (!parseU64(tokens[1], &a) || !parseU64(tokens[2], &b))
-                return lineError(line_no,
-                                 "link endpoints must be integers");
-            if (a >= topo.num_devices_ || b >= topo.num_devices_)
-                return lineError(
-                    line_no,
-                    common::detail::concat("link endpoint out of "
-                                           "range: ",
-                                           a, " ", b));
-            if (a == b)
-                return lineError(line_no, "self-link not allowed");
-
-            LinkSpec spec;
-            if (tokens[3] == "nvlink")
-                spec = defaultLink(LinkType::NVLink);
-            else if (tokens[3] == "pcie")
-                spec = defaultLink(LinkType::PCIe);
-            else if (tokens[3] == "nic")
-                spec = defaultLink(LinkType::NIC);
-            else
-                return lineError(
-                    line_no,
-                    common::detail::concat("unknown link type '",
-                                           tokens[3], "'"));
-
-            for (std::size_t i = 4; i < tokens.size(); ++i)
-            {
-                const std::string& opt = tokens[i];
-                const std::size_t eq = opt.find('=');
-                if (eq == std::string::npos)
-                    return lineError(
-                        line_no,
-                        common::detail::concat(
-                            "expected key=value, got '", opt, "'"));
-                const std::string key = opt.substr(0, eq);
-                std::uint64_t value = 0;
-                if (!parseU64(opt.substr(eq + 1), &value))
-                    return lineError(
-                        line_no,
-                        common::detail::concat("bad integer in '",
-                                               opt, "'"));
-                if (key == "latency_ns")
-                    spec.latency_ns = value;
-                else if (key == "bytes_per_us")
-                    spec.bytes_per_us = value;
-                else
-                    return lineError(
-                        line_no,
-                        common::detail::concat("unknown link option '",
-                                               key, "'"));
-            }
-            if (spec.bytes_per_us == 0)
-                return lineError(line_no,
-                                 "zero-bandwidth link not allowed");
-
-            const std::size_t sa = static_cast<std::size_t>(a);
-            const std::size_t sb = static_cast<std::size_t>(b);
-            if (topo.links_[topo.linkIndex(sa, sb)].bytes_per_us > 0)
-                return lineError(
-                    line_no,
-                    common::detail::concat("duplicate link ", a, " ",
-                                           b));
-            topo.links_[topo.linkIndex(sa, sb)] = spec;
-            topo.links_[topo.linkIndex(sb, sa)] = spec;
-            continue;
-        }
-
-        if (verb == "route")
-        {
-            if (tokens.size() < 5 || tokens[3] != "via")
-                return lineError(
-                    line_no, "expected 'route A B via H1 [H2 ...]'");
-            std::uint64_t a = 0;
-            std::uint64_t b = 0;
-            if (!parseU64(tokens[1], &a) || !parseU64(tokens[2], &b))
-                return lineError(line_no,
-                                 "route endpoints must be integers");
-            if (a >= topo.num_devices_ || b >= topo.num_devices_)
-                return lineError(
-                    line_no,
-                    common::detail::concat("route endpoint out of "
-                                           "range: ",
-                                           a, " ", b));
-            if (a == b)
-                return lineError(line_no,
-                                 "route endpoints must differ");
-
-            Route r;
-            r.a = static_cast<std::size_t>(a);
-            r.b = static_cast<std::size_t>(b);
-            std::unordered_set<std::size_t> seen{r.a, r.b};
-            for (std::size_t i = 4; i < tokens.size(); ++i)
-            {
-                std::uint64_t hop = 0;
-                if (!parseU64(tokens[i], &hop))
-                    return lineError(line_no,
-                                     "route hops must be integers");
-                if (hop >= topo.num_devices_)
-                    return lineError(
-                        line_no,
-                        common::detail::concat("route hop out of "
-                                               "range: ",
-                                               hop));
-                if (!seen.insert(static_cast<std::size_t>(hop))
-                         .second)
-                    return lineError(
-                        line_no,
-                        common::detail::concat(
-                            "cyclic route: device ", hop,
-                            " repeats"));
-                r.hops.push_back(static_cast<std::size_t>(hop));
-            }
-
-            // Every consecutive hop must be an installed link, so a
-            // parsed route is usable without further checks.
-            std::size_t prev = r.a;
-            for (std::size_t hop : r.hops)
-            {
-                if (topo.link(prev, hop) == nullptr)
-                    return lineError(
-                        line_no,
-                        common::detail::concat("route uses missing "
-                                               "link ",
-                                               prev, " -> ", hop));
-                prev = hop;
-            }
-            if (topo.link(prev, r.b) == nullptr)
-                return lineError(
-                    line_no,
-                    common::detail::concat("route uses missing link ",
-                                           prev, " -> ", r.b));
-
-            const std::uint64_t key =
-                static_cast<std::uint64_t>(std::min(r.a, r.b))
-                    * (kMaxParsedDevices + 1)
-                + std::max(r.a, r.b);
-            if (!route_keys.insert(key).second)
-                return lineError(
-                    line_no,
-                    common::detail::concat("duplicate route ", a, " ",
-                                           b));
-            topo.routes_.push_back(std::move(r));
-            continue;
-        }
-
-        if (verb == "rack")
-        {
-            if (tokens.size() < 3)
-                return lineError(line_no,
-                                 "expected 'rack R D1 [D2 ...]'");
-            std::uint64_t rack = 0;
-            if (!parseU64(tokens[1], &rack))
-                return lineError(line_no,
-                                 "rack id must be an integer");
-            if (rack > kMaxParsedDevices)
-                return lineError(
-                    line_no,
-                    common::detail::concat("rack id ", rack,
-                                           " exceeds limit ",
-                                           kMaxParsedDevices));
-            for (std::size_t i = 2; i < tokens.size(); ++i)
-            {
-                std::uint64_t dev = 0;
-                if (!parseU64(tokens[i], &dev))
-                    return lineError(
-                        line_no, "rack members must be integers");
-                if (dev >= topo.num_devices_)
-                    return lineError(
-                        line_no,
-                        common::detail::concat("rack member out of "
-                                               "range: ",
-                                               dev));
-                const std::size_t d = static_cast<std::size_t>(dev);
-                if (rack_assigned[d])
-                    return lineError(
-                        line_no,
-                        common::detail::concat("device ", dev,
-                                               " already assigned to "
-                                               "rack ",
-                                               topo.racks_[d]));
-                rack_assigned[d] = true;
-                topo.racks_[d] = static_cast<std::size_t>(rack);
-            }
-            continue;
-        }
-
-        if (verb == "linkfault")
-        {
-            if (tokens.size() < 4)
-                return lineError(
-                    line_no,
-                    "expected 'linkfault A B key=value [...]'");
-            std::uint64_t a = 0;
-            std::uint64_t b = 0;
-            if (!parseU64(tokens[1], &a) || !parseU64(tokens[2], &b))
-                return lineError(
-                    line_no, "linkfault endpoints must be integers");
-            if (a >= topo.num_devices_ || b >= topo.num_devices_)
-                return lineError(
-                    line_no,
-                    common::detail::concat("linkfault endpoint out "
-                                           "of range: ",
-                                           a, " ", b));
-            if (a == b)
-                return lineError(line_no,
-                                 "linkfault endpoints must differ");
-            if (topo.link(static_cast<std::size_t>(a),
-                          static_cast<std::size_t>(b)) == nullptr)
-                return lineError(
-                    line_no,
-                    common::detail::concat("linkfault on missing "
-                                           "link ",
-                                           a, " ", b));
-
-            LinkFault fault;
-            fault.a = static_cast<std::size_t>(a);
-            fault.b = static_cast<std::size_t>(b);
-            bool have_down_at = false;
-            bool have_down_for = false;
-            bool have_degrade_at = false;
-            bool have_degrade_for = false;
-            bool have_factor = false;
-            bool have_loss = false;
-            for (std::size_t i = 3; i < tokens.size(); ++i)
-            {
-                const std::string& opt = tokens[i];
-                const std::size_t eq = opt.find('=');
-                if (eq == std::string::npos)
-                    return lineError(
-                        line_no,
-                        common::detail::concat(
-                            "expected key=value, got '", opt, "'"));
-                const std::string key = opt.substr(0, eq);
-                std::uint64_t value = 0;
-                if (!parseU64(opt.substr(eq + 1), &value))
-                    return lineError(
-                        line_no,
-                        common::detail::concat("bad integer in '",
-                                               opt, "'"));
-                auto once = [&](bool* seen) {
-                    if (*seen) return false;
-                    *seen = true;
-                    return true;
-                };
-                if (key == "down_at_us")
-                {
-                    if (!once(&have_down_at))
-                        return lineError(line_no,
-                                         "duplicate down_at_us");
-                    fault.down_at_us = static_cast<double>(value);
-                }
-                else if (key == "down_for_us")
-                {
-                    if (!once(&have_down_for))
-                        return lineError(line_no,
-                                         "duplicate down_for_us");
-                    fault.down_for_us = static_cast<double>(value);
-                }
-                else if (key == "degrade_at_us")
-                {
-                    if (!once(&have_degrade_at))
-                        return lineError(line_no,
-                                         "duplicate degrade_at_us");
-                    fault.degrade_at_us = static_cast<double>(value);
-                }
-                else if (key == "degrade_for_us")
-                {
-                    if (!once(&have_degrade_for))
-                        return lineError(line_no,
-                                         "duplicate degrade_for_us");
-                    fault.degrade_for_us = static_cast<double>(value);
-                }
-                else if (key == "degrade_factor")
-                {
-                    if (!once(&have_factor))
-                        return lineError(line_no,
-                                         "duplicate degrade_factor");
-                    fault.degrade_factor = value;
-                }
-                else if (key == "loss_ppm")
-                {
-                    if (!once(&have_loss))
-                        return lineError(line_no,
-                                         "duplicate loss_ppm");
-                    if (value == 0)
-                        return lineError(
-                            line_no, "loss_ppm must be positive");
-                    if (value > 1'000'000)
-                        return lineError(
-                            line_no,
-                            common::detail::concat(
-                                "loss_ppm ", value,
-                                " exceeds 1000000"));
-                    fault.loss_rate =
-                        static_cast<double>(value) * 1e-6;
-                }
-                else
-                {
-                    return lineError(
-                        line_no,
-                        common::detail::concat(
-                            "unknown linkfault option '", key, "'"));
-                }
-            }
-            if (!have_down_at && !have_degrade_at && !have_loss)
-                return lineError(
-                    line_no,
-                    "linkfault needs down_at_us, degrade_at_us, or "
-                    "loss_ppm");
-            if (have_down_for && !have_down_at)
-                return lineError(
-                    line_no, "down_for_us without down_at_us");
-            if ((have_degrade_for || have_factor) && !have_degrade_at)
-                return lineError(
-                    line_no,
-                    "degrade window fields without degrade_at_us");
-            if (have_degrade_at && fault.degrade_factor < 2)
-                return lineError(
-                    line_no,
-                    "degrade_at_us requires degrade_factor >= 2");
-            topo.link_faults_.push_back(fault);
-            continue;
-        }
-
-        return lineError(
-            line_no,
-            common::detail::concat("unknown directive '", verb, "'"));
+        ++p.line_no;
+        p.tokens = tokenize(line);
+        if (p.tokens.empty()) continue;
+        if (Status st = p.line(); !st.ok()) return st;
     }
-
-    if (!have_devices)
+    if (!p.have_devices)
         return Status::failure(ErrorCode::InvalidArgument,
                                "topology config: missing 'devices N' "
                                "directive");
-    return topo;
+    return std::move(p.topo);
 }
 
 namespace {

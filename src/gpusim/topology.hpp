@@ -145,6 +145,11 @@ class Topology
         return rackOf(a) == rackOf(b);
     }
 
+    /** A copy in which every pair with no link and no route, but a
+     *  link from each end to @p hub, routes through @p hub: priced
+     *  exactly as a declared `route a b via <hub>` would be. */
+    Topology withHubRoutes(std::size_t hub) const;
+
     /** Clock-keyed link faults parsed from `linkfault` directives, in
      *  config order; install into FaultPlan::link_faults to arm. */
     const std::vector<LinkFault>&
@@ -154,6 +159,8 @@ class Topology
     }
 
   private:
+    struct Parser; //!< parse()'s line-at-a-time builder
+
     struct Route
     {
         std::size_t a = 0;

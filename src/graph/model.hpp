@@ -16,8 +16,9 @@
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/device_memory.hpp"
 #include "graph/node.hpp"
-#include "tensor/tensor.hpp"
+#include "tensor/shape.hpp"
 
 namespace graph {
 

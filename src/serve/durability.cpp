@@ -9,25 +9,15 @@ namespace serve {
 
 namespace {
 
-using common::fnv1a64;
-using common::getF64;
-using common::getU32;
-using common::getU64;
 using common::putF64;
 using common::putU32;
 using common::putU64;
 
+constexpr const char* kContext = "malformed journal/state record";
 constexpr std::size_t kAdmitBytes = 8 + 1 + 1 + 8 + 8 + 8;
 constexpr std::size_t kOutcomeBytes = 8 + 1 + 1 + 4 + 8;
-
-common::Status
-malformed(const char* what, const std::string& detail = "")
-{
-    return common::Status::failure(
-        common::ErrorCode::InvalidArgument,
-        std::string("malformed journal/state record: ") + what +
-            (detail.empty() ? "" : ": " + detail));
-}
+constexpr std::size_t kCompletedBytes = 8 + 4 + 8;
+constexpr std::size_t kPendingBytes = 8 + 1 + 8 + 8 + 8;
 
 /** FleetCounters in checkpoint wire order, read by both directions.
  *  Append-only: a new counter goes at the end with a version bump. */
@@ -48,18 +38,13 @@ constexpr std::uint64_t FleetCounters::*kCounterWire[] = {
 };
 constexpr std::size_t kNumCounterFields = std::size(kCounterWire);
 
-void
-putCounters(std::vector<std::uint8_t>& out, const FleetCounters& c)
+/** Read a request class byte; anything but High or Low fails. */
+RequestClass
+readClass(common::WireReader& r, const char* field)
 {
-    for (const auto field : kCounterWire)
-        putU64(out, c.*field);
-}
-
-void
-getCounters(const std::uint8_t* p, FleetCounters& c)
-{
-    for (std::size_t i = 0; i < kNumCounterFields; ++i)
-        c.*kCounterWire[i] = getU64(p + 8 * i);
+    const unsigned cls = r.u8(field);
+    r.check(cls <= 1, field, ": ", cls);
+    return static_cast<RequestClass>(cls);
 }
 
 } // namespace
@@ -81,23 +66,21 @@ encodeAdmit(const JournalAdmit& a)
 common::Result<JournalAdmit>
 decodeAdmit(const std::vector<std::uint8_t>& payload)
 {
-    if (payload.size() != kAdmitBytes)
-        return malformed("admit record size",
-                         std::to_string(payload.size()));
-    const std::uint8_t* p = payload.data();
+    common::WireReader r(payload, kContext);
     JournalAdmit a;
-    a.id = getU64(p);
-    if (p[8] > 1)
-        return malformed("admit request class",
-                         std::to_string(p[8]));
-    a.cls = static_cast<RequestClass>(p[8]);
-    if (p[9] > static_cast<std::uint8_t>(
-                   AdmissionController::Decision::Shed))
-        return malformed("admit decision", std::to_string(p[9]));
-    a.decision = static_cast<AdmissionController::Decision>(p[9]);
-    a.input_index = getU64(p + 10);
-    a.arrival_us = getF64(p + 18);
-    a.deadline_us = getF64(p + 26);
+    a.id = r.u64("admit id");
+    a.cls = readClass(r, "admit request class");
+    const unsigned decision = r.u8("admit decision");
+    r.check(decision <= static_cast<unsigned>(
+                            AdmissionController::Decision::Shed),
+            "admit decision: ", decision);
+    a.decision = static_cast<AdmissionController::Decision>(decision);
+    a.input_index = r.u64("admit input index");
+    a.arrival_us = r.f64("admit arrival");
+    a.deadline_us = r.f64("admit deadline");
+    r.end();
+    if (!r.ok())
+        return r.takeStatus();
     return a;
 }
 
@@ -117,36 +100,35 @@ encodeOutcome(const JournalOutcome& o)
 common::Result<JournalOutcome>
 decodeOutcome(const std::vector<std::uint8_t>& payload)
 {
-    if (payload.size() != kOutcomeBytes)
-        return malformed("outcome record size",
-                         std::to_string(payload.size()));
-    const std::uint8_t* p = payload.data();
+    common::WireReader r(payload, kContext);
     JournalOutcome o;
-    o.id = getU64(p);
-    if (p[8] > static_cast<std::uint8_t>(Outcome::Shed))
-        return malformed("outcome value", std::to_string(p[8]));
-    o.outcome = static_cast<Outcome>(p[8]);
-    if (p[9] > 1)
-        return malformed("outcome request class",
-                         std::to_string(p[9]));
-    o.cls = static_cast<RequestClass>(p[9]);
-    o.response_bits = getU32(p + 10);
-    o.latency_us = getF64(p + 14);
+    o.id = r.u64("outcome id");
+    const unsigned outcome = r.u8("outcome value");
+    r.check(outcome <= static_cast<unsigned>(Outcome::Shed),
+            "outcome value: ", outcome);
+    o.outcome = static_cast<Outcome>(outcome);
+    o.cls = readClass(r, "outcome request class");
+    o.response_bits = r.u32("outcome response");
+    o.latency_us = r.f64("outcome latency");
+    r.end();
+    if (!r.ok())
+        return r.takeStatus();
     return o;
 }
 
 std::vector<std::uint8_t>
 serializeFleetState(const FleetDurableState& st)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(64 + 8 * kNumCounterFields +
-                20 * st.completed.size() + 33 * st.pending.size() +
-                st.params_blob.size());
-    putU32(out, kFleetStateMagic);
-    putU32(out, kFleetStateVersion);
+    std::vector<std::uint8_t> out = common::beginImage(
+        kFleetStateMagic, kFleetStateVersion,
+        8 + 8 + 8 * kNumCounterFields + 8 +
+            kCompletedBytes * st.completed.size() + 8 +
+            kPendingBytes * st.pending.size() + 8 +
+            st.params_blob.size());
     putU64(out, st.wal_first_seq);
     putF64(out, st.now_us);
-    putCounters(out, st.counters);
+    for (const auto field : kCounterWire)
+        putU64(out, st.counters.*field);
     putU64(out, st.completed.size());
     for (const auto& e : st.completed) {
         putU64(out, e.id);
@@ -164,98 +146,41 @@ serializeFleetState(const FleetDurableState& st)
     putU64(out, st.params_blob.size());
     out.insert(out.end(), st.params_blob.begin(),
                st.params_blob.end());
-    putU64(out, fnv1a64(out.data(), out.size()));
+    common::sealImage(out);
     return out;
 }
 
 common::Result<FleetDurableState>
 parseFleetState(const std::uint8_t* data, std::size_t size)
 {
-    std::size_t pos = 0;
-    auto need = [&](std::size_t n) { return size - pos >= n; };
-
-    if (size < 8)
-        return malformed("state shorter than magic+version");
-    if (getU32(data) != kFleetStateMagic)
-        return malformed("state magic");
-    if (getU32(data + 4) != kFleetStateVersion)
-        return malformed("state version",
-                         std::to_string(getU32(data + 4)));
-    pos = 8;
-
+    common::WireReader r(data, size, kContext);
+    r.openImage(kFleetStateMagic, kFleetStateVersion);
     FleetDurableState st;
-    if (!need(16))
-        return malformed("truncated before wal_first_seq/now");
-    st.wal_first_seq = getU64(data + pos);
-    pos += 8;
-    st.now_us = getF64(data + pos);
-    pos += 8;
-
-    if (!need(8 * kNumCounterFields))
-        return malformed("truncated inside counters");
-    getCounters(data + pos, st.counters);
-    pos += 8 * kNumCounterFields;
-
-    if (!need(8))
-        return malformed("truncated before completed count");
-    const std::uint64_t n_completed = getU64(data + pos);
-    pos += 8;
-    if (n_completed > kFleetStateMaxEntries ||
-        !need(n_completed * 20))
-        return malformed("completed count disagrees with size",
-                         std::to_string(n_completed));
-    st.completed.reserve(static_cast<std::size_t>(n_completed));
-    for (std::uint64_t i = 0; i < n_completed; ++i) {
-        FleetDurableState::CompletedEntry e;
-        e.id = getU64(data + pos);
-        e.response_bits = getU32(data + pos + 8);
-        e.latency_us = getF64(data + pos + 12);
-        st.completed.push_back(e);
-        pos += 20;
+    st.wal_first_seq = r.u64("wal_first_seq");
+    st.now_us = r.f64("now");
+    for (const auto field : kCounterWire)
+        st.counters.*field = r.u64("counters");
+    st.completed.resize(r.count("completed count", kCompletedBytes,
+                                kFleetStateMaxEntries));
+    for (auto& e : st.completed) {
+        e.id = r.u64("completed id");
+        e.response_bits = r.u32("completed response");
+        e.latency_us = r.f64("completed latency");
     }
-
-    if (!need(8))
-        return malformed("truncated before pending count");
-    const std::uint64_t n_pending = getU64(data + pos);
-    pos += 8;
-    if (n_pending > kFleetStateMaxEntries || !need(n_pending * 33))
-        return malformed("pending count disagrees with size",
-                         std::to_string(n_pending));
-    st.pending.reserve(static_cast<std::size_t>(n_pending));
-    for (std::uint64_t i = 0; i < n_pending; ++i) {
-        Request r;
-        r.id = getU64(data + pos);
-        if (data[pos + 8] > 1)
-            return malformed("pending request class",
-                             std::to_string(data[pos + 8]));
-        r.cls = static_cast<RequestClass>(data[pos + 8]);
-        r.input_index =
-            static_cast<std::size_t>(getU64(data + pos + 9));
-        r.arrival_us = getF64(data + pos + 17);
-        r.deadline_us = getF64(data + pos + 25);
-        st.pending.push_back(r);
-        pos += 33;
+    st.pending.resize(r.count("pending count", kPendingBytes,
+                              kFleetStateMaxEntries));
+    for (Request& q : st.pending) {
+        q.id = r.u64("pending id");
+        q.cls = readClass(r, "pending request class");
+        q.input_index = static_cast<std::size_t>(r.u64("pending input"));
+        q.arrival_us = r.f64("pending arrival");
+        q.deadline_us = r.f64("pending deadline");
     }
-
-    if (!need(8))
-        return malformed("truncated before params length");
-    const std::uint64_t blob_len = getU64(data + pos);
-    pos += 8;
-    if (blob_len > size || !need(blob_len))
-        return malformed("params length disagrees with size",
-                         std::to_string(blob_len));
-    st.params_blob.assign(data + pos, data + pos + blob_len);
-    pos += blob_len;
-
-    if (!need(8))
-        return malformed("truncated before trailing digest");
-    const std::uint64_t stored = getU64(data + pos);
-    const std::uint64_t actual = fnv1a64(data, pos);
-    pos += 8;
-    if (stored != actual)
-        return malformed("state trailing digest");
-    if (pos != size)
-        return malformed("trailing bytes after state digest");
+    const auto blob = r.bytes(r.count("params length", 1), "params");
+    st.params_blob.assign(blob.begin(), blob.end());
+    r.closeImage();
+    if (!r.ok())
+        return r.takeStatus();
     return st;
 }
 

@@ -647,10 +647,6 @@ measurePromotion(const NetExplorerConfig& cfg, bool rack_local)
                                   "link 0 2 pcie\n"
                                   "link 0 3 nvlink\n"
                                   "link 0 4 nic\n"
-                                  // The binomial-tree broadcast for
-                                  // 5 ranks prices a (2,3) hop; the
-                                  // star routes it through the hub.
-                                  "route 2 3 via 0\n"
                                   "rack 1 2 4\n";
     PromotionMeasurement m;
     m.rack_local = rack_local;

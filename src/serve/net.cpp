@@ -314,10 +314,11 @@ NetworkModel::ship(std::size_t a, std::size_t b, std::uint64_t bytes,
 common::Result<double>
 NetworkModel::paramBroadcastUs(std::uint64_t bytes, double now_us)
 {
-    common::Result<gpusim::CollectiveCost> cost =
-        gpusim::broadcastCost(cfg_.topology, bytes,
-                              cfg_.topology.numDevices(),
-                              kBroadcastChunks);
+    // A tree hop between two nodes that share no link or route is
+    // relayed by the controller, so a star topology broadcasts too.
+    common::Result<gpusim::CollectiveCost> cost = gpusim::broadcastCost(
+        cfg_.topology.withHubRoutes(cfg_.controller_node), bytes,
+        cfg_.topology.numDevices(), kBroadcastChunks);
     if (!cost.ok())
         return cost.takeStatus();
     const double dur_us = cost.value().totalUs();

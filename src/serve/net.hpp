@@ -194,8 +194,10 @@ class NetworkModel
                      std::uint64_t bytes, double now_us);
 
     /** Price the initial parameter broadcast (controller to every
-     *  node) with the pipelined tree closed form over 8 chunks;
-     *  @return its duration in us (0 for a single-node topology). */
+     *  node) with the pipelined tree closed form over 8 chunks; a
+     *  tree hop with no link or route goes through the controller
+     *  (Topology::withHubRoutes). @return its duration in us (0 for
+     *  a single-node topology). */
     common::Result<double> paramBroadcastUs(std::uint64_t bytes,
                                             double now_us);
 

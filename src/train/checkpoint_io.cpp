@@ -1,99 +1,57 @@
 #include "train/checkpoint_io.hpp"
 
-#include <cstring>
-
-#include "common/logging.hpp"
 #include "common/wire.hpp"
 
 namespace train {
 
 namespace {
 
-// Byte-level encode/decode comes from common/wire.hpp, shared with
-// the durable WAL and manifest formats.
-using common::fnv1a64;
-using common::getF32;
-using common::getU32;
-using common::getU64;
-using common::putF32;
-using common::putU32;
-using common::putU64;
-
-constexpr std::uint8_t kMagic[4] = {'V', 'P', 'C', 'K'};
-constexpr std::size_t kHeaderBytes = 32;
+/** "VPCK" as the image's u32 magic. */
+constexpr std::uint32_t kMagic = 0x4B435056u;
 constexpr std::size_t kDigestBytes = 8;
-
-common::Status
-malformed(std::string message)
-{
-    return common::Status::failure(common::ErrorCode::InvalidArgument,
-                                   "checkpoint blob: " +
-                                       std::move(message));
-}
 
 } // namespace
 
 std::vector<std::uint8_t>
 serializeCheckpoint(const TrainCheckpoint& ckpt)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(kHeaderBytes + 4 * ckpt.params.size() + kDigestBytes);
-    for (const std::uint8_t b : kMagic)
-        out.push_back(b);
-    putU32(out, kCheckpointVersion);
-    putU64(out, static_cast<std::uint64_t>(ckpt.next_input));
-    putF32(out, ckpt.learning_rate);
-    putF32(out, ckpt.weight_decay);
-    putU64(out, static_cast<std::uint64_t>(ckpt.params.size()));
+    std::vector<std::uint8_t> out =
+        common::beginImage(kMagic, kCheckpointVersion,
+                           8 + 4 + 4 + 8 + 4 * ckpt.params.size());
+    common::putU64(out, static_cast<std::uint64_t>(ckpt.next_input));
+    common::putF32(out, ckpt.learning_rate);
+    common::putF32(out, ckpt.weight_decay);
+    common::putU64(out, static_cast<std::uint64_t>(ckpt.params.size()));
     for (const float v : ckpt.params)
-        putF32(out, v);
-    putU64(out, fnv1a64(out.data(), out.size()));
+        common::putF32(out, v);
+    common::sealImage(out);
     return out;
 }
 
 common::Result<TrainCheckpoint>
 deserializeCheckpoint(const std::uint8_t* data, std::size_t size)
 {
-    // Every check runs before any payload is copied out, in layout
-    // order, so the first corrupted field names itself.
-    if (data == nullptr && size != 0)
-        return malformed("null buffer with non-zero size");
-    if (size < kHeaderBytes + kDigestBytes)
-        return malformed(common::detail::concat(
-            "truncated: ", size, " bytes < minimum ",
-            kHeaderBytes + kDigestBytes));
-    if (std::memcmp(data, kMagic, 4) != 0)
-        return malformed("bad magic (not a checkpoint)");
-    const std::uint32_t version = getU32(data + 4);
-    if (version != kCheckpointVersion)
-        return malformed(common::detail::concat(
-            "unsupported version ", version, " (expected ",
-            kCheckpointVersion, ")"));
-    const std::uint64_t count = getU64(data + 24);
-    // Guard the count against both overflow and disagreement with the
-    // actual buffer length before trusting it as a loop bound.
-    const std::uint64_t payload =
-        static_cast<std::uint64_t>(size) - kHeaderBytes - kDigestBytes;
-    if (count > payload / 4 || count * 4 != payload)
-        return malformed(common::detail::concat(
-            "param count ", count, " disagrees with payload of ",
-            payload, " bytes"));
-    const std::uint64_t stored =
-        getU64(data + size - kDigestBytes);
-    const std::uint64_t computed =
-        fnv1a64(data, size - kDigestBytes);
-    if (stored != computed)
-        return malformed(common::detail::concat(
-            "digest mismatch (stored ", stored, ", computed ",
-            computed, "); blob is corrupted"));
-
+    common::WireReader r(data, size, "checkpoint blob");
+    r.openImage(kMagic, kCheckpointVersion);
     TrainCheckpoint ckpt;
-    ckpt.next_input = static_cast<std::size_t>(getU64(data + 8));
-    ckpt.learning_rate = getF32(data + 16);
-    ckpt.weight_decay = getF32(data + 20);
+    ckpt.next_input = static_cast<std::size_t>(r.u64("next_input"));
+    ckpt.learning_rate = r.f32("learning_rate");
+    ckpt.weight_decay = r.f32("weight_decay");
+    // The count must cover exactly the bytes before the digest. It is
+    // checked before the digest, and before it sizes anything, so a
+    // corrupted count names itself.
+    const std::uint64_t count = r.u64("param count");
+    if (!r.check(count <= r.remaining() / 4 &&
+                     r.remaining() - 4 * count == kDigestBytes,
+                 "param count ", count, " disagrees with ",
+                 r.remaining(), " bytes left"))
+        return r.takeStatus();
     ckpt.params.resize(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i)
-        ckpt.params[i] = getF32(data + kHeaderBytes + 4 * i);
+    for (float& v : ckpt.params)
+        v = r.f32("params");
+    r.closeImage();
+    if (!r.ok())
+        return r.takeStatus();
     return ckpt;
 }
 

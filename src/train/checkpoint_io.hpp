@@ -6,12 +6,13 @@
  * trustworthy; one that crosses a process/replica boundary (the
  * serve::Fleet ships checkpoints to warm standbys, and operators ship
  * them to disk) is attacker-adjacent input: truncated writes, torn
- * reads, and bit rot are all routine. The wire format therefore
- * carries a magic, a version, explicit counts, and a trailing FNV-1a
- * digest over everything before it, and the deserializer validates
- * all of them before building a checkpoint -- every malformed input
- * surfaces as a structured Status (checkpoint_fuzz_test drives random
- * and bit-flipped blobs through this path).
+ * reads, and bit rot are all routine. The blob is therefore a sealed
+ * image (common/wire.hpp): a magic, a version, explicit counts, and a
+ * trailing FNV-1a digest over everything before it, and the
+ * deserializer validates all of them before returning a checkpoint --
+ * every malformed input surfaces as a structured Status
+ * (checkpoint_fuzz_test drives random and bit-flipped blobs through
+ * this path).
  *
  * Layout, little-endian, no padding:
  *

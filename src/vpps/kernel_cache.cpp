@@ -2,16 +2,20 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
+#include <iterator>
 #include <sstream>
 
 #include "common/logging.hpp"
+#include "common/wire.hpp"
 
 namespace vpps {
 
 namespace {
 
-constexpr const char* kMagic = "vpps-kernel-cache-v1";
+/** An entry is a sealed image: magic "VPKC", version, the two counts
+ *  (u64), module_load_s (f64 bits), the u64-length-prefixed source. */
+constexpr std::uint32_t kMagic = 0x434B5056u;
+constexpr std::uint32_t kVersion = 1;
 
 std::uint64_t
 hashCombine(std::uint64_t h, std::uint64_t v)
@@ -74,33 +78,35 @@ KernelCache::load(const graph::Model& model,
     auto plan = std::move(plan_r).value();
     const std::string key = keyFor(model, spec, rpw, plan.ctasPerSm(),
                                    plan.gradientsCached());
-    std::ifstream in(pathFor(key));
+    std::ifstream in(pathFor(key), std::ios::binary);
     if (!in)
         return std::nullopt;
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
 
-    std::string magic;
-    std::getline(in, magic);
-    if (magic != kMagic) {
-        common::warn("KernelCache: ignoring corrupt entry ", key);
+    common::WireReader r(bytes, "kernel cache entry");
+    r.openImage(kMagic, kVersion);
+    CompiledKernel kernel;
+    kernel.num_instantiations =
+        static_cast<std::size_t>(r.u64("instantiations"));
+    kernel.source_lines = static_cast<std::size_t>(r.u64("lines"));
+    // Program compilation is amortized away (prog_compile_s stays
+    // zero); module load (PTX -> SASS) must still run (Section IV-F).
+    kernel.module_load_s = r.f64("module_load_s");
+    const auto source = r.bytes(r.count("source length", 1), "source");
+    kernel.source.assign(source.begin(), source.end());
+    r.closeImage();
+    if (!r.ok()) {
+        common::warn("KernelCache: ignoring corrupt entry ", key, ": ",
+                     r.takeStatus().toString());
         return std::nullopt;
     }
-    CompiledKernel kernel;
-    kernel.plan = std::move(plan);
-    double stored_module_load = 0.0;
-    in >> kernel.num_instantiations >> kernel.source_lines >>
-        stored_module_load;
-    in.ignore(); // trailing newline before the source blob
-    std::ostringstream src;
-    src << in.rdbuf();
-    kernel.source = src.str();
     if (kernel.source.empty()) {
         common::warn("KernelCache: ignoring empty entry ", key);
         return std::nullopt;
     }
-    // Program compilation is amortized away; module load (PTX ->
-    // SASS) must still run (Section IV-F).
-    kernel.prog_compile_s = 0.0;
-    kernel.module_load_s = stored_module_load;
+    kernel.plan = std::move(plan);
     return kernel;
 }
 
@@ -121,16 +127,21 @@ KernelCache::store(const CompiledKernel& kernel,
     const std::string key =
         keyFor(model, spec, kernel.plan.rpw(),
                kernel.plan.ctasPerSm(), kernel.plan.gradientsCached());
-    std::ofstream out(pathFor(key), std::ios::trunc);
+    std::ofstream out(pathFor(key), std::ios::binary | std::ios::trunc);
     if (!out) {
         common::warn("KernelCache: cannot write entry ", key);
         return;
     }
-    out << kMagic << "\n"
-        << kernel.num_instantiations << ' ' << kernel.source_lines
-        << ' ' << std::setprecision(17) << kernel.module_load_s
-        << "\n"
-        << kernel.source;
+    std::vector<std::uint8_t> image = common::beginImage(
+        kMagic, kVersion, 8 + 8 + 8 + 8 + kernel.source.size());
+    common::putU64(image, kernel.num_instantiations);
+    common::putU64(image, kernel.source_lines);
+    common::putF64(image, kernel.module_load_s);
+    common::putU64(image, kernel.source.size());
+    image.insert(image.end(), kernel.source.begin(), kernel.source.end());
+    common::sealImage(image);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
 }
 
 } // namespace vpps

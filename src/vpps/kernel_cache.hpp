@@ -41,7 +41,9 @@ class KernelCache
      * Try to load a kernel. On a hit the distribution plan is
      * rebuilt deterministically for @p model and the returned
      * kernel's prog_compile_s is zero (already paid); module_load_s
-     * remains (PTX -> SASS must rerun).
+     * remains (PTX -> SASS must rerun). An entry is a sealed image
+     * (common/wire.hpp): a torn or corrupted one is a miss, with a
+     * warning.
      */
     std::optional<CompiledKernel>
     load(const graph::Model& model, const gpusim::DeviceSpec& spec,

@@ -110,13 +110,6 @@ TEST(Table, AlignsAndRendersRows)
     EXPECT_NE(s.find("333"), std::string::npos);
 }
 
-TEST(Table, CsvHasHeaderAndRows)
-{
-    common::Table t({"x", "y"});
-    t.addRow({"1", "2"});
-    EXPECT_EQ(t.csv(), "x,y\n1,2\n");
-}
-
 TEST(Table, RejectsArityMismatch)
 {
     common::Table t({"x", "y"});
@@ -126,7 +119,6 @@ TEST(Table, RejectsArityMismatch)
 TEST(Table, NumberFormatting)
 {
     EXPECT_EQ(common::Table::fmt(3.14159, 2), "3.14");
-    EXPECT_EQ(common::Table::fmtInt(42), "42");
 }
 
 } // namespace

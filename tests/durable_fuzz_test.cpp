@@ -18,8 +18,10 @@
 
 #include "common/rng.hpp"
 #include "durable/manifest.hpp"
+#include "common/wire.hpp"
 #include "durable/wal.hpp"
 #include "serve/durability.hpp"
+#include "train/checkpoint_io.hpp"
 
 namespace {
 
@@ -412,6 +414,102 @@ TEST(DurableParsersFuzz, SeededRandomFuzzNeverCrashes)
         (void)serve::decodeOutcome(blob);
         const auto rr = durable::readWal(blob, 1);
         EXPECT_LE(rr.clean_bytes, blob.size());
+    }
+}
+
+/**
+ * Every durable encoding, pinned by size and FNV-1a 64 digest of its
+ * bytes. The round-trip and fuzz cases above still pass when an
+ * encoder and its decoder change together; this one does not, so a
+ * format change has to be made on purpose. The inputs fill every
+ * field: non-integral floats, a -0.0, a completed entry, a pending
+ * request of each class and a non-empty params blob.
+ */
+TEST(DurableFormats, EncodingsArePinned)
+{
+    train::TrainCheckpoint ckpt;
+    ckpt.next_input = 0x0102030405ull;
+    ckpt.learning_rate = 0.3f;
+    ckpt.weight_decay = -0.0f;
+    ckpt.params = {1.5f, -0.0f, 3.25e-3f, -7.75f, 1.0e30f};
+    const auto ckpt_bytes = train::serializeCheckpoint(ckpt);
+
+    durable::Manifest m;
+    m.generation = 0x1122334455ull;
+    m.checkpoint_file = "fleet/ckpt.42";
+    m.checkpoint_bytes = ckpt_bytes.size();
+    m.checkpoint_digest = common::fnv1a64(ckpt_bytes);
+    m.wal_file = "fleet/wal.42";
+
+    serve::FleetDurableState st;
+    st.wal_first_seq = 0xA0B0C0D0E0ull;
+    st.now_us = 1234.5625;
+    serve::FleetCounters& c = st.counters;
+    c.arrivals = 1, c.admitted = 2, c.rejected_queue_full = 3;
+    c.rejected_infeasible = 4, c.shed = 5, c.completed = 6;
+    c.timed_out = 7, c.failed = 8, c.admitted_high = 9;
+    c.completed_high = 10, c.timed_out_high = 11, c.failed_high = 12;
+    c.routed = 13, c.failed_over = 14, c.hedge_cancelled = 15;
+    c.lost = 16, c.hedges = 17, c.probes = 18, c.suspicions = 19;
+    c.device_losses = 20, c.standby_joins = 21;
+    c.expired_in_queue = 22, c.drained_no_replica = 23;
+    c.fenced = 24;
+    st.completed = {{31, 0x3F800000u, 1000.25},
+                    {32, 0x80000000u, -0.0}};
+    serve::Request high;
+    high.id = 33;
+    high.cls = serve::RequestClass::High;
+    high.input_index = 5;
+    high.arrival_us = 100.125;
+    high.deadline_us = 2.5e6;
+    serve::Request low = high;
+    low.id = 34;
+    low.cls = serve::RequestClass::Low;
+    low.input_index = 6;
+    low.deadline_us = -0.0;
+    st.pending = {high, low};
+    st.params_blob = ckpt_bytes;
+
+    serve::JournalAdmit a;
+    a.id = 0xABCDEF0102030405ull;
+    a.cls = serve::RequestClass::Low;
+    a.decision = serve::AdmissionController::Decision::Shed;
+    a.input_index = 99;
+    a.arrival_us = 123.5;
+    a.deadline_us = -0.0;
+
+    serve::JournalOutcome o;
+    o.id = 77;
+    o.outcome = serve::Outcome::TimedOut;
+    o.cls = serve::RequestClass::High;
+    o.response_bits = 0xC0FFEE01u;
+    o.latency_us = 4242.125;
+
+    struct Pin
+    {
+        const char* what;
+        std::vector<std::uint8_t> bytes;
+        std::size_t size;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"checkpoint", ckpt_bytes, 60, 0x96B1A155A99A5B78ull},
+        {"manifest", durable::serializeManifest(m), 73,
+         0x73081698982C6EE4ull},
+        {"fleet state", serve::serializeFleetState(st), 414,
+         0xA0804B420A6826D9ull},
+        {"admit", serve::encodeAdmit(a), 34, 0x82202BE7679A91FAull},
+        {"outcome", serve::encodeOutcome(o), 22, 0x549BB1FA93F463F9ull},
+        {"wal record",
+         durable::encodeWalRecord(serve::kJournalOutcomeType, 9,
+                                  serve::encodeOutcome(o)),
+         46, 0x0A61ED860FEFA1E0ull},
+    };
+    for (const Pin& pin : pins) {
+        EXPECT_EQ(pin.bytes.size(), pin.size) << pin.what;
+        EXPECT_EQ(common::fnv1a64(pin.bytes), pin.digest)
+            << pin.what << ": 0x" << std::hex
+            << common::fnv1a64(pin.bytes);
     }
 }
 

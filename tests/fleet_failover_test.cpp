@@ -610,6 +610,47 @@ TEST(FleetFailover, LinkDownMasksWedgeAtSameInstant)
     EXPECT_TRUE(saw_dead);
 }
 
+TEST(FleetFailover, StarTopologyFleetServes)
+{
+    // The controller is linked to each replica and nothing else, so
+    // the initial broadcast tree's (2,3) hop is relayed by the
+    // controller instead of failing the constructor.
+    Replica sizing(1);
+    const double req_us = probeReqUs(sizing);
+
+    Replica r0(1), r1(1), r2(1);
+    serve::FleetConfig cfg;
+    cfg.standby_opts = fleetOpts(1);
+    auto topo = gpusim::Topology::parse("devices 4\n"
+                                        "link 0 1 nvlink\n"
+                                        "link 0 2 pcie\n"
+                                        "link 0 3 nvlink\n");
+    ASSERT_TRUE(topo.ok()) << topo.status().toString();
+    cfg.net.topology = std::move(topo).value();
+    cfg.net.controller_node = 0;
+
+    std::vector<serve::FleetReplica> slots = {
+        r0.slot("r0"), r1.slot("r1"), r2.slot("r2")};
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        slots[i].node = i + 1;
+    serve::Fleet fleet(slots, cfg, nullptr, nullptr);
+    EXPECT_EQ(fleet.netStats().param_broadcasts, 1u);
+
+    serve::ArrivalConfig ac;
+    ac.rate_per_sec = 0.5 * 3.0e6 / req_us;
+    ac.count = 30;
+    ac.deadline_slack_us = 120.0 * req_us;
+    ac.seed = 9;
+    fleet.run(serve::generateOpenLoopArrivals(
+        ac, req_us, r0.bm->datasetSize()));
+
+    const serve::FleetCounters& c = fleet.counters();
+    EXPECT_TRUE(c.reconciled());
+    EXPECT_EQ(c.arrivals, 30u);
+    EXPECT_GT(c.completed, 0u);
+    EXPECT_EQ(c.completed + c.timed_out + c.failed, c.admitted);
+}
+
 TEST(FleetCounters, BookOutcomeCountsArrivalOnlyOutcomesAsFailed)
 {
     // WAL replay decodes any outcome byte up to Shed. The three an

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 
 #include "common/rng.hpp"
 #include "data/treebank.hpp"
@@ -77,6 +78,68 @@ TEST(KernelCache, MissThenHitRoundTripsTheKernel)
     // The rebuilt plan matches the original configuration.
     EXPECT_EQ(hit->plan.rpw(), kernel.plan.rpw());
     EXPECT_EQ(hit->plan.ctasPerSm(), kernel.plan.ctasPerSm());
+}
+
+/** Store one kernel into @p dir and @return the entry's path. */
+std::string
+storeOneEntry(CacheRig& rig, const vpps::KernelCache& cache,
+              const std::string& dir)
+{
+    vpps::VppsOptions opts;
+    opts.rpw = 2;
+    auto plan = vpps::DistributionPlan::buildAuto(
+        rig.model.model(), rig.device.spec(), opts, 2);
+    const vpps::KernelSpecializer specializer(rig.device.spec());
+    cache.store(specializer.specialize(rig.model.model(), plan),
+                rig.model.model(), rig.device.spec());
+    EXPECT_TRUE(
+        cache.load(rig.model.model(), rig.device.spec(), opts, 2)
+            .has_value());
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+        return entry.path().string();
+    return "";
+}
+
+TEST(KernelCache, TruncatedEntryIsAMiss)
+{
+    CacheRig rig;
+    TempDir dir;
+    const vpps::KernelCache cache(dir.path);
+    const std::string path = storeOneEntry(rig, cache, dir.path);
+    ASSERT_FALSE(path.empty());
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) - 1);
+    vpps::VppsOptions opts;
+    opts.rpw = 2;
+    EXPECT_FALSE(cache.load(rig.model.model(), rig.device.spec(), opts,
+                            2)
+                     .has_value())
+        << "an entry torn by one byte must miss, not load";
+}
+
+TEST(KernelCache, FlippedByteIsAMiss)
+{
+    CacheRig rig;
+    TempDir dir;
+    const vpps::KernelCache cache(dir.path);
+    const std::string path = storeOneEntry(rig, cache, dir.path);
+    ASSERT_FALSE(path.empty());
+    {
+        // Byte 26 lies inside module_load_s, which a hit would charge
+        // as the handle's JIT time.
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(26);
+        const char byte = static_cast<char>(f.get() ^ 0x10);
+        f.seekp(26);
+        f.put(byte);
+    }
+    vpps::VppsOptions opts;
+    opts.rpw = 2;
+    EXPECT_FALSE(cache.load(rig.model.model(), rig.device.spec(), opts,
+                            2)
+                     .has_value())
+        << "an entry with a flipped byte must miss, not load";
 }
 
 TEST(KernelCache, KeyDependsOnShapesAndConfig)

@@ -186,6 +186,20 @@ TEST(FaultPlan, FromEnvRoundTrip)
     unsetenv("VPPS_FAULT_SEED");
 }
 
+TEST(FaultPlan, FromEnvIgnoresRatesOutsideTheUnitInterval)
+{
+    // At a rate of 1 or more every draw fires, so no script transfer
+    // could ever succeed: such a plan is never armed.
+    for (const char* bad : {"1", "1.5", "-0.25", "0.5x", "nan", ""}) {
+        setenv("VPPS_FAULT_RATE", bad, 1);
+        EXPECT_FALSE(gpusim::FaultPlan::fromEnv().has_value())
+            << "'" << bad << "'";
+    }
+    setenv("VPPS_FAULT_RATE", "0.999", 1);
+    EXPECT_TRUE(gpusim::FaultPlan::fromEnv().has_value());
+    unsetenv("VPPS_FAULT_RATE");
+}
+
 TEST(DeviceMemory, TryAllocateReportsExhaustionWithoutAborting)
 {
     gpusim::DeviceMemory mem(16);

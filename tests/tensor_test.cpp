@@ -9,7 +9,7 @@
 
 #include "common/rng.hpp"
 #include "tensor/host_math.hpp"
-#include "tensor/tensor.hpp"
+#include "tensor/shape.hpp"
 
 namespace {
 
@@ -440,18 +440,6 @@ TEST(HostMath, AccumMatchesScalarLoopBitwise)
                 << "len " << len << (special ? ", special values" : "");
         }
     }
-}
-
-TEST(TensorRef, ViewsIntoPool)
-{
-    gpusim::DeviceMemory mem(64);
-    const auto off = mem.allocate(8, gpusim::MemSpace::Activations);
-    tensor::TensorRef ref(off, tensor::Shape(8));
-    EXPECT_TRUE(ref.valid());
-    EXPECT_DOUBLE_EQ(ref.bytes(), 32.0);
-    ref.data(mem)[2] = 42.0f;
-    EXPECT_EQ(mem.data(off)[2], 42.0f);
-    EXPECT_FALSE(tensor::TensorRef{}.valid());
 }
 
 } // namespace

@@ -96,4 +96,28 @@ TEST(ThreadPoolConfig, ResolveThreadCount)
     unsetenv("VPPS_HOST_THREADS");
 }
 
+TEST(ThreadPoolConfig, OutsideCountsAreCheckedAndCapped)
+{
+    // Only the resolved count is checked: no pool is ever built with
+    // one of these.
+    unsetenv("VPPS_HOST_THREADS");
+    EXPECT_EQ(common::resolveThreadCount(common::kMaxHostThreads),
+              common::kMaxHostThreads);
+    EXPECT_EQ(common::resolveThreadCount(100000),
+              common::kMaxHostThreads);
+
+    // The environment must be wholly a positive integer.
+    for (const char* bad : {"8x", " 8", "+8", "-8", "0", "", "1e3"}) {
+        setenv("VPPS_HOST_THREADS", bad, 1);
+        EXPECT_EQ(common::resolveThreadCount(0), 1) << "'" << bad << "'";
+    }
+    setenv("VPPS_HOST_THREADS", "100000", 1);
+    EXPECT_EQ(common::resolveThreadCount(0), common::kMaxHostThreads);
+    setenv("VPPS_HOST_THREADS", "99999999999999999999999", 1);
+    EXPECT_EQ(common::resolveThreadCount(0), common::kMaxHostThreads);
+    setenv("VPPS_HOST_THREADS", "256", 1);
+    EXPECT_EQ(common::resolveThreadCount(0), 256);
+    unsetenv("VPPS_HOST_THREADS");
+}
+
 } // namespace

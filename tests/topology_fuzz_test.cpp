@@ -81,6 +81,9 @@ TEST(TopologyFuzz, PromotedRegressions)
         "duplicate link (either direction)");
     expectRejected("devices 2\nlink 0 1 nvlink latency_ns=-5\n",
                    "negative option value");
+    expectRejected(
+        "devices 2\nlink 0 1 pcie latency_ns=4000 latency_ns=9000\n",
+        "duplicate link option");
 
     // Malformed routes.
     expectRejected("devices 3\nroute 0 2 via 1\n",

@@ -15,7 +15,9 @@
 # mutually exclusive with ASan) and runs the decoder hardening and
 # serving suites: the fuzz tests push random and bit-flipped scripts
 # through decode, so any out-of-bounds dereference a validation gap
-# would permit becomes a hard failure here. The pass continues with a
+# would permit becomes a hard failure here. The same pass runs the
+# suites of the other outside-input parsers (durable images through
+# common::WireReader, topology text, kernel-cache entries). The pass continues with a
 # crash-point explorer smoke (8 host-crash boundaries swept under
 # ASan, each recovering the durable fleet from simulated stable
 # storage, DESIGN.md section 4.10) and closes with the whole sim
@@ -91,7 +93,7 @@ cmake -B "$ASAN_DIR" -S . -DVPPS_ASAN=ON -DVPPS_UBSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$ASAN_DIR" -j"$(nproc)"
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-      -R 'DecoderFuzz|MalformedScript|Serving\.|FaultRecovery'
+      -R 'DecoderFuzz|MalformedScript|Serving\.|FaultRecovery|CheckpointBlob|CheckpointStore|Manifest|Wal|StableStore|Topology|KernelCache'
 
 echo "== crash-point explorer smoke (8 boundaries under ASan) =="
 "$ASAN_DIR"/tools/crash_explore --points 8
