@@ -3,7 +3,9 @@
 #include <malloc.h>
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <sstream>
 
@@ -139,19 +141,33 @@ parseBenchArgs(int argc, char** argv,
         }
         return false;
     };
+    // A thread count must be a whole positive decimal: "4x", "abc",
+    // "0" and "-1" get the usage message, as an unknown flag does.
+    auto threadsOf = [&](const std::string& arg, int& i) {
+        if (arg != "--threads" || i + 1 >= argc)
+            return false;
+        const char* v = argv[i + 1];
+        const char* end = v + std::strlen(v);
+        int n = 0;
+        const auto [stop, ec] = std::from_chars(v, end, n);
+        if (ec != std::errc() || stop != end || n <= 0)
+            return false;
+        cli.threads = n;
+        ++i;
+        return true;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--threads" && i + 1 < argc) {
-            cli.threads = std::atoi(argv[++i]);
+        if (threadsOf(arg, i) ||
+            valueOf(arg, "--trace", i, cli.trace_path) ||
+            valueOf(arg, "--metrics", i, cli.metrics_path)) {
+            // handled by threadsOf / valueOf
         } else if (arg == "--json") {
             cli.json = true;
         } else if (arg == "--functional") {
             cli.functional = true;
         } else if (arg == "--vpps-only") {
             cli.vpps_only = true;
-        } else if (valueOf(arg, "--trace", i, cli.trace_path) ||
-                   valueOf(arg, "--metrics", i, cli.metrics_path)) {
-            // handled by valueOf
         } else if (std::find(own_flags.begin(), own_flags.end(),
                              arg) != own_flags.end()) {
             cli.given.push_back(arg);

@@ -102,8 +102,9 @@ class AppRig
 /**
  * Command-line knobs shared by the benches:
  *
- *   --threads N    host interpreter threads for VPPS measurements
- *                  (0 = VPPS_HOST_THREADS env, else serial)
+ *   --threads N    host interpreter threads for VPPS measurements,
+ *                  a whole positive decimal (without the flag:
+ *                  VPPS_HOST_THREADS, else serial)
  *   --json         print each row as one JSON line instead of tables
  *   --functional   run the functional float math too (the default is
  *                  timing-only); interpretation then dominates host

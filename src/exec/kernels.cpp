@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 
 #include "common/logging.hpp"
 #include "tensor/host_math.hpp"
+#include "vpps/lowering.hpp"
 
 namespace exec {
 
@@ -99,91 +99,74 @@ placeBackward(gpusim::Device& device, graph::Model& model,
     return zero_bytes;
 }
 
+namespace {
+
+/**
+ * Runs a lowered node at once on the whole device, as the baselines'
+ * one kernel per op does: vector instructions through
+ * vpps::vectorPayload, adding straight into their targets, and each
+ * matrix product over the whole matrix.
+ */
+class DirectSink
+{
+  public:
+    DirectSink(DeviceMemory& mem, const graph::Model& model)
+        : mem_(mem), model_(model)
+    {
+    }
+
+    void group(double) {}
+
+    void
+    emit(vpps::Opcode op, std::uint32_t imm,
+         std::initializer_list<std::uint32_t> operands)
+    {
+        vpps::vectorPayload(op, imm, operands.begin(), mem_, *this, model_,
+                            true);
+    }
+
+    void
+    matrix(vpps::Opcode op, graph::ParamId m, std::uint32_t a,
+           std::uint32_t b)
+    {
+        const auto& p = model_.param(m);
+        const float* w = mem_.data(p.value);
+        const std::size_t rows = p.shape.rows(), cols = p.shape.cols();
+        switch (op) {
+          case vpps::Opcode::MatVec:
+            tensor::gemv(w, mem_.data(a), mem_.data(b), rows, cols);
+            break;
+          case vpps::Opcode::MatVecT:
+            tensor::gemvTransposedAccum(w, mem_.data(a), mem_.data(b),
+                                        rows, cols);
+            break;
+          default: // Outer
+            tensor::outerAccum(mem_.data(p.grad), mem_.data(a),
+                               mem_.data(b), rows, cols);
+        }
+    }
+
+    float*
+    claim(std::uint32_t target, std::uint32_t)
+    {
+        return mem_.data(target);
+    }
+
+  private:
+    DeviceMemory& mem_;
+    const graph::Model& model_;
+};
+
+} // namespace
+
 void
 computeNodeForward(gpusim::Device& device, graph::Model& model,
                    graph::ComputationGraph& cg, graph::NodeId id)
 {
     if (!device.functional())
         return;
-    auto& mem = device.memory();
-    Node& n = cg.node(id);
-    float* out = n.fwd == DeviceMemory::kNullOffset ? nullptr
-                                                    : mem.data(n.fwd);
-    const std::size_t len = n.shape.size();
-    switch (n.op) {
-      case OpType::Input:
-      case OpType::ParamVec:
-        break; // already staged / aliased
-      case OpType::Lookup: {
-        const auto& p = model.param(n.param);
-        const float* row =
-            mem.data(p.value) + static_cast<std::size_t>(n.aux) *
-                                    p.shape.cols();
-        std::memcpy(out, row, len * sizeof(float));
-        break;
-      }
-      case OpType::MatVec: {
-        const auto& p = model.param(n.param);
-        const float* w = mem.data(p.value);
-        const float* x = mem.data(cg.node(n.args[0]).fwd);
-        tensor::gemv(w, x, out, p.shape.rows(), p.shape.cols());
-        break;
-      }
-      case OpType::AddN: {
-        std::vector<const float*> ins;
-        ins.reserve(n.args.size());
-        for (NodeId a : n.args)
-            ins.push_back(mem.data(cg.node(a).fwd));
-        tensor::addN(ins.data(), ins.size(), out, len);
-        break;
-      }
-      case OpType::CwiseMult:
-        tensor::cwiseMult(mem.data(cg.node(n.args[0]).fwd),
-                          mem.data(cg.node(n.args[1]).fwd), out, len);
-        break;
-      case OpType::Tanh:
-        tensor::tanhForward(mem.data(cg.node(n.args[0]).fwd), out, len);
-        break;
-      case OpType::Sigmoid:
-        tensor::sigmoidForward(mem.data(cg.node(n.args[0]).fwd), out,
-                               len);
-        break;
-      case OpType::Relu:
-        tensor::reluForward(mem.data(cg.node(n.args[0]).fwd), out, len);
-        break;
-      case OpType::Scale: {
-        float factor;
-        std::memcpy(&factor, &n.aux, sizeof(factor));
-        tensor::scaleForward(mem.data(cg.node(n.args[0]).fwd), factor,
-                             out, len);
-        break;
-      }
-      case OpType::Slice: {
-        const float* in = mem.data(cg.node(n.args[0]).fwd) + n.aux;
-        std::memcpy(out, in, len * sizeof(float));
-        break;
-      }
-      case OpType::Concat: {
-        std::size_t pos = 0;
-        for (NodeId a : n.args) {
-            const Node& arg = cg.node(a);
-            std::memcpy(out + pos, mem.data(arg.fwd),
-                        arg.shape.size() * sizeof(float));
-            pos += arg.shape.size();
-        }
-        break;
-      }
-      case OpType::PickNLS: {
-        const Node& logits = cg.node(n.args[0]);
-        out[0] = tensor::pickNegLogSoftmax(
-            mem.data(logits.fwd), n.aux, mem.data(n.aux_mem),
-            logits.shape.size());
-        break;
-      }
-      default:
-        common::panic("computeNodeForward: unhandled op ",
-                      graph::opName(n.op));
-    }
+    DirectSink sink(device.memory(), model);
+    vpps::lowerForward(model, cg, cg.node(id), sink);
 }
 
 void
@@ -192,101 +175,25 @@ computeNodeBackward(gpusim::Device& device, graph::Model& model,
 {
     if (!device.functional())
         return;
-    auto& mem = device.memory();
-    Node& n = cg.node(id);
-    const std::size_t len = n.shape.size();
-    const float* dy = n.grad == DeviceMemory::kNullOffset
-                          ? nullptr
-                          : mem.data(n.grad);
-    auto arg_grad = [&](std::size_t i) -> float* {
-        const Node& arg = cg.node(n.args[i]);
-        return arg.grad == DeviceMemory::kNullOffset ? nullptr
-                                                     : mem.data(arg.grad);
-    };
-    switch (n.op) {
-      case OpType::Input:
-      case OpType::ParamVec:
-        break;
-      case OpType::Lookup: {
-        const auto& p = model.param(n.param);
-        float* grow = mem.data(p.grad) +
-                      static_cast<std::size_t>(n.aux) * p.shape.cols();
-        tensor::accum(grow, dy, len);
-        break;
-      }
-      case OpType::MatVec: {
-        const auto& p = model.param(n.param);
-        const float* w = mem.data(p.value);
-        const Node& x = cg.node(n.args[0]);
-        if (float* dx = arg_grad(0))
-            tensor::gemvTransposedAccum(w, dy, dx, p.shape.rows(),
-                                        p.shape.cols());
-        tensor::outerAccum(mem.data(p.grad), dy, mem.data(x.fwd),
-                           p.shape.rows(), p.shape.cols());
-        break;
-      }
-      case OpType::AddN:
-        for (std::size_t i = 0; i < n.args.size(); ++i)
-            if (float* d = arg_grad(i))
-                tensor::accum(d, dy, len);
-        break;
-      case OpType::CwiseMult: {
-        const float* a = mem.data(cg.node(n.args[0]).fwd);
-        const float* b = mem.data(cg.node(n.args[1]).fwd);
-        if (float* da = arg_grad(0))
-            for (std::size_t i = 0; i < len; ++i)
-                da[i] += dy[i] * b[i];
-        if (float* db = arg_grad(1))
-            for (std::size_t i = 0; i < len; ++i)
-                db[i] += dy[i] * a[i];
-        break;
-      }
-      case OpType::Tanh:
-        if (float* din = arg_grad(0))
-            tensor::tanhBackward(mem.data(n.fwd), dy, din, len);
-        break;
-      case OpType::Sigmoid:
-        if (float* din = arg_grad(0))
-            tensor::sigmoidBackward(mem.data(n.fwd), dy, din, len);
-        break;
-      case OpType::Relu:
-        if (float* din = arg_grad(0))
-            tensor::reluBackward(mem.data(n.fwd), dy, din, len);
-        break;
-      case OpType::Scale: {
-        if (float* din = arg_grad(0)) {
-            float factor;
-            std::memcpy(&factor, &n.aux, sizeof(factor));
-            tensor::scaleAccum(dy, factor, din, len);
-        }
-        break;
-      }
-      case OpType::Slice:
-        if (float* dparent = arg_grad(0))
-            tensor::accum(dparent + n.aux, dy, len);
-        break;
-      case OpType::Concat: {
-        std::size_t pos = 0;
-        for (std::size_t i = 0; i < n.args.size(); ++i) {
-            const Node& arg = cg.node(n.args[i]);
-            if (float* d = arg_grad(i))
-                tensor::accum(d, dy + pos, arg.shape.size());
-            pos += arg.shape.size();
-        }
-        break;
-      }
-      case OpType::PickNLS: {
-        const Node& logits = cg.node(n.args[0]);
-        if (float* dlogits = arg_grad(0))
-            tensor::pickNegLogSoftmaxBackward(mem.data(n.aux_mem), n.aux,
-                                              dy[0], dlogits,
-                                              logits.shape.size());
-        break;
-      }
-      default:
-        common::panic("computeNodeBackward: unhandled op ",
-                      graph::opName(n.op));
+    DirectSink sink(device.memory(), model);
+    vpps::lowerBackward(model, cg, cg.node(id), sink);
+}
+
+std::vector<std::vector<std::uint32_t>>
+touchedRows(const graph::Model& model, const graph::ComputationGraph& cg,
+            const std::vector<bool>& live)
+{
+    std::vector<std::vector<std::uint32_t>> rows(model.numParams());
+    for (NodeId id = 0; id < cg.size(); ++id) {
+        const Node& n = cg.node(id);
+        if (live[id] && n.op == OpType::Lookup)
+            rows[n.param].push_back(n.aux);
     }
+    for (auto& r : rows) {
+        std::sort(r.begin(), r.end());
+        r.erase(std::unique(r.begin(), r.end()), r.end());
+    }
+    return rows;
 }
 
 namespace {
@@ -449,14 +356,7 @@ runParameterUpdates(gpusim::Device& device, graph::Model& model,
     double total_us = 0.0;
 
     // Rows of each embedding table touched this batch (sparse update).
-    std::vector<std::set<std::uint32_t>> touched(model.numParams());
-    for (NodeId id = 0; id < cg.size(); ++id) {
-        if (!live[id])
-            continue;
-        const Node& n = cg.node(id);
-        if (n.op == OpType::Lookup)
-            touched[n.param].insert(n.aux);
-    }
+    const auto touched = touchedRows(model, cg, live);
 
     for (graph::ParamId pid = 0; pid < model.numParams(); ++pid) {
         auto& p = model.param(pid);

@@ -2,16 +2,19 @@
  * @file
  * Shared node placement and kernel execution for graph executors.
  *
- * The baselines run their functional math through
- * computeNodeForward()/computeNodeBackward() and charge per-kernel
- * costs via the group cost functions here. VPPS shares only the
- * buffer placement (placeForward()/placeBackward()): its interpreter
- * runs each instruction's math through vectorPayload() and the
- * tensor:: kernels, and charges per-instruction costs inside the
- * script executor.
+ * All five systems place buffers with placeForward()/placeBackward()
+ * and compute each op through the one lowering of vpps/lowering.hpp.
+ * The baselines run it node by node (computeNodeForward(),
+ * computeNodeBackward()): vector instructions through
+ * vpps::vectorPayload, adding straight into their targets, and matrix
+ * products through the whole-matrix tensor:: kernels. They charge
+ * per-kernel costs via the group cost functions here. VPPS places the
+ * same lowering on its VPPs and charges per-instruction costs inside
+ * the script executor.
  */
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -43,13 +46,24 @@ double placeBackward(gpusim::Device& device, graph::Model& model,
                      graph::ComputationGraph& cg,
                      const std::vector<bool>& live, graph::NodeId loss);
 
-/** Functionally compute one node's forward value (no cost charging). */
+/** Functionally compute one node's forward value (no cost charging):
+ *  its lowering, run directly. */
 void computeNodeForward(gpusim::Device& device, graph::Model& model,
                         graph::ComputationGraph& cg, graph::NodeId id);
 
-/** Functionally accumulate one node's backward contributions. */
+/** Functionally accumulate one node's backward contributions: its
+ *  lowering, run directly. */
 void computeNodeBackward(gpusim::Device& device, graph::Model& model,
                          graph::ComputationGraph& cg, graph::NodeId id);
+
+/**
+ * @return for each parameter, the rows that live Lookup nodes of
+ * @p cg read, ascending and each once: the rows the sparse update of
+ * an embedding table touches (empty for every other parameter).
+ */
+std::vector<std::vector<std::uint32_t>>
+touchedRows(const graph::Model& model, const graph::ComputationGraph& cg,
+            const std::vector<bool>& live);
 
 /**
  * Execute a group of same-signature nodes as one batched forward

@@ -1,6 +1,8 @@
 #include "gpusim/faults.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -57,8 +59,15 @@ FaultPlan::fromEnv()
         return std::nullopt;
     }
     std::uint64_t seed = 1;
-    if (const char* seed_env = std::getenv("VPPS_FAULT_SEED"))
-        seed = std::strtoull(seed_env, nullptr, 10);
+    if (const char* seed_env = std::getenv("VPPS_FAULT_SEED")) {
+        const char* seed_end = seed_env + std::strlen(seed_env);
+        const auto [stop, ec] = std::from_chars(seed_env, seed_end, seed);
+        if (ec != std::errc() || stop != seed_end) {
+            common::warn("ignoring VPPS_FAULT_SEED='", seed_env,
+                         "': not a whole u64 decimal");
+            return std::nullopt;
+        }
+    }
     return uniform(rate, seed);
 }
 

@@ -181,7 +181,8 @@ struct FaultPlan
      * Plan from VPPS_FAULT_RATE / VPPS_FAULT_SEED environment
      * variables (the tools/check.sh soak pass); nullopt when
      * VPPS_FAULT_RATE is unset, or (with a warning) when it is not
-     * wholly a number in (0, 1).
+     * wholly a number in (0, 1) or VPPS_FAULT_SEED is set but not
+     * wholly a u64 decimal.
      */
     static std::optional<FaultPlan> fromEnv();
 

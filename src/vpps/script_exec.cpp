@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "tensor/host_math.hpp"
+#include "vpps/lowering.hpp"
 #include "vpps/script_cache.hpp"
 
 namespace vpps {
@@ -119,97 +119,6 @@ constexpr OpCost kOpCosts[] = {
     {Opcode::Wait, 0, {}, {}},
 };
 static_assert(indexedByOpcode(kOpCosts));
-
-/**
- * The float math of one imm-length instruction on a functional
- * device. Accumulations whose target other VPPs may share within a
- * phase (the += family) go to @p sink's deferred scratch.
- */
-void
-vectorPayload(Opcode op, std::uint32_t n, const std::uint32_t* w,
-              gpusim::DeviceMemory& mem, VppSink& sink,
-              const graph::Model& model, bool apply_updates)
-{
-    auto at = [&](int i) { return mem.data(w[i]); };
-    auto factor = [&](int i) {
-        float f;
-        std::memcpy(&f, &w[i], sizeof(f));
-        return f;
-    };
-    switch (op) {
-      case Opcode::Copy:
-        std::memcpy(at(0), at(1), static_cast<std::size_t>(n) *
-                                      sizeof(float));
-        break;
-      case Opcode::Accum:
-      case Opcode::AccumParam:
-        tensor::accum(sink.claim(w[0], n), at(1), n);
-        break;
-      case Opcode::Add2: {
-        const float* ins[2] = {at(1), at(2)};
-        tensor::addN(ins, 2, at(0), n);
-        break;
-      }
-      case Opcode::Add3: {
-        const float* ins[3] = {at(1), at(2), at(3)};
-        tensor::addN(ins, 3, at(0), n);
-        break;
-      }
-      case Opcode::Mul:
-        tensor::cwiseMult(at(1), at(2), at(0), n);
-        break;
-      case Opcode::MulAccum: {
-        float* out = sink.claim(w[0], n);
-        const float* a = at(1);
-        const float* b = at(2);
-        for (std::uint32_t i = 0; i < n; ++i)
-            out[i] += a[i] * b[i];
-        break;
-      }
-      case Opcode::Tanh:
-        tensor::tanhForward(at(1), at(0), n);
-        break;
-      case Opcode::Sigmoid:
-        tensor::sigmoidForward(at(1), at(0), n);
-        break;
-      case Opcode::Relu:
-        tensor::reluForward(at(1), at(0), n);
-        break;
-      case Opcode::Scale:
-        tensor::scaleForward(at(1), factor(2), at(0), n);
-        break;
-      case Opcode::ScaleAccum:
-        tensor::scaleAccum(at(1), factor(2), sink.claim(w[0], n), n);
-        break;
-      case Opcode::TanhBack:
-        tensor::tanhBackward(at(1), at(2), sink.claim(w[0], n), n);
-        break;
-      case Opcode::SigmoidBack:
-        tensor::sigmoidBackward(at(1), at(2), sink.claim(w[0], n), n);
-        break;
-      case Opcode::ReluBack:
-        tensor::reluBackward(at(1), at(2), sink.claim(w[0], n), n);
-        break;
-      case Opcode::PickNLS:
-        at(2)[0] = tensor::pickNegLogSoftmax(at(0), w[3], at(1), n);
-        break;
-      case Opcode::PickNLSBack:
-        tensor::pickNegLogSoftmaxBackward(at(0), w[3], at(1)[0],
-                                          sink.claim(w[2], n), n);
-        break;
-      case Opcode::UpdateVec:
-        // Gradient-only mode leaves the parameter and its grad
-        // untouched (data-parallel training applies the all-reduced
-        // update itself); the cost is charged either way so timing
-        // does not depend on the mode.
-        if (apply_updates)
-            tensor::sgdUpdate(at(0), at(1), n, model.learning_rate,
-                              model.weight_decay);
-        break;
-      default:
-        break; // Nop
-    }
-}
 
 /** Per-instruction cost of one matrix product on one VPP. */
 struct MatrixCost

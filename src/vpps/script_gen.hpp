@@ -4,11 +4,12 @@
  *
  * For every batch, the host sorts the super-graph's nodes by maximum
  * depth from the leaves, then traverses level by level (and in
- * reverse for backward), encoding one CISC instruction per operation.
- * Nodes that touch a cached weight matrix are executed cooperatively
- * by every VPP caching rows of that matrix; all other nodes are
- * assigned to the VPP with the minimum accumulated load, with
- * matrix-related work weighted higher (the paper's load metric).
+ * reverse for backward), encoding each operation's lowering
+ * (vpps/lowering.hpp, the one the baselines run too) as CISC
+ * instructions. Nodes that touch a cached weight matrix are executed
+ * cooperatively by every VPP caching rows of that matrix; all other
+ * nodes are assigned to the VPP with the minimum accumulated load,
+ * with matrix-related work weighted higher (the paper's load metric).
  * Signal/wait barrier pairs separate consecutive phases so producers
  * are visible to consumers.
  */

@@ -2,15 +2,16 @@
  * @file
  * The core guarantee, swept across every application: training any
  * of the seven dynamic nets through the VPPS persistent kernel
- * produces the same losses as the per-node baseline -- and this holds
- * on non-default device geometries (fewer SMs, smaller register
- * files), where the distribution plan and script differ entirely.
+ * produces the same losses as the four baselines -- the first loss
+ * bit for bit, the next within a measured bound -- and this holds on
+ * non-default device geometries (fewer SMs, smaller register files),
+ * where the distribution plan and script differ entirely.
  * One timing-only batch per app also pins its simulated time, two
  * functional batches pin its losses and trained parameters, and one
  * batch run three times pins what a script-cache hit computes and
  * charges. Inference is batch invariant: four requests served
  * together compute each request's loss exactly as served alone.
- * Tree-LSTM and BiLSTM also pin one batch through each baseline.
+ * Every app also pins two batches through each baseline.
  */
 #include <gtest/gtest.h>
 
@@ -79,34 +80,115 @@ struct Factory
     }
 };
 
-void
-expectVppsMatchesBaseline(const std::string& app,
-                          const gpusim::DeviceSpec& spec)
-{
-    Factory vf(spec), nf(spec);
-    auto vm = vf.make(app);
-    auto nm = nf.make(app);
+/** The four baselines, in the order the paper's figures list them. */
+const char* const kBaselines[] = {"Naive", "DyNet-DB", "DyNet-AB",
+                                  "TF-Fold"};
 
+std::unique_ptr<exec::Executor>
+makeBaseline(const std::string& system, gpusim::Device& device)
+{
+    const gpusim::HostSpec host;
+    if (system == "Naive")
+        return std::make_unique<exec::NaiveExecutor>(device, host);
+    if (system == "DyNet-DB")
+        return std::make_unique<exec::DepthBatchExecutor>(device, host);
+    if (system == "DyNet-AB")
+        return std::make_unique<exec::AgendaBatchExecutor>(device, host);
+    return std::make_unique<exec::FoldExecutor>(device, host);
+}
+
+std::uint32_t
+bitsOf(float v)
+{
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** FNV-1a of every parameter's bytes, in parameter order. */
+std::uint64_t
+paramsDigest(gpusim::Device& device, const graph::Model& model)
+{
+    std::vector<std::uint8_t> bytes;
+    for (graph::ParamId id = 0; id < model.numParams(); ++id) {
+        const auto& p = model.param(id);
+        const auto* data = reinterpret_cast<const std::uint8_t*>(
+            device.memory().data(p.value));
+        bytes.insert(bytes.end(), data,
+                     data + p.shape.size() * sizeof(float));
+    }
+    return common::fnv1a64(bytes);
+}
+
+/** One app trained through one baseline on its own device. */
+struct BaselineRun
+{
+    const char* system;
+    Factory f;
+    std::unique_ptr<models::BenchmarkModel> m;
+    std::unique_ptr<exec::Executor> executor;
+
+    BaselineRun(const std::string& app, const char* sys,
+                const gpusim::DeviceSpec& spec)
+        : system(sys), f(spec), m(f.make(app)),
+          executor(makeBaseline(sys, f.device))
+    {
+    }
+
+    /** Train on the @p batch items starting at @p first. */
+    float
+    train(std::size_t first, std::size_t batch)
+    {
+        graph::ComputationGraph cg;
+        return executor->trainBatch(
+            m->model(), cg, train::buildSuperGraph(*m, cg, first, batch));
+    }
+};
+
+// Relative gap between a baseline's step-1 loss and VPPS's. The
+// largest measured over the seven apps, the four baselines and both
+// device specs was 2.0e-7 (RvNN on Naive); the bound is ten times
+// that.
+constexpr double kStep1LossGap = 2e-6;
+
+void
+expectVppsMatchesBaselines(const std::string& app,
+                           const gpusim::DeviceSpec& spec)
+{
+    Factory vf(spec);
+    auto vm = vf.make(app);
     vpps::VppsOptions opts;
     opts.rpw = 2;
     opts.async = false;
     vpps::Handle handle(vm->model(), vf.device, opts);
-    exec::NaiveExecutor naive(nf.device, gpusim::HostSpec{});
+    std::vector<std::unique_ptr<BaselineRun>> runs;
+    for (const char* system : kBaselines)
+        runs.push_back(std::make_unique<BaselineRun>(app, system, spec));
 
     for (int step = 0; step < 2; ++step) {
+        const auto first = static_cast<std::size_t>(step) * 2;
         graph::ComputationGraph cg_v;
         const float lv = handle.fb(
             vm->model(), cg_v,
-            train::buildSuperGraph(
-                *vm, cg_v, static_cast<std::size_t>(step) * 2, 2));
-        graph::ComputationGraph cg_n;
-        const float ln = naive.trainBatch(
-            nm->model(), cg_n,
-            train::buildSuperGraph(
-                *nm, cg_n, static_cast<std::size_t>(step) * 2, 2));
+            train::buildSuperGraph(*vm, cg_v, first, 2));
         ASSERT_TRUE(std::isfinite(lv));
-        EXPECT_NEAR(lv, ln, 2e-3 * std::abs(ln) + 2e-3)
-            << app << " step " << step;
+        for (auto& run : runs) {
+            SCOPED_TRACE(testing::Message() << app << " on "
+                                            << run->system << " step "
+                                            << step);
+            const float l = run->train(first, 2);
+            // Every system starts from the same parameters, so the
+            // first forward pass computes the same loss bit for bit.
+            if (step == 0) {
+                EXPECT_EQ(bitsOf(l), bitsOf(lv))
+                    << std::hex << std::showbase << bitsOf(l) << " vs "
+                    << bitsOf(lv);
+                continue;
+            }
+            const double gap =
+                std::abs(static_cast<double>(l) - lv) / std::abs(lv);
+            EXPECT_LE(gap, kStep1LossGap);
+        }
     }
 }
 
@@ -127,7 +209,7 @@ appIdent(const testing::TestParamInfo<const char*>& info)
 
 TEST_P(AllAppsEquivalenceTest, OnTitanV)
 {
-    expectVppsMatchesBaseline(GetParam(), gpusim::DeviceSpec{});
+    expectVppsMatchesBaselines(GetParam(), gpusim::DeviceSpec{});
 }
 
 TEST_P(AllAppsEquivalenceTest, OnSmallerGpu)
@@ -138,7 +220,7 @@ TEST_P(AllAppsEquivalenceTest, OnSmallerGpu)
     gpusim::DeviceSpec small;
     small.num_sms = 20;
     small.regfile_bytes_per_sm = 128 * 1024;
-    expectVppsMatchesBaseline(GetParam(), small);
+    expectVppsMatchesBaselines(GetParam(), small);
 }
 
 /** Simulated output and script of one timing-only batch of an app. */
@@ -263,22 +345,12 @@ TEST_P(AllAppsEquivalenceTest, FunctionalBatchIsPinned)
                     m->model(), cg,
                     train::buildSuperGraph(
                         *m, cg, static_cast<std::size_t>(step) * 2, 2));
-                std::uint32_t bits;
-                std::memcpy(&bits, &loss, sizeof(bits));
+                const std::uint32_t bits = bitsOf(loss);
                 EXPECT_EQ(bits, pin.loss_bits[step])
                     << "step " << step << std::hex << std::showbase
                     << ": " << bits;
             }
-            std::vector<std::uint8_t> bytes;
-            const auto& model = m->model();
-            for (graph::ParamId id = 0; id < model.numParams(); ++id) {
-                const auto& p = model.param(id);
-                const auto* data = reinterpret_cast<const std::uint8_t*>(
-                    f.device.memory().data(p.value));
-                bytes.insert(bytes.end(), data,
-                             data + p.shape.size() * sizeof(float));
-            }
-            const std::uint64_t digest = common::fnv1a64(bytes);
+            const std::uint64_t digest = paramsDigest(f.device, m->model());
             EXPECT_EQ(digest, pin.params_digest)
                 << std::hex << std::showbase << digest;
         }
@@ -393,24 +465,14 @@ TEST_P(AllAppsEquivalenceTest, RepeatedBatchIsPinned)
                     << "run " << run;
                 if (!mode.functional)
                     continue;
-                std::uint32_t bits;
-                std::memcpy(&bits, &loss, sizeof(bits));
+                const std::uint32_t bits = bitsOf(loss);
                 EXPECT_EQ(bits, pin.loss_bits[run])
                     << "run " << run << std::hex << std::showbase
                     << ": " << bits;
             }
             if (!mode.functional)
                 continue;
-            std::vector<std::uint8_t> bytes;
-            const auto& model = m->model();
-            for (graph::ParamId id = 0; id < model.numParams(); ++id) {
-                const auto& p = model.param(id);
-                const auto* data = reinterpret_cast<const std::uint8_t*>(
-                    f.device.memory().data(p.value));
-                bytes.insert(bytes.end(), data,
-                             data + p.shape.size() * sizeof(float));
-            }
-            const std::uint64_t digest = common::fnv1a64(bytes);
+            const std::uint64_t digest = paramsDigest(f.device, m->model());
             EXPECT_EQ(digest, pin.params_digest)
                 << std::hex << std::showbase << digest;
         }
@@ -468,7 +530,8 @@ TEST_P(AllAppsEquivalenceTest, BatchedInferenceMatchesSingleItemBitwise)
     }
 }
 
-/** Simulated cost and loss of one batch through a baseline. */
+/** Simulated cost, losses and trained parameters of two functional
+ *  batches of an app through a baseline. */
 struct BaselinePin
 {
     const char* app;
@@ -476,65 +539,97 @@ struct BaselinePin
     double cpu_us;
     double gpu_us;
     std::uint64_t launches;
-    std::uint32_t loss_bits;
+    std::uint32_t loss_bits[2];
+    std::uint64_t params_digest; //!< FNV-1a of every parameter's bytes
 };
 
 const BaselinePin kBaselinePins[] = {
-    {"Tree-LSTM", "Naive", 0x1.c15cccccccccdp+12, 0x1.79068a5723f38p+14,
-     2179, 0x40d1eda2},
-    {"Tree-LSTM", "DyNet-DB", 0x1.282cccccccccdp+11,
-     0x1.5b0ed6c0c40cap+11, 276, 0x40d1eda2},
-    {"Tree-LSTM", "DyNet-AB", 0x1.75fd70a3d70a4p+11,
-     0x1.aed11bc01d978p+11, 371, 0x40d1eda2},
-    {"Tree-LSTM", "TF-Fold", 0x1.2296666666666p+12,
-     0x1.0b3a1e1314b9bp+12, 480, 0x40d1eda2},
-    {"BiLSTM", "Naive", 0x1.0d75eac67846p+13, 0x1.80779e86a1f5ap+14,
-     2602, 0x42ad31b0},
-    {"BiLSTM", "DyNet-DB", 0x1.9b061180477e7p+11, 0x1.a5ee47aaa73ep+11,
-     392, 0x42ad31b0},
-    {"BiLSTM", "DyNet-AB", 0x1.cabdbf94c25fbp+11, 0x1.c69ea2b05799p+11,
-     430, 0x42ad31b0},
-    {"BiLSTM", "TF-Fold", 0x1.b4c308c023bf4p+12, 0x1.719cc97af9443p+12,
-     738, 0x42ad31b0},
+    {"Tree-LSTM", "Naive", 0x1.cb26666666666p+13, 0x1.816b97989ecf3p+15,
+     4453, {0x40d1eda2, 0x40f23254}, 0xdcba3b51d01fe464ull},
+    {"Tree-LSTM", "DyNet-DB", 0x1.2d52666666666p+12, 0x1.5ec5c380f8821p+12,
+     559, {0x40d1eda2, 0x40f23254}, 0xe4d1b16f5eb6b83bull},
+    {"Tree-LSTM", "DyNet-AB", 0x1.6a9c51eb851ecp+12, 0x1.852ae623d0743p+12,
+     692, {0x40d1eda2, 0x40f23254}, 0x3684e44eb8a3d170ull},
+    {"Tree-LSTM", "TF-Fold", 0x1.2709333333333p+13, 0x1.0e48c7a662243p+13,
+     973, {0x40d1eda2, 0x40f23254}, 0xe4d1b16f5eb6b83bull},
+    {"BiLSTM", "Naive", 0x1.0904512cdeac6p+14, 0x1.7a19a69358ebfp+15,
+     5118, {0x42ad31b0, 0x421f95c0}, 0xf5fe59ab231ee99eull},
+    {"BiLSTM", "DyNet-DB", 0x1.8622de4d144b4p+12, 0x1.838b0e8e9fb46p+12,
+     724, {0x42ad31b0, 0x421f95bf}, 0x40e25ffe35ea548aull},
+    {"BiLSTM", "DyNet-AB", 0x1.b397fd056636cp+12, 0x1.a21c19c8651c6p+12,
+     794, {0x42ad31b0, 0x421f95c0}, 0xe48d49e510cb8544ull},
+    {"BiLSTM", "TF-Fold", 0x1.99716f268a25ap+13, 0x1.542365252db7p+13,
+     1362, {0x42ad31b0, 0x421f95bf}, 0x40e25ffe35ea548aull},
+    {"BiLSTMwChar", "Naive", 0x1.328a029b46902p+14, 0x1.a8e4be2b9ff8ap+15,
+     5923, {0x42796246, 0x42651ece}, 0x5c3920c6d3028dc3ull},
+    {"BiLSTMwChar", "DyNet-DB", 0x1.374b3869c0536p+13, 0x1.8451f47481086p+13,
+     1409, {0x42796246, 0x42651ece}, 0xf4d382e362d6f4a2ull},
+    {"BiLSTMwChar", "DyNet-AB", 0x1.429242a730f74p+13, 0x1.78a9337572762p+13,
+     1390, {0x42796246, 0x42651ece}, 0x46a7e5c16f3707adull},
+    {"BiLSTMwChar", "TF-Fold", 0x1.67b59c34e029bp+14, 0x1.50d869a9aff84p+14,
+     2667, {0x42796246, 0x42651ece}, 0xf4d382e362d6f4a2ull},
+    {"BiGRU", "Naive", 0x1.46d4ad857e0b8p+14, 0x1.b01db54cbcfe9p+15,
+     6298, {0x42959adf, 0x4213668c}, 0xe931ae132552dc7dull},
+    {"BiGRU", "DyNet-DB", 0x1.bd9ab615f82e2p+12, 0x1.89ebb9f788504p+12,
+     756, {0x42959adf, 0x4213668c}, 0xf7803af911243ef7ull},
+    {"BiGRU", "DyNet-AB", 0x1.f11de9492b616p+12, 0x1.a7f43ca8c52f9p+12,
+     826, {0x42959adf, 0x4213668c}, 0xbf7c4c8988eb7746ull},
+    {"BiGRU", "TF-Fold", 0x1.bf2d5b0afc172p+13, 0x1.5ebb2241096cap+13,
+     1426, {0x42959adf, 0x4213668c}, 0xf7803af911243ef7ull},
+    {"TD-RNN", "Naive", 0x1.5283333333334p+12, 0x1.36473404ea4e4p+14,
+     1620, {0x40c05fae, 0x4123f9d0}, 0x26c487e6de13d969ull},
+    {"TD-RNN", "DyNet-DB", 0x1.1fcb333333334p+11, 0x1.4cba56cd51d05p+11,
+     289, {0x40c05fae, 0x4123f9cf}, 0x66d80c5bcdc70ad1ull},
+    {"TD-RNN", "DyNet-AB", 0x1.0bd0f5c28f5c2p+11, 0x1.fe85beabb4b1dp+10,
+     229, {0x40c05fae, 0x4123f9cf}, 0x66d80c5bcdc70ad1ull},
+    {"TD-RNN", "TF-Fold", 0x1.43e599999999ap+12, 0x1.1283518ccf0eap+12,
+     529, {0x40c05fae, 0x4123f9cf}, 0x66d80c5bcdc70ad1ull},
+    {"TD-LSTM", "Naive", 0x1.4aa592e5bf94cp+14, 0x1.308f211b32642p+16,
+     6396, {0x40e40cf6, 0x40ede288}, 0xbb97146e304e6889ull},
+    {"TD-LSTM", "DyNet-DB", 0x1.9eefe53097ecap+12, 0x1.826c3c006b079p+12,
+     668, {0x40e40cf6, 0x40ede288}, 0x3a4b7c6ac21cf9cdull},
+    {"TD-LSTM", "DyNet-AB", 0x1.c47b6a4f503e8p+12, 0x1.83dcac70db781p+12,
+     694, {0x40e40cf6, 0x40ede288}, 0x3a4b7c6ac21cf9cdull},
+    {"TD-LSTM", "TF-Fold", 0x1.99f7f2984bf65p+13, 0x1.4a947c5e93e1dp+13,
+     1268, {0x40e40cf6, 0x40ede288}, 0x3a4b7c6ac21cf9cdull},
+    {"RvNN", "Naive", 0x1.828cccccccccdp+11, 0x1.4b5b24c69152cp+13,
+     922, {0x40a448f9, 0x40e190d2}, 0x4494b104a3bd21faull},
+    {"RvNN", "DyNet-DB", 0x1.458cccccccccdp+10, 0x1.69087d74afa8dp+10,
+     163, {0x40a448f9, 0x40e190d2}, 0x2cf8b1d0d8052564ull},
+    {"RvNN", "DyNet-AB", 0x1.4ef0a3d70a3d6p+10, 0x1.5c13de2abb097p+10,
+     156, {0x40a448f9, 0x40e190d2}, 0x2cf8b1d0d8052564ull},
+    {"RvNN", "TF-Fold", 0x1.8146666666666p+11, 0x1.2944ff7b1895ep+11,
+     293, {0x40a448f9, 0x40e190d2}, 0x2cf8b1d0d8052564ull},
 };
-
-std::unique_ptr<exec::Executor>
-makeBaseline(const std::string& system, gpusim::Device& device)
-{
-    const gpusim::HostSpec host;
-    if (system == "Naive")
-        return std::make_unique<exec::NaiveExecutor>(device, host);
-    if (system == "DyNet-DB")
-        return std::make_unique<exec::DepthBatchExecutor>(device, host);
-    if (system == "DyNet-AB")
-        return std::make_unique<exec::AgendaBatchExecutor>(device, host);
-    return std::make_unique<exec::FoldExecutor>(device, host);
-}
 
 TEST(BaselineBatch, OneBatchPerStrategyIsPinned)
 {
-    // The baselines' schedules and overhead models must not move
-    // under refactors either: one functional four-input batch through
-    // each strategy pins its host and device time, its kernel
-    // launches and its loss bits.
+    // The baselines' schedules, overhead models and float math must
+    // not move under refactors either: two functional four-input
+    // batches of every app through each strategy pin its host and
+    // device time, its kernel launches, each step's loss bits and the
+    // trained parameters. A change to a baseline's backward or update
+    // math first shows in the second loss and the digest.
     for (const BaselinePin& pin : kBaselinePins) {
         SCOPED_TRACE(testing::Message() << pin.app << " on "
                                         << pin.system);
-        Factory f(gpusim::DeviceSpec{});
-        auto m = f.make(pin.app);
-        auto executor = makeBaseline(pin.system, f.device);
-        ASSERT_STREQ(executor->name(), pin.system);
-        graph::ComputationGraph cg;
-        const float loss = executor->trainBatch(
-            m->model(), cg, train::buildSuperGraph(*m, cg, 0, 4));
-        const exec::ExecStats& s = executor->stats();
+        BaselineRun run(pin.app, pin.system, gpusim::DeviceSpec{});
+        ASSERT_STREQ(run.executor->name(), pin.system);
+        for (int step = 0; step < 2; ++step) {
+            const std::uint32_t bits = bitsOf(
+                run.train(static_cast<std::size_t>(step) * 4, 4));
+            EXPECT_EQ(bits, pin.loss_bits[step])
+                << "step " << step << std::hex << std::showbase << ": "
+                << bits;
+        }
+        const exec::ExecStats& s = run.executor->stats();
         EXPECT_EQ(s.cpu_us, pin.cpu_us) << std::hexfloat << s.cpu_us;
         EXPECT_EQ(s.gpu_us, pin.gpu_us) << std::hexfloat << s.gpu_us;
         EXPECT_EQ(s.launches, pin.launches);
-        std::uint32_t bits;
-        std::memcpy(&bits, &loss, sizeof(bits));
-        EXPECT_EQ(bits, pin.loss_bits)
-            << std::hex << std::showbase << bits;
+        const std::uint64_t digest =
+            paramsDigest(run.f.device, run.m->model());
+        EXPECT_EQ(digest, pin.params_digest)
+            << std::hex << std::showbase << digest;
     }
 }
 

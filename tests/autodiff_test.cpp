@@ -35,7 +35,9 @@ struct DiffRig
         model.allocate(device, rng);
     }
 
-    /** Composite expression using every differentiable op. */
+    /** Composite expression using every differentiable op, with
+     *  sums of two, three and five arguments (the lowering's Add2,
+     *  Add3, and Add3 followed by Accums). */
     graph::Expr
     build(graph::ComputationGraph& cg)
     {
@@ -43,14 +45,17 @@ struct DiffRig
         Expr e = lookup(cg, model, table, 3);
         Expr x = input(cg, {0.3f, -0.2f, 0.8f, 0.1f, -0.5f});
         Expr mixed = add({e, x});
-        Expr h = graph::tanh(matvec(model, w_a, mixed) +
-                             parameter(cg, model, bias));
+        Expr h = graph::tanh(add({matvec(model, w_a, mixed),
+                                  parameter(cg, model, bias),
+                                  matvec(model, w_a, e)}));
         Expr g = sigmoid(scale(h, 1.7f));
         Expr prod = cmult(h, g);
         Expr lo = slice(prod, 0, 3);
         Expr hi = slice(prod, 3, 3);
         Expr re = relu(concat({hi, lo}));
-        Expr logits = matvec(model, w_b, re);
+        Expr logits = add({matvec(model, w_b, re), matvec(model, w_b, h),
+                           slice(prod, 1, 4), matvec(model, w_b, g),
+                           slice(mixed, 1, 4)});
         return pickNegLogSoftmax(logits, 2);
     }
 

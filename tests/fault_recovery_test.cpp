@@ -390,6 +390,33 @@ TEST(FaultRecovery, EnvPlumbingInstallsInjectors)
     }
 }
 
+TEST(FaultRecovery, EnvSeedMustBeAWholeU64Decimal)
+{
+    // A seed that is not wholly a u64 decimal arms no plan (with a
+    // warning naming the variable), as a rate outside (0, 1) does:
+    // "abc" used to arm seed 0 and "7x" seed 7.
+    Factory f; // clears any inherited fault env first
+    auto m = f.make("RvNN");
+    setenv("VPPS_FAULT_RATE", "0.1", 1);
+    setenv("VPPS_FAULT_SEED", "abc", 1);
+    {
+        vpps::Handle handle(m->model(), f.device, recoveryOptions());
+        EXPECT_EQ(f.device.faults(), nullptr);
+    }
+    for (const char* bad : {"7x", "", " 7", "+7", "-1", "0x10",
+                            "18446744073709551616"}) {
+        setenv("VPPS_FAULT_SEED", bad, 1);
+        EXPECT_FALSE(gpusim::FaultPlan::fromEnv().has_value())
+            << "'" << bad << "'";
+    }
+    setenv("VPPS_FAULT_SEED", "18446744073709551615", 1);
+    const auto plan = gpusim::FaultPlan::fromEnv();
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_EQ(plan->seed, 18446744073709551615ull);
+    unsetenv("VPPS_FAULT_RATE");
+    unsetenv("VPPS_FAULT_SEED");
+}
+
 /** One data-parallel replica backed by the seeded Factory, with an
  *  optional fault plan installed before the driver builds handles. */
 class DpReplica : public train::ReplicaContext
