@@ -97,6 +97,10 @@ struct DeviceSpec
     {
         return dram_bandwidth_gbps * 1e3;
     }
+
+    /** Field by field: an executor reprices its kernel when any
+     *  field moves. */
+    bool operator==(const DeviceSpec&) const = default;
 };
 
 /**

@@ -5,14 +5,16 @@
  * Identical batches generate identical script words, so every
  * replica of a data-parallel job, and every repeat of a batch,
  * validates the same programs. This cache lifts the per-ScriptExecutor
- * validation memo into a sharable, mutex-guarded store of immutable
- * `ValidatedProgram`s: N replica handles point at one ScriptCache and
- * the first replica's validation pays for all of them. An entry owns
- * its validated copy of the script's words, so a hit never reads a
- * new script's words: a key collision can at worst run another
- * validated program. Entries are `shared_ptr<const ...>` so a program
- * an executor is interpreting, or a generated batch holds, survives
- * an evict-all triggered by another replica mid-run.
+ * validation memo into a sharable, mutex-guarded store of
+ * `ValidatedProgram`s, immutable except the write-once round order
+ * their first fault-free run records: N replica handles point at one
+ * ScriptCache and the first replica's validation, and its schedule,
+ * pay for all of them. An entry owns its validated copy of the
+ * script's words, so a hit never reads a new script's words: a key
+ * collision can at worst run another validated program. Entries are
+ * `shared_ptr<const ...>` so a program an executor is interpreting,
+ * or a generated batch holds, survives an evict-all triggered by
+ * another replica mid-run.
  *
  * A generated batch is keyed by what the generator reads, not by the
  * words it writes (ScriptGenerator::generate), so a hit skips
@@ -64,7 +66,18 @@ class ScriptCache
     key(std::uint64_t script_digest, const graph::Model& model,
         std::size_t pool_floats)
     {
-        // FNV-1a over the parameter count and every (rows, cols).
+        std::uint64_t h = script_digest;
+        h ^= 0x9E3779B97F4A7C15ull * (shapesDigest(model) + 1);
+        h ^= 0xC2B2AE3D27D4EB4Full *
+             (static_cast<std::uint64_t>(pool_floats) + 1);
+        return h;
+    }
+
+    /** FNV-1a over @p model's parameter count and every parameter's
+     *  (rows, cols). */
+    static std::uint64_t
+    shapesDigest(const graph::Model& model)
+    {
         std::uint64_t shapes = 1469598103934665603ull;
         auto mix = [&shapes](std::uint64_t v) {
             shapes ^= v;
@@ -75,11 +88,7 @@ class ScriptCache
             mix(model.param(p).shape.rows());
             mix(model.param(p).shape.cols());
         }
-        std::uint64_t h = script_digest;
-        h ^= 0x9E3779B97F4A7C15ull * (shapes + 1);
-        h ^= 0xC2B2AE3D27D4EB4Full *
-             (static_cast<std::uint64_t>(pool_floats) + 1);
-        return h;
+        return shapes;
     }
 
     /** @return the cached program for @p key, or nullptr (miss). */

@@ -130,14 +130,16 @@ struct MatrixCost
 };
 
 /**
- * The cost of every matrix product a run can charge, computed once per
- * run: a MatVec, MatVecT or Outer's cost depends only on (opcode,
- * param, VPP). Filled for every param id and every VPP, since the
- * validator accepts a matrix product on a VPP that caches no rows of
- * it, and on a param that is not a weight matrix; both are charged as
- * zero-row products. Each entry's time is vppInstructionUs of the
- * instruction's KernelCost, the very double chargeInstruction() would
- * add, so charging from the memo moves no bit.
+ * The cost of every matrix product a kernel can charge, and of its
+ * epilogue on each VPP: a MatVec, MatVecT or Outer's cost depends only
+ * on (opcode, param, VPP). Filled for every param id and every VPP,
+ * since the validator accepts a matrix product on a VPP that caches
+ * no rows of it, and on a param that is not a weight matrix; both are
+ * charged as zero-row products. Each entry's time is vppInstructionUs
+ * of the instruction's KernelCost, the very double chargeInstruction()
+ * would add, so charging from the memo moves no bit. It reads the
+ * plan, the device spec and the parameter shapes, nothing else, so
+ * one memo serves every run of a kernel (ScriptExecutor::Kept).
  */
 class MatrixCostMemo
 {
@@ -147,8 +149,20 @@ class MatrixCostMemo
                    const gpusim::PersistentSim& psim)
         : num_params_(model.numParams()),
           costs_(static_cast<std::size_t>(plan.numVpps()) * kOps *
-                 num_params_)
+                 num_params_),
+          epilogue_us_(static_cast<std::size_t>(plan.numVpps()))
     {
+        // Applying the register-cached gradients: a store of every
+        // weight byte the VPP caches.
+        for (int vpp = 0; vpp < plan.numVpps(); ++vpp) {
+            const double bytes = plan.cachedWeightBytes(vpp);
+            KernelCost epilogue;
+            epilogue.flops = bytes / 4.0 * 3.0;
+            epilogue.dram_store_bytes = bytes;
+            epilogue.latency_hops = 1.0;
+            epilogue_us_[static_cast<std::size_t>(vpp)] =
+                psim.instructionUs(epilogue);
+        }
         auto rowsOf = [&](int vpp, graph::ParamId m, bool gradient) {
             double rows = 0.0;
             for (const auto& s : plan.slices(vpp, m, gradient))
@@ -202,6 +216,13 @@ class MatrixCostMemo
         return costs_[index(vpp, op, param)];
     }
 
+    /** @return the epilogue's time on VPP @p vpp. */
+    double
+    epilogueUs(int vpp) const
+    {
+        return epilogue_us_[static_cast<std::size_t>(vpp)];
+    }
+
   private:
     static constexpr std::size_t kOps = 3; // MatVec, MatVecT, Outer
 
@@ -216,6 +237,26 @@ class MatrixCostMemo
 
     std::size_t num_params_;
     std::vector<MatrixCost> costs_;
+    std::vector<double> epilogue_us_;
+};
+
+/** Each VPP's place in its stream, and the rest of its sync table. */
+struct Cursor
+{
+    std::uint32_t word = 0;  //!< offset in the VPP's section
+    std::uint32_t index = 0; //!< instruction index (pc)
+    const SyncPoint* sync = nullptr; //!< next sync point
+    const SyncPoint* sync_end = nullptr;
+
+    bool atSync() const { return sync != sync_end && sync->word == word; }
+};
+
+/** One VPP's run of non-sync instructions in one scheduling round. */
+struct Segment
+{
+    int vpp;
+    std::uint32_t begin_word, end_word;
+    std::uint32_t begin_index, end_index;
 };
 
 /**
@@ -368,10 +409,23 @@ validate(const Script& script, const graph::Model& model,
 
 } // namespace
 
+struct ScriptExecutor::Kept
+{
+    /** The price table, and the plan digest, device spec (whole:
+     *  Device::disableSms edits it in place) and parameter shapes it
+     *  was filled from. */
+    std::unique_ptr<const MatrixCostMemo> prices;
+    std::uint64_t plan_digest = 0;
+    gpusim::DeviceSpec spec;
+    std::uint64_t shapes = 0;
+    std::vector<Cursor> cursors;
+    std::vector<Segment> segments;
+};
+
 ScriptExecutor::ScriptExecutor(gpusim::Device& device, int threads,
                                ScriptCache* shared_cache)
     : device_(device), threads_(common::resolveThreadCount(threads)),
-      cache_(shared_cache)
+      kept_(std::make_unique<Kept>()), cache_(shared_cache)
 {
     if (cache_ == nullptr) {
         owned_cache_ = std::make_unique<ScriptCache>();
@@ -442,7 +496,17 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     for (std::size_t b = 0; b < prog.expected_signals.size(); ++b)
         psim.setExpectedSignals(
             b, static_cast<int>(prog.expected_signals[b]));
-    const MatrixCostMemo memo(plan, model, psim);
+    Kept& kept = *kept_;
+    const std::uint64_t shapes = ScriptCache::shapesDigest(model);
+    if (!kept.prices || kept.plan_digest != plan.digest() ||
+        kept.spec != spec || kept.shapes != shapes) {
+        kept.prices = std::make_unique<const MatrixCostMemo>(plan, model,
+                                                             psim);
+        kept.plan_digest = plan.digest();
+        kept.spec = spec;
+        kept.shapes = shapes;
+    }
+    const MatrixCostMemo& memo = *kept.prices;
 
     // Tracing. VPP clocks restart at zero for every kernel; anchoring
     // them at the device's current busy time makes successive batches
@@ -497,20 +561,13 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         }
     }
 
-    // Each VPP's place in its stream, and the rest of its sync table.
-    struct Cursor
-    {
-        std::uint32_t word = 0;  //!< offset in the VPP's section
-        std::uint32_t index = 0; //!< instruction index (pc)
-        const SyncPoint* sync = nullptr; //!< next sync point
-        const SyncPoint* sync_end = nullptr;
-
-        bool atSync() const { return sync != sync_end && sync->word == word; }
-    };
-    std::vector<Cursor> cursor(static_cast<std::size_t>(num_vpps));
+    std::vector<Cursor>& cursor = kept.cursors;
+    cursor.resize(static_cast<std::size_t>(num_vpps));
     for (int vpp = 0; vpp < num_vpps; ++vpp) {
         const auto& sec = prog.sections[static_cast<std::size_t>(vpp)];
         Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+        c.word = 0;
+        c.index = 0;
         c.sync = prog.syncs.data() + sec.first_sync;
         c.sync_end = c.sync + sec.num_syncs;
     }
@@ -534,6 +591,9 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     }
 
     const bool func = device_.functional();
+    // Fresh sinks per run: a functional run grows each arena to its
+    // largest phase's deferred sums, which kept sinks would hold
+    // between runs.
     std::vector<VppSink> sinks(static_cast<std::size_t>(num_vpps));
 
     // Execute the non-sync instructions in words [pc, end) of @p
@@ -647,13 +707,42 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     // the inter-VPP dependency structure the script generator
     // encodes -- so functional results and per-VPP timelines match
     // the serial round-robin interpreter.
-    struct Segment
-    {
-        int vpp;
-        std::uint32_t begin_word, end_word;
-        std::uint32_t begin_index, end_index;
+    //
+    // Which syncs a round applies, and which segments it cuts, depend
+    // on signal counts alone, never on time. So the live scheduler
+    // below (barrier fixpoint, segment cut) runs once per program: its
+    // first run that completes with no hang armed records the order,
+    // and later runs replay it. A run with a hang armed, or of a
+    // program that stalled and so has no order, schedules live.
+    std::vector<Segment>& segments = kept.segments;
+    std::size_t round_instructions = 0;
+
+    // Apply @p vpp's next Signal or Wait and step past it.
+    auto applySync = [&](int vpp) {
+        Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+        const SyncPoint& sp = *c.sync;
+        if (sp.op == Opcode::Signal)
+            psim.signal(sp.barrier, vpp);
+        else
+            psim.wait(sp.barrier, vpp);
+        ++c.word;
+        ++c.index;
+        ++c.sync;
     };
-    std::vector<Segment> segments;
+    // Cut @p vpp's segment for this round: from its cursor to its next
+    // sync point, or to the end of its stream.
+    auto cutSegment = [&](int vpp) {
+        const auto& sec = prog.sections[static_cast<std::size_t>(vpp)];
+        Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+        const bool last = c.sync == c.sync_end;
+        const Segment seg{vpp, c.word,
+                          last ? sec.num_words : c.sync->word, c.index,
+                          last ? sec.num_instructions : c.sync->index};
+        segments.push_back(seg);
+        round_instructions += seg.end_index - seg.begin_index;
+        c.word = seg.end_word;
+        c.index = seg.end_index;
+    };
 
     // Counter samples carry the device's *absolute* per-space byte
     // totals (not deltas), so the latest sample always equals the
@@ -695,16 +784,91 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         return st;
     };
 
+    const RoundOrder* const order =
+        hung_vpp < 0 ? prog.order() : nullptr;
+    std::unique_ptr<RoundOrder> recording;
+    if (order == nullptr && hung_vpp < 0 && num_vpps <= 0x10000) {
+        // VPP ids fit the order's two bytes.
+        recording = std::make_unique<RoundOrder>();
+        recording->syncs.reserve(prog.syncs.size());
+    }
+    std::size_t next_sync = 0, next_segment = 0;
+
     // Bound every loop: a valid schedule consumes at least one
     // instruction per round and one sync op per fixpoint pass, so
     // exceeding these caps means the scheduler itself stopped making
     // progress -- report it instead of spinning forever.
     const std::size_t round_cap = prog.total_instructions + 2;
-    std::size_t rounds = 0;
     bool hang_triggered = false;
 
-    for (;;) {
-        if (++rounds > round_cap)
+    // 3. and 4. of every round, live or replayed.
+    auto runRound = [&]() {
+        // 3. Execute the round's segments, concurrently when the
+        // round carries enough work to amortize the worker wake-up.
+        auto run_segment = [&](std::size_t i) {
+            const Segment& seg = segments[i];
+            VppSink& sink =
+                sinks[static_cast<std::size_t>(seg.vpp)];
+            const std::uint32_t* const words =
+                prog.words.data() +
+                prog.sections[static_cast<std::size_t>(seg.vpp)]
+                    .first_word;
+            const double seg_start = psim.timeOf(seg.vpp);
+            exec_words(seg.vpp, words + seg.begin_word,
+                       words + seg.end_word, sink);
+            const std::uint32_t count = seg.end_index - seg.begin_index;
+            sink.instructions += count;
+            // Emitted from whichever worker ran the segment (the
+            // per-thread shards absorb that); the event *content* is
+            // thread-count independent because the VPP timeline is.
+            if (tracer)
+                tracer->complete(
+                    seg.vpp, "vpp", "segment",
+                    trace_base + seg_start,
+                    psim.timeOf(seg.vpp) - seg_start,
+                    static_cast<std::int64_t>(seg.begin_index),
+                    static_cast<double>(count));
+        };
+        if (threads_ > 1 && segments.size() > 1 &&
+            round_instructions >= kMinParallelInstructions) {
+            if (!pool_)
+                pool_ =
+                    std::make_unique<common::ThreadPool>(threads_);
+            pool_->parallelFor(segments.size(), run_segment);
+        } else {
+            for (std::size_t i = 0; i < segments.size(); ++i)
+                run_segment(i);
+        }
+
+        // 4. Deterministic reduction: apply the round's deferred
+        // accumulations in (VPP, program-order) order -- segments are
+        // already sorted by VPP index.
+        for (const Segment& seg : segments) {
+            VppSink& sink =
+                sinks[static_cast<std::size_t>(seg.vpp)];
+            for (const PendingAccum& pa : sink.pending)
+                tensor::accum(mem.data(pa.target),
+                              sink.arena.data() + pa.arena_pos, pa.len);
+            sink.pending.clear();
+            sink.arena.clear();
+        }
+    };
+
+    for (std::size_t round = 0;; ++round) {
+        segments.clear();
+        round_instructions = 0;
+        if (order) {
+            if (round == order->rounds.size())
+                break;
+            const RoundOrder::Round& r = order->rounds[round];
+            for (; next_sync < r.syncs_end; ++next_sync)
+                applySync(order->syncs[next_sync]);
+            for (; next_segment < r.segments_end; ++next_segment)
+                cutSegment(order->segments[next_segment]);
+            runRound();
+            continue;
+        }
+        if (round + 1 > round_cap)
             return fail(Status::failure(
                 ErrorCode::BarrierDeadlock,
                 common::detail::concat(
@@ -736,45 +900,41 @@ ScriptExecutor::run(const CompiledKernel& kernel,
                             hang_triggered = true;
                             break;
                         }
-                        psim.signal(sp.barrier, vpp);
-                    } else if (psim.barrierReady(sp.barrier)) {
-                        psim.wait(sp.barrier, vpp);
-                    } else {
+                    } else if (!psim.barrierReady(sp.barrier)) {
                         break;
                     }
-                    ++c.word;
-                    ++c.index;
-                    ++c.sync;
+                    applySync(vpp);
+                    if (recording)
+                        recording->syncs.push_back(
+                            static_cast<std::uint16_t>(vpp));
                     sync_progress = true;
                 }
             }
         }
 
-        // 2. Cut runnable per-VPP segments for this round: from the
-        // cursor to the VPP's next sync point, or to its end.
-        segments.clear();
+        // 2. Cut runnable per-VPP segments for this round.
         bool all_done = true;
-        std::size_t round_instructions = 0;
         for (int vpp = 0; vpp < num_vpps; ++vpp) {
-            const auto& sec = prog.sections[static_cast<std::size_t>(vpp)];
-            Cursor& c = cursor[static_cast<std::size_t>(vpp)];
-            if (c.index >= sec.num_instructions)
+            const Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+            if (c.index >=
+                prog.sections[static_cast<std::size_t>(vpp)]
+                    .num_instructions)
                 continue;
             all_done = false;
             // Blocked on an unready barrier, or hung at its lost
             // signal and never resuming.
             if (c.atSync())
                 continue;
-            const bool last = c.sync == c.sync_end;
-            const Segment seg{vpp, c.word,
-                              last ? sec.num_words : c.sync->word,
-                              c.index,
-                              last ? sec.num_instructions : c.sync->index};
-            segments.push_back(seg);
-            round_instructions += seg.end_index - seg.begin_index;
-            c.word = seg.end_word;
-            c.index = seg.end_index;
+            cutSegment(vpp);
+            if (recording)
+                recording->segments.push_back(
+                    static_cast<std::uint16_t>(vpp));
         }
+        if (recording)
+            recording->rounds.push_back(
+                {static_cast<std::uint32_t>(recording->syncs.size()),
+                 static_cast<std::uint32_t>(
+                     recording->segments.size())});
         if (segments.empty()) {
             if (all_done)
                 break;
@@ -825,55 +985,13 @@ ScriptExecutor::run(const CompiledKernel& kernel,
                     .withBarrier(first_barrier));
         }
 
-        // 3. Execute the round's segments, concurrently when the
-        // round carries enough work to amortize the worker wake-up.
-        auto run_segment = [&](std::size_t i) {
-            const Segment& seg = segments[i];
-            VppSink& sink =
-                sinks[static_cast<std::size_t>(seg.vpp)];
-            const std::uint32_t* const words =
-                prog.words.data() +
-                prog.sections[static_cast<std::size_t>(seg.vpp)]
-                    .first_word;
-            const double seg_start = psim.timeOf(seg.vpp);
-            exec_words(seg.vpp, words + seg.begin_word,
-                       words + seg.end_word, sink);
-            const std::uint32_t count = seg.end_index - seg.begin_index;
-            sink.instructions += count;
-            // Emitted from whichever worker ran the segment (the
-            // per-thread shards absorb that); the event *content* is
-            // thread-count independent because the VPP timeline is.
-            if (tracer)
-                tracer->complete(
-                    seg.vpp, "vpp", "segment",
-                    trace_base + seg_start,
-                    psim.timeOf(seg.vpp) - seg_start,
-                    static_cast<std::int64_t>(seg.begin_index),
-                    static_cast<double>(count));
-        };
-        if (threads_ > 1 && segments.size() > 1 &&
-            round_instructions >= kMinParallelInstructions) {
-            if (!pool_)
-                pool_ =
-                    std::make_unique<common::ThreadPool>(threads_);
-            pool_->parallelFor(segments.size(), run_segment);
-        } else {
-            for (std::size_t i = 0; i < segments.size(); ++i)
-                run_segment(i);
-        }
-
-        // 4. Deterministic reduction: apply the round's deferred
-        // accumulations in (VPP, program-order) order -- segments are
-        // already sorted by VPP index.
-        for (const Segment& seg : segments) {
-            VppSink& sink =
-                sinks[static_cast<std::size_t>(seg.vpp)];
-            for (const PendingAccum& pa : sink.pending)
-                tensor::accum(mem.data(pa.target),
-                              sink.arena.data() + pa.arena_pos, pa.len);
-            sink.pending.clear();
-            sink.arena.clear();
-        }
+        runRound();
+    }
+    if (recording) {
+        // Cached for the program's lifetime: drop the growth slack.
+        recording->rounds.shrink_to_fit();
+        recording->segments.shrink_to_fit();
+        prog.publishOrder(std::move(recording));
     }
 
     // Merge per-VPP accounting in VPP order (fixed-order reduction:
@@ -896,13 +1014,9 @@ ScriptExecutor::run(const CompiledKernel& kernel,
                                   model.weight_decay);
             }
         for (int vpp = 0; vpp < num_vpps; ++vpp) {
-            const double bytes = plan.cachedWeightBytes(vpp);
-            KernelCost epilogue;
-            epilogue.flops = bytes / 4.0 * 3.0;
-            epilogue.dram_store_bytes = bytes;
-            epilogue.latency_hops = 1.0;
-            psim.chargeInstruction(vpp, epilogue);
-            device_.addStore(MemSpace::Weights, bytes);
+            psim.charge(vpp, memo.epilogueUs(vpp));
+            device_.addStore(MemSpace::Weights,
+                             plan.cachedWeightBytes(vpp));
         }
     }
 

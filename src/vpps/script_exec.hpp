@@ -29,6 +29,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -88,6 +89,29 @@ struct SyncPoint
 };
 
 /**
+ * The order in which a program's scheduling rounds run. Per round:
+ * the VPPs whose next Signal or Wait the barrier fixpoint applied, in
+ * application order, then the VPPs it cut a segment for, in VPP
+ * order. A round resolves barriers by signal counts, never by time,
+ * so every run of one program that no hang interrupts schedules
+ * alike: the first such run records the order, and later runs replay
+ * it. Two bytes per sync point and per segment, eight per round.
+ */
+struct RoundOrder
+{
+    /** Where one round's entries end in `syncs` and `segments`. */
+    struct Round
+    {
+        std::uint32_t syncs_end = 0;
+        std::uint32_t segments_end = 0;
+    };
+
+    std::vector<Round> rounds;
+    std::vector<std::uint16_t> syncs;    //!< VPP ids
+    std::vector<std::uint16_t> segments; //!< VPP ids
+};
+
+/**
  * A script checked once and copied: the words of every VPP's stream
  * exactly as validated, about 12 bytes per instruction, and each
  * VPP's sync table. Built once per distinct script and reused across
@@ -99,9 +123,18 @@ struct SyncPoint
  * also keeps what a cache hit, which emits nothing, must still
  * charge: the per-pass instruction counts, the barrier count
  * (`expected_signals.size()`) and the script bytes (bytes()).
+ *
+ * Immutable once cached, except the write-once round order: the
+ * program's first run that completes with no hang armed publishes
+ * it (publishOrder()), and every later run reads it (order()).
  */
 struct ValidatedProgram
 {
+    ValidatedProgram() = default;
+    ValidatedProgram(const ValidatedProgram&) = delete;
+    ValidatedProgram& operator=(const ValidatedProgram&) = delete;
+    ~ValidatedProgram() { delete order_.load(std::memory_order_acquire); }
+
     /** Where one VPP's stream lies in `words` and its sync points in
      *  `syncs`. */
     struct Section
@@ -140,6 +173,28 @@ struct ValidatedProgram
         return 4.0 * (static_cast<double>(sections.size() + 1) +
                       static_cast<std::uint32_t>(words.size()));
     }
+
+    /** @return the recorded round order, or nullptr until a run has
+     *  published one. */
+    const RoundOrder*
+    order() const
+    {
+        return order_.load(std::memory_order_acquire);
+    }
+
+    /** Publish @p order unless a run already has: every run that
+     *  records one records the same, so the first stays. */
+    void
+    publishOrder(std::unique_ptr<RoundOrder> order) const
+    {
+        const RoundOrder* none = nullptr;
+        if (order_.compare_exchange_strong(none, order.get(),
+                                           std::memory_order_acq_rel))
+            order.release();
+    }
+
+  private:
+    mutable std::atomic<const RoundOrder*> order_{nullptr};
 };
 
 /** Interprets generated scripts against the simulated device. */
@@ -176,6 +231,15 @@ class ScriptExecutor
      * A batch that carries a cached program (a generator's cache hit)
      * runs it as is. Otherwise the script's words are validated and
      * cached under the batch's key; see validated().
+     *
+     * A program's first run that completes with no hang armed
+     * schedules it live (barrier fixpoint, segment cut) and publishes
+     * the round order on the program; later runs replay that order.
+     * A run with a hang armed, and every run of a program that has
+     * stalled and so has no order, schedules live. Matrix-product
+     * prices are computed once per kernel: the executor keeps them,
+     * keyed by the plan's digest, the device spec's fields and the
+     * model's parameter shapes, and reprices when any of them moves.
      *
      * Malformed scripts (bad opcodes, truncated streams, out-of-range
      * barriers, Signal/Wait count mismatches) and stalled schedules
@@ -225,6 +289,12 @@ class ScriptExecutor
     gpusim::Device& device_;
     int threads_;
     std::unique_ptr<common::ThreadPool> pool_;
+
+    /** What run() keeps between runs: the last kernel's price table
+     *  and its key, and the cursor and segment vectors, whose buffers
+     *  later runs reuse. */
+    struct Kept;
+    std::unique_ptr<Kept> kept_;
 
     /** Private cache backing `cache_` when none was shared in. */
     std::unique_ptr<ScriptCache> owned_cache_;

@@ -1,5 +1,7 @@
 #include "vpps/script_gen.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -91,6 +93,78 @@ class PhaseBuilder
 };
 
 /**
+ * Accumulated load per VPP, with the minimum found in logarithmic
+ * time: a tournament tree over (load, VPP index) whose every node
+ * holds the winner of its subtree, the lower load and, among equal
+ * loads, the lower index. The root is the first of equal minima, the
+ * VPP a scan from index 0 finds. A matrix product's fan-out adds to
+ * up to every VPP at once, and the lowering emits such products in
+ * runs, so add() only marks the tree stale and the next addToMin()
+ * replays every match once.
+ */
+class LoadTree
+{
+  public:
+    explicit LoadTree(int num_vpps)
+    {
+        while (leaves_ < static_cast<std::size_t>(num_vpps))
+            leaves_ *= 2;
+        // Padding leaves carry an infinite load and never win.
+        load_.assign(leaves_, std::numeric_limits<double>::infinity());
+        std::fill_n(load_.begin(), num_vpps, 0.0);
+        win_.resize(2 * leaves_);
+        for (std::size_t i = 0; i < leaves_; ++i)
+            win_[leaves_ + i] = static_cast<int>(i);
+    }
+
+    /** Add @p load to VPP @p vpp's. */
+    void
+    add(int vpp, double load)
+    {
+        load_[static_cast<std::size_t>(vpp)] += load;
+        stale_ = true;
+    }
+
+    /** Add @p load to the VPP with the minimum load, the first of
+     *  equals, and @return that VPP. */
+    int
+    addToMin(double load)
+    {
+        if (stale_) {
+            for (std::size_t n = leaves_ - 1; n >= 1; --n)
+                win_[n] = match(n);
+            stale_ = false;
+        }
+        const int vpp = win_[1];
+        load_[static_cast<std::size_t>(vpp)] += load;
+        // It won every match on its path: replay them all.
+        for (std::size_t n = (leaves_ + static_cast<std::size_t>(vpp)) / 2;
+             n >= 1; n /= 2)
+            win_[n] = match(n);
+        return vpp;
+    }
+
+  private:
+    /** The winner of node @p n: its right child's winner only on a
+     *  strictly lower load, since the left subtree holds the lower
+     *  indices. */
+    int
+    match(std::size_t n) const
+    {
+        const int a = win_[2 * n], b = win_[2 * n + 1];
+        return load_[static_cast<std::size_t>(b)] <
+                       load_[static_cast<std::size_t>(a)]
+                   ? b
+                   : a;
+    }
+
+    std::size_t leaves_ = 1;
+    std::vector<double> load_; //!< per leaf
+    std::vector<int> win_;     //!< per node, root at 1, leaves last
+    bool stale_ = true;
+};
+
+/**
  * The generator's lowering sink (vpps/lowering.hpp): places each group
  * of vector instructions on the VPP with the minimum accumulated load,
  * and each matrix product on every VPP caching rows of its matrix (of
@@ -104,7 +178,7 @@ class Placer
     Placer(const DistributionPlan& plan, const graph::Model& model,
            PhaseBuilder& phase, const std::vector<GemmStaging>& staging)
         : plan_(plan), model_(model), phase_(phase),
-          load_(static_cast<std::size_t>(plan.numVpps()), 0.0),
+          load_(plan.numVpps()),
           fan_outs_(2 * model.numParams()),
           staging_(staging), slot_(model.numParams()),
           cursor_(staging.size(), 0)
@@ -116,17 +190,7 @@ class Placer
     void
     group(double load)
     {
-        // The VPP with the minimum accumulated load, the first of
-        // equals. The scan runs over every VPP for every group; with
-        // GCC -O2 on x86-64, std::min_element made emission of a
-        // batch-32 Tree-LSTM script 20 % slower than this loop.
-        int best = 0;
-        for (int v = 1; v < static_cast<int>(load_.size()); ++v)
-            if (load_[static_cast<std::size_t>(v)] <
-                load_[static_cast<std::size_t>(best)])
-                best = v;
-        vpp_ = best;
-        load_[static_cast<std::size_t>(vpp_)] += load;
+        vpp_ = load_.addToMin(load);
     }
 
     void
@@ -157,7 +221,7 @@ class Placer
         }
         for (const FanOut& t : targets) {
             phase_.add(t.vpp, op, m, {a, b});
-            load_[static_cast<std::size_t>(t.vpp)] += t.load;
+            load_.add(t.vpp, t.load);
         }
     }
 
@@ -186,7 +250,7 @@ class Placer
     const DistributionPlan& plan_;
     const graph::Model& model_;
     PhaseBuilder& phase_;
-    std::vector<double> load_; //!< accumulated load per VPP
+    LoadTree load_; //!< accumulated load per VPP
     std::vector<std::vector<FanOut>> fan_outs_;
     const std::vector<GemmStaging>& staging_;
     std::vector<std::size_t> slot_;     //!< staging index per matrix
