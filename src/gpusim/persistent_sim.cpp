@@ -49,18 +49,6 @@ PersistentSim::signal(std::size_t barrier, int vpp)
                          static_cast<double>(b.expected));
 }
 
-int
-PersistentSim::expectedAt(std::size_t barrier) const
-{
-    return barrier < barriers_.size() ? barriers_[barrier].expected : 0;
-}
-
-int
-PersistentSim::arrivedAt(std::size_t barrier) const
-{
-    return barrier < barriers_.size() ? barriers_[barrier].arrived : 0;
-}
-
 void
 PersistentSim::wait(std::size_t barrier, int vpp)
 {

@@ -77,8 +77,8 @@ class PersistentSim
     void signal(std::size_t barrier, int vpp);
 
     /** @return true if all expected signals for @p barrier arrived.
-     *  Inline: the barrier fixpoint asks once per waiting VPP and
-     *  pass. */
+     *  The script executor's schedule decides readiness the same way
+     *  from signal counts alone. */
     bool
     barrierReady(std::size_t barrier) const
     {
@@ -101,22 +101,14 @@ class PersistentSim
     /** @return mean VPP busy time (for load-balance diagnostics). */
     double meanVppTime() const;
 
-    /** @name Stall diagnostics (barrier watchdog)
-     * Signals expected/arrived at @p barrier; 0 for barriers the sim
-     * has never seen. Used by the script executor to report *which*
-     * barriers are starved when the schedule stops making progress.
-     *  @{ */
-    int expectedAt(std::size_t barrier) const;
-    int arrivedAt(std::size_t barrier) const;
-    /** @} */
-
     /**
      * Attach a borrowed tracer for barrier signal/wait events
      * (nullptr detaches). VPP clocks count from kernel start;
      * @p base_us is added to every emitted timestamp so barrier
      * events line up with the device-wide timeline the rest of the
-     * trace uses. signal()/wait() run in the executor's serial
-     * barrier fixpoint, so emission here is single-threaded.
+     * trace uses. The executor applies signal()/wait() serially,
+     * between its rounds' segments, so emission here is
+     * single-threaded.
      */
     void
     setTracer(obs::Tracer* tracer, double base_us)

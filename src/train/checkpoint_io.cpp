@@ -1,5 +1,7 @@
 #include "train/checkpoint_io.hpp"
 
+#include <cstring>
+
 #include "common/wire.hpp"
 
 namespace train {
@@ -22,8 +24,17 @@ serializeCheckpoint(const TrainCheckpoint& ckpt)
     common::putF32(out, ckpt.learning_rate);
     common::putF32(out, ckpt.weight_decay);
     common::putU64(out, static_cast<std::uint64_t>(ckpt.params.size()));
-    for (const float v : ckpt.params)
-        common::putF32(out, v);
+    // The parameters in place, each as putF32 writes it: four
+    // little-endian bytes of its bits.
+    const std::size_t first = out.size();
+    out.resize(first + 4 * ckpt.params.size());
+    std::uint8_t* p = out.data() + first;
+    for (const float v : ckpt.params) {
+        std::uint32_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        for (int i = 0; i < 4; ++i)
+            *p++ = static_cast<std::uint8_t>(bits >> (8 * i));
+    }
     common::sealImage(out);
     return out;
 }

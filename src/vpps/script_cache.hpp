@@ -5,11 +5,10 @@
  * Identical batches generate identical script words, so every
  * replica of a data-parallel job, and every repeat of a batch,
  * validates the same programs. This cache lifts the per-ScriptExecutor
- * validation memo into a sharable, mutex-guarded store of
- * `ValidatedProgram`s, immutable except the write-once round order
- * their first fault-free run records: N replica handles point at one
- * ScriptCache and the first replica's validation, and its schedule,
- * pay for all of them. An entry owns its validated copy of the
+ * validation memo into a sharable, mutex-guarded store of immutable
+ * `ValidatedProgram`s: N replica handles point at one ScriptCache and
+ * the first replica's validation, which schedules the program, pays
+ * for all of them. An entry owns its validated copy of the
  * script's words, so a hit never reads a new script's words: a key
  * collision can at worst run another validated program. Entries are
  * `shared_ptr<const ...>` so a program an executor is interpreting,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hpp"
@@ -240,7 +241,16 @@ class MatrixCostMemo
     std::vector<double> epilogue_us_;
 };
 
-/** Each VPP's place in its stream, and the rest of its sync table. */
+/** One VPP's run of non-sync instructions in one scheduling round. */
+struct Segment
+{
+    int vpp;
+    std::uint32_t begin_word, end_word;
+    std::uint32_t begin_index, end_index;
+};
+
+/** Each VPP's place in its stream, and the rest of its sync table.
+ *  The schedule and every run move it alike. */
 struct Cursor
 {
     std::uint32_t word = 0;  //!< offset in the VPP's section
@@ -249,15 +259,197 @@ struct Cursor
     const SyncPoint* sync_end = nullptr;
 
     bool atSync() const { return sync != sync_end && sync->word == word; }
+
+    /** Step past the Signal or Wait the cursor stands at. */
+    void
+    passSync()
+    {
+        ++word;
+        ++index;
+        ++sync;
+    }
+
+    /** Step to the next sync point, or to the end of VPP @p vpp's
+     *  stream @p sec; @return the segment stepped over. */
+    Segment
+    cut(int vpp, const ValidatedProgram::Section& sec)
+    {
+        const bool last = sync == sync_end;
+        const Segment seg{vpp, word, last ? sec.num_words : sync->word,
+                          index,
+                          last ? sec.num_instructions : sync->index};
+        word = seg.end_word;
+        index = seg.end_index;
+        return seg;
+    }
 };
 
-/** One VPP's run of non-sync instructions in one scheduling round. */
-struct Segment
+/** Place one cursor per VPP of @p prog at the start of its stream. */
+void
+startCursors(const ValidatedProgram& prog, std::vector<Cursor>& cursor)
 {
-    int vpp;
-    std::uint32_t begin_word, end_word;
-    std::uint32_t begin_index, end_index;
-};
+    cursor.assign(prog.sections.size(), Cursor{});
+    for (std::size_t vpp = 0; vpp < cursor.size(); ++vpp) {
+        const auto& sec = prog.sections[vpp];
+        cursor[vpp].sync = prog.syncs.data() + sec.first_sync;
+        cursor[vpp].sync_end = cursor[vpp].sync + sec.num_syncs;
+    }
+}
+
+/**
+ * The rounds @p prog runs in. Each round applies every ready Signal
+ * and Wait to a fixed point, visiting the VPPs in order (a signal by a
+ * higher-numbered VPP can unblock a lower-numbered one), then cuts
+ * each unblocked VPP's stream at its next sync point. A Wait is ready
+ * once its barrier has every signal it expects, as
+ * PersistentSim::barrierReady decides. Only signal counts decide a
+ * round, never time, so the rounds are a function of the program.
+ *
+ * With @p hung_vpp >= 0 that VPP stops for good at its next Signal,
+ * which is lost (an injected hang). A program that cannot finish
+ * stops at the stalled round, which applies its syncs and cuts no
+ * segment, and `stall` says why: HungVpp or BarrierDeadlock, naming
+ * the stuck VPPs, their pcs and barriers.
+ */
+RoundOrder
+schedule(const ValidatedProgram& prog, int hung_vpp)
+{
+    using common::ErrorCode;
+
+    const int num_vpps = prog.numVpps();
+    const std::vector<std::uint32_t>& expected = prog.expected_signals;
+    std::vector<std::uint32_t> arrived(expected.size(), 0);
+    std::vector<Cursor> cursor;
+    startCursors(prog, cursor);
+    auto done = [&](int vpp) {
+        return cursor[static_cast<std::size_t>(vpp)].index >=
+               prog.sections[static_cast<std::size_t>(vpp)]
+                   .num_instructions;
+    };
+
+    RoundOrder order;
+    order.syncs.reserve(prog.syncs.size());
+    // Close the round under way.
+    auto endRound = [&] {
+        order.rounds.push_back(
+            {static_cast<std::uint32_t>(order.syncs.size()),
+             static_cast<std::uint32_t>(order.segments.size())});
+    };
+
+    // Bound every loop: a valid schedule consumes at least one
+    // instruction per round and one sync op per fixpoint pass, so
+    // exceeding these caps means the scheduler itself stopped making
+    // progress -- report it instead of spinning forever.
+    const std::size_t round_cap = prog.total_instructions + 2;
+    const std::size_t pass_cap = prog.total_instructions +
+                                 static_cast<std::size_t>(num_vpps) + 2;
+    bool hang_triggered = false;
+    for (std::size_t round = 0;; ++round) {
+        if (round + 1 > round_cap) {
+            order.stall = {ErrorCode::BarrierDeadlock,
+                           common::detail::concat(
+                               "scheduler exceeded ", round_cap,
+                               " rounds without completing")};
+            return order;
+        }
+
+        // 1. Barrier traffic to a fixed point.
+        std::size_t passes = 0;
+        bool sync_progress = true;
+        while (sync_progress) {
+            if (++passes > pass_cap) {
+                endRound();
+                order.stall = {ErrorCode::BarrierDeadlock,
+                               "barrier fixpoint failed to converge"};
+                return order;
+            }
+            sync_progress = false;
+            for (int vpp = 0; vpp < num_vpps; ++vpp) {
+                Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+                while (c.atSync()) {
+                    const std::uint32_t b = c.sync->barrier;
+                    if (c.sync->op == Opcode::Signal) {
+                        if (vpp == hung_vpp) {
+                            // The injected hang: the CTA died before
+                            // the atomicAdd, so the signal is lost
+                            // and this VPP makes no further progress.
+                            hang_triggered = true;
+                            break;
+                        }
+                        ++arrived[b];
+                    } else if (!(expected[b] > 0 &&
+                                 arrived[b] >= expected[b])) {
+                        break; // unready, as PersistentSim decides
+                    }
+                    order.syncs.push_back(static_cast<std::uint32_t>(vpp));
+                    c.passSync();
+                    sync_progress = true;
+                }
+            }
+        }
+
+        // 2. Cut runnable per-VPP segments for this round.
+        bool all_done = true;
+        const std::size_t cut_before = order.segments.size();
+        for (int vpp = 0; vpp < num_vpps; ++vpp) {
+            if (done(vpp))
+                continue;
+            all_done = false;
+            // Blocked on an unready barrier, or hung at its lost
+            // signal and never resuming.
+            Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+            if (c.atSync())
+                continue;
+            c.cut(vpp, prog.sections[static_cast<std::size_t>(vpp)]);
+            order.segments.push_back(static_cast<std::uint32_t>(vpp));
+        }
+        endRound();
+        if (order.segments.size() > cut_before)
+            continue;
+        if (all_done)
+            break;
+
+        // Stall: no VPP can run and at least one has not finished.
+        // Diagnose which VPPs are stuck on which barriers (the
+        // watchdog's report) as a recoverable error.
+        std::ostringstream why;
+        int stuck = 0, first_vpp = -1;
+        long long first_pc = -1, first_barrier = -1;
+        for (int vpp = 0; vpp < num_vpps; ++vpp) {
+            if (done(vpp))
+                continue;
+            // Every unfinished VPP stands at a sync point here.
+            const Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+            const std::uint32_t pc = c.index;
+            const std::uint32_t b = c.sync->barrier;
+            if (stuck == 0) {
+                first_vpp = hang_triggered ? hung_vpp : vpp;
+                first_pc = pc;
+                first_barrier = b;
+            }
+            if (++stuck <= 6) {
+                why << (stuck == 1 ? "" : "; ") << "vpp " << vpp
+                    << (vpp == hung_vpp ? " (hung)" : "") << " at pc "
+                    << pc << " on barrier " << b << " (" << arrived[b]
+                    << "/" << expected[b] << " signals)";
+            }
+        }
+        if (stuck > 6)
+            why << "; ... " << (stuck - 6) << " more";
+        order.stall = {hang_triggered ? ErrorCode::HungVpp
+                                      : ErrorCode::BarrierDeadlock,
+                       common::detail::concat(
+                           hang_triggered ? "VPP hung (lost signal); "
+                                          : "barrier deadlock; ",
+                           stuck, " VPP(s) stuck: ", why.str()),
+                       first_vpp, first_pc, first_barrier};
+        break;
+    }
+    // Cached for the program's lifetime: drop the growth slack.
+    order.rounds.shrink_to_fit();
+    order.segments.shrink_to_fit();
+    return order;
+}
 
 /**
  * Copy @p script's words and validate the copy in one read-only pass,
@@ -404,6 +596,7 @@ validate(const Script& script, const graph::Model& model,
                            " signal(s) but the script emits ",
                            emitted[b]))
                 .withBarrier(static_cast<long long>(b));
+    prog->schedule = schedule(*prog, -1);
     return prog;
 }
 
@@ -562,21 +755,13 @@ ScriptExecutor::run(const CompiledKernel& kernel,
     }
 
     std::vector<Cursor>& cursor = kept.cursors;
-    cursor.resize(static_cast<std::size_t>(num_vpps));
-    for (int vpp = 0; vpp < num_vpps; ++vpp) {
-        const auto& sec = prog.sections[static_cast<std::size_t>(vpp)];
-        Cursor& c = cursor[static_cast<std::size_t>(vpp)];
-        c.word = 0;
-        c.index = 0;
-        c.sync = prog.syncs.data() + sec.first_sync;
-        c.sync_end = c.sync + sec.num_syncs;
-    }
+    startCursors(prog, cursor);
 
     // Injected hang: one VPP (drawn among those that signal at all)
     // permanently stops at its next Signal, which is therefore lost.
-    // The schedule downstream of that barrier starves and the stall
-    // diagnosis below reports it as a recoverable HungVpp error.
-    int hung_vpp = -1;
+    // The schedule downstream of that barrier starves, and this run's
+    // own schedule ends there with a recoverable HungVpp error.
+    std::optional<RoundOrder> hung;
     if (gpusim::FaultInjector* inj = device_.faults()) {
         std::vector<int> eligible;
         for (int vpp = 0; vpp < num_vpps; ++vpp) {
@@ -587,8 +772,9 @@ ScriptExecutor::run(const CompiledKernel& kernel,
                 eligible.push_back(vpp);
         }
         if (auto hang = inj->drawHang(eligible))
-            hung_vpp = *hang;
+            hung = schedule(prog, *hang);
     }
+    const RoundOrder& order = hung ? *hung : prog.schedule;
 
     const bool func = device_.functional();
     // Fresh sinks per run: a functional run grows each arena to its
@@ -698,52 +884,6 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         }
     };
 
-    // -- Phase-scheduled interpretation. Every round: resolve all
-    // ready Signal/Wait traffic serially (barrier state and timeline
-    // clamps stay single-threaded), then cut each unblocked VPP's
-    // stream at its next sync point and execute the segments
-    // concurrently. A segment only becomes runnable once every
-    // barrier ordered before it has fully released, which is exactly
-    // the inter-VPP dependency structure the script generator
-    // encodes -- so functional results and per-VPP timelines match
-    // the serial round-robin interpreter.
-    //
-    // Which syncs a round applies, and which segments it cuts, depend
-    // on signal counts alone, never on time. So the live scheduler
-    // below (barrier fixpoint, segment cut) runs once per program: its
-    // first run that completes with no hang armed records the order,
-    // and later runs replay it. A run with a hang armed, or of a
-    // program that stalled and so has no order, schedules live.
-    std::vector<Segment>& segments = kept.segments;
-    std::size_t round_instructions = 0;
-
-    // Apply @p vpp's next Signal or Wait and step past it.
-    auto applySync = [&](int vpp) {
-        Cursor& c = cursor[static_cast<std::size_t>(vpp)];
-        const SyncPoint& sp = *c.sync;
-        if (sp.op == Opcode::Signal)
-            psim.signal(sp.barrier, vpp);
-        else
-            psim.wait(sp.barrier, vpp);
-        ++c.word;
-        ++c.index;
-        ++c.sync;
-    };
-    // Cut @p vpp's segment for this round: from its cursor to its next
-    // sync point, or to the end of its stream.
-    auto cutSegment = [&](int vpp) {
-        const auto& sec = prog.sections[static_cast<std::size_t>(vpp)];
-        Cursor& c = cursor[static_cast<std::size_t>(vpp)];
-        const bool last = c.sync == c.sync_end;
-        const Segment seg{vpp, c.word,
-                          last ? sec.num_words : c.sync->word, c.index,
-                          last ? sec.num_instructions : c.sync->index};
-        segments.push_back(seg);
-        round_instructions += seg.end_index - seg.begin_index;
-        c.word = seg.end_word;
-        c.index = seg.end_index;
-    };
-
     // Counter samples carry the device's *absolute* per-space byte
     // totals (not deltas), so the latest sample always equals the
     // TrafficStats accounting exactly -- the reconciliation the
@@ -769,40 +909,41 @@ ScriptExecutor::run(const CompiledKernel& kernel,
         }
     };
 
-    // On any stalled or aborted schedule the partial execution still
-    // happened on the device: merge the sinks' traffic and charge the
-    // elapsed makespan, so the wasted attempt shows up in simulated
-    // recovery overhead exactly like a real launch-and-kill would.
-    auto fail = [&](Status st) -> common::Result<RunResult> {
-        for (const VppSink& sink : sinks)
-            device_.traffic().merge(sink.traffic);
-        KernelCost launch_only;
-        launch_only.latency_hops = 0.0;
-        device_.launchKernel(launch_only);
-        device_.chargeTime(psim.makespan());
-        emitDramCounters();
-        return st;
-    };
-
-    const RoundOrder* const order =
-        hung_vpp < 0 ? prog.order() : nullptr;
-    std::unique_ptr<RoundOrder> recording;
-    if (order == nullptr && hung_vpp < 0 && num_vpps <= 0x10000) {
-        // VPP ids fit the order's two bytes.
-        recording = std::make_unique<RoundOrder>();
-        recording->syncs.reserve(prog.syncs.size());
-    }
+    // -- Phase-scheduled interpretation, round by round as the
+    // schedule orders it. Every round: apply its Signal/Wait traffic
+    // serially (barrier state and timeline clamps stay
+    // single-threaded), then cut each unblocked VPP's stream at its
+    // next sync point and execute the segments concurrently. A
+    // segment only becomes runnable once every barrier ordered before
+    // it has fully released, which is exactly the inter-VPP
+    // dependency structure the script generator encodes -- so
+    // functional results and per-VPP timelines match the serial
+    // round-robin interpreter.
+    std::vector<Segment>& segments = kept.segments;
     std::size_t next_sync = 0, next_segment = 0;
+    for (const RoundOrder::Round& round : order.rounds) {
+        // 1. The round's Signals and Waits, in the schedule's order.
+        for (; next_sync < round.syncs_end; ++next_sync) {
+            const int vpp = static_cast<int>(order.syncs[next_sync]);
+            Cursor& c = cursor[static_cast<std::size_t>(vpp)];
+            if (c.sync->op == Opcode::Signal)
+                psim.signal(c.sync->barrier, vpp);
+            else
+                psim.wait(c.sync->barrier, vpp);
+            c.passSync();
+        }
 
-    // Bound every loop: a valid schedule consumes at least one
-    // instruction per round and one sync op per fixpoint pass, so
-    // exceeding these caps means the scheduler itself stopped making
-    // progress -- report it instead of spinning forever.
-    const std::size_t round_cap = prog.total_instructions + 2;
-    bool hang_triggered = false;
+        // 2. Cut each runnable VPP's segment from its cursor.
+        segments.clear();
+        std::size_t round_instructions = 0;
+        for (; next_segment < round.segments_end; ++next_segment) {
+            const int vpp = static_cast<int>(order.segments[next_segment]);
+            const Segment seg = cursor[static_cast<std::size_t>(vpp)].cut(
+                vpp, prog.sections[static_cast<std::size_t>(vpp)]);
+            segments.push_back(seg);
+            round_instructions += seg.end_index - seg.begin_index;
+        }
 
-    // 3. and 4. of every round, live or replayed.
-    auto runRound = [&]() {
         // 3. Execute the round's segments, concurrently when the
         // round carries enough work to amortize the worker wake-up.
         auto run_segment = [&](std::size_t i) {
@@ -852,146 +993,25 @@ ScriptExecutor::run(const CompiledKernel& kernel,
             sink.pending.clear();
             sink.arena.clear();
         }
-    };
-
-    for (std::size_t round = 0;; ++round) {
-        segments.clear();
-        round_instructions = 0;
-        if (order) {
-            if (round == order->rounds.size())
-                break;
-            const RoundOrder::Round& r = order->rounds[round];
-            for (; next_sync < r.syncs_end; ++next_sync)
-                applySync(order->syncs[next_sync]);
-            for (; next_segment < r.segments_end; ++next_segment)
-                cutSegment(order->segments[next_segment]);
-            runRound();
-            continue;
-        }
-        if (round + 1 > round_cap)
-            return fail(Status::failure(
-                ErrorCode::BarrierDeadlock,
-                common::detail::concat(
-                    "scheduler exceeded ", round_cap,
-                    " rounds without completing")));
-
-        // 1. Barrier traffic to a fixed point (a signal by a
-        // higher-numbered VPP can unblock a lower-numbered one).
-        const std::size_t pass_cap =
-            prog.total_instructions +
-            static_cast<std::size_t>(num_vpps) + 2;
-        std::size_t passes = 0;
-        bool sync_progress = true;
-        while (sync_progress) {
-            if (++passes > pass_cap)
-                return fail(Status::failure(
-                    ErrorCode::BarrierDeadlock,
-                    "barrier fixpoint failed to converge"));
-            sync_progress = false;
-            for (int vpp = 0; vpp < num_vpps; ++vpp) {
-                Cursor& c = cursor[static_cast<std::size_t>(vpp)];
-                while (c.atSync()) {
-                    const SyncPoint& sp = *c.sync;
-                    if (sp.op == Opcode::Signal) {
-                        if (vpp == hung_vpp) {
-                            // The injected hang: the CTA died before
-                            // the atomicAdd, so the signal is lost
-                            // and this VPP makes no further progress.
-                            hang_triggered = true;
-                            break;
-                        }
-                    } else if (!psim.barrierReady(sp.barrier)) {
-                        break;
-                    }
-                    applySync(vpp);
-                    if (recording)
-                        recording->syncs.push_back(
-                            static_cast<std::uint16_t>(vpp));
-                    sync_progress = true;
-                }
-            }
-        }
-
-        // 2. Cut runnable per-VPP segments for this round.
-        bool all_done = true;
-        for (int vpp = 0; vpp < num_vpps; ++vpp) {
-            const Cursor& c = cursor[static_cast<std::size_t>(vpp)];
-            if (c.index >=
-                prog.sections[static_cast<std::size_t>(vpp)]
-                    .num_instructions)
-                continue;
-            all_done = false;
-            // Blocked on an unready barrier, or hung at its lost
-            // signal and never resuming.
-            if (c.atSync())
-                continue;
-            cutSegment(vpp);
-            if (recording)
-                recording->segments.push_back(
-                    static_cast<std::uint16_t>(vpp));
-        }
-        if (recording)
-            recording->rounds.push_back(
-                {static_cast<std::uint32_t>(recording->syncs.size()),
-                 static_cast<std::uint32_t>(
-                     recording->segments.size())});
-        if (segments.empty()) {
-            if (all_done)
-                break;
-            // Stall: no VPP can run and at least one has not
-            // finished. Diagnose which VPPs are stuck on which
-            // barriers (the watchdog's report), then surface a
-            // recoverable error instead of the old undiagnosed
-            // "barrier deadlock" panic.
-            std::ostringstream why;
-            int stuck = 0, first_vpp = -1;
-            long long first_pc = -1, first_barrier = -1;
-            for (int vpp = 0; vpp < num_vpps; ++vpp) {
-                const Cursor& c = cursor[static_cast<std::size_t>(vpp)];
-                if (c.index >=
-                    prog.sections[static_cast<std::size_t>(vpp)]
-                        .num_instructions)
-                    continue;
-                // Every unfinished VPP stands at a sync point here.
-                const std::uint32_t pc = c.index;
-                const std::uint32_t b = c.sync->barrier;
-                if (stuck == 0) {
-                    first_vpp = hang_triggered ? hung_vpp : vpp;
-                    first_pc = pc;
-                    first_barrier = b;
-                }
-                if (++stuck <= 6) {
-                    why << (stuck == 1 ? "" : "; ") << "vpp " << vpp
-                        << (vpp == hung_vpp ? " (hung)" : "")
-                        << " at pc " << pc << " on barrier " << b
-                        << " (" << psim.arrivedAt(b) << "/"
-                        << psim.expectedAt(b) << " signals)";
-                }
-            }
-            if (stuck > 6)
-                why << "; ... " << (stuck - 6) << " more";
-            const ErrorCode code = hang_triggered
-                                       ? ErrorCode::HungVpp
-                                       : ErrorCode::BarrierDeadlock;
-            return fail(
-                Status::failure(
-                    code, common::detail::concat(
-                              hang_triggered
-                                  ? "VPP hung (lost signal); "
-                                  : "barrier deadlock; ",
-                              stuck, " VPP(s) stuck: ", why.str()))
-                    .withVpp(first_vpp)
-                    .withPc(first_pc)
-                    .withBarrier(first_barrier));
-        }
-
-        runRound();
     }
-    if (recording) {
-        // Cached for the program's lifetime: drop the growth slack.
-        recording->rounds.shrink_to_fit();
-        recording->segments.shrink_to_fit();
-        prog.publishOrder(std::move(recording));
+    // A stalled schedule ends at the stalled round, after the rounds
+    // before it and its syncs ran. That partial execution still
+    // happened on the device: merge the sinks' traffic and charge the
+    // elapsed makespan, so the wasted attempt shows up in simulated
+    // recovery overhead exactly like a real launch-and-kill would.
+    if (order.stall.code != ErrorCode::Ok) {
+        for (const VppSink& sink : sinks)
+            device_.traffic().merge(sink.traffic);
+        KernelCost launch_only;
+        launch_only.latency_hops = 0.0;
+        device_.launchKernel(launch_only);
+        device_.chargeTime(psim.makespan());
+        emitDramCounters();
+        const common::ErrorInfo& why = order.stall;
+        return Status::failure(why.code, why.message)
+            .withVpp(why.vpp)
+            .withPc(why.pc)
+            .withBarrier(why.barrier);
     }
 
     // Merge per-VPP accounting in VPP order (fixed-order reduction:

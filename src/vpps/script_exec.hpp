@@ -29,7 +29,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -93,9 +92,10 @@ struct SyncPoint
  * the VPPs whose next Signal or Wait the barrier fixpoint applied, in
  * application order, then the VPPs it cut a segment for, in VPP
  * order. A round resolves barriers by signal counts, never by time,
- * so every run of one program that no hang interrupts schedules
- * alike: the first such run records the order, and later runs replay
- * it. Two bytes per sync point and per segment, eight per round.
+ * so the rounds are a function of the validated program: validation
+ * computes them once, and every fault-free run applies them. A run
+ * whose injected hang fires computes its own from the hung VPP.
+ * Four bytes per sync point and per segment, eight per round.
  */
 struct RoundOrder
 {
@@ -107,34 +107,32 @@ struct RoundOrder
     };
 
     std::vector<Round> rounds;
-    std::vector<std::uint16_t> syncs;    //!< VPP ids
-    std::vector<std::uint16_t> segments; //!< VPP ids
+    std::vector<std::uint32_t> syncs;    //!< VPP ids
+    std::vector<std::uint32_t> segments; //!< VPP ids
+
+    /** Code Ok when the program runs to its end. Otherwise the
+     *  HungVpp or BarrierDeadlock error naming the stuck VPPs, pcs
+     *  and barriers: the last round is the stalled one, which applies
+     *  its syncs and cuts no segment. */
+    common::ErrorInfo stall;
 };
 
 /**
  * A script checked once and copied: the words of every VPP's stream
- * exactly as validated, about 12 bytes per instruction, and each
- * VPP's sync table. Built once per distinct script and reused across
- * minibatch replays (the in-memory analogue of the on-disk kernel
- * cache: identical batches produce identical script words, so
- * emitting and validating them again is pure waste). The interpreter
- * reads only this copy, never the Script it came from, whose stream
- * buffers the next script built on the same thread takes over. It
- * also keeps what a cache hit, which emits nothing, must still
- * charge: the per-pass instruction counts, the barrier count
- * (`expected_signals.size()`) and the script bytes (bytes()).
- *
- * Immutable once cached, except the write-once round order: the
- * program's first run that completes with no hang armed publishes
- * it (publishOrder()), and every later run reads it (order()).
+ * exactly as validated, about 12 bytes per instruction, each VPP's
+ * sync table, and the program's schedule. Built once per distinct
+ * script and reused across minibatch replays (the in-memory analogue
+ * of the on-disk kernel cache: identical batches produce identical
+ * script words, so emitting and validating them again is pure waste).
+ * The interpreter reads only this copy, never the Script it came
+ * from, whose stream buffers the next script built on the same thread
+ * takes over. It also keeps what a cache hit, which emits nothing,
+ * must still charge: the per-pass instruction counts, the barrier
+ * count (`expected_signals.size()`) and the script bytes (bytes()).
+ * Immutable once validated.
  */
 struct ValidatedProgram
 {
-    ValidatedProgram() = default;
-    ValidatedProgram(const ValidatedProgram&) = delete;
-    ValidatedProgram& operator=(const ValidatedProgram&) = delete;
-    ~ValidatedProgram() { delete order_.load(std::memory_order_acquire); }
-
     /** Where one VPP's stream lies in `words` and its sync points in
      *  `syncs`. */
     struct Section
@@ -155,6 +153,8 @@ struct ValidatedProgram
     /** Signals each barrier expects; every barrier receives exactly
      *  this many from the streams. */
     std::vector<std::uint32_t> expected_signals;
+    /** The rounds every run that no hang interrupts applies. */
+    RoundOrder schedule;
     /** Instructions across all VPPs (cache budget accounting). */
     std::size_t total_instructions = 0;
     /** Non-sync instructions per pass, as the generator counted them
@@ -173,28 +173,6 @@ struct ValidatedProgram
         return 4.0 * (static_cast<double>(sections.size() + 1) +
                       static_cast<std::uint32_t>(words.size()));
     }
-
-    /** @return the recorded round order, or nullptr until a run has
-     *  published one. */
-    const RoundOrder*
-    order() const
-    {
-        return order_.load(std::memory_order_acquire);
-    }
-
-    /** Publish @p order unless a run already has: every run that
-     *  records one records the same, so the first stays. */
-    void
-    publishOrder(std::unique_ptr<RoundOrder> order) const
-    {
-        const RoundOrder* none = nullptr;
-        if (order_.compare_exchange_strong(none, order.get(),
-                                           std::memory_order_acq_rel))
-            order.release();
-    }
-
-  private:
-    mutable std::atomic<const RoundOrder*> order_{nullptr};
 };
 
 /** Interprets generated scripts against the simulated device. */
@@ -232,22 +210,21 @@ class ScriptExecutor
      * runs it as is. Otherwise the script's words are validated and
      * cached under the batch's key; see validated().
      *
-     * A program's first run that completes with no hang armed
-     * schedules it live (barrier fixpoint, segment cut) and publishes
-     * the round order on the program; later runs replay that order.
-     * A run with a hang armed, and every run of a program that has
-     * stalled and so has no order, schedules live. Matrix-product
-     * prices are computed once per kernel: the executor keeps them,
-     * keyed by the plan's digest, the device spec's fields and the
-     * model's parameter shapes, and reprices when any of them moves.
+     * The run applies the program's schedule, computed once at
+     * validation, round by round; a run whose injected hang fires
+     * schedules the program once more, with the hung VPP's Signal
+     * lost. Matrix-product prices are computed once per kernel: the
+     * executor keeps them, keyed by the plan's digest, the device
+     * spec's fields and the model's parameter shapes, and reprices
+     * when any of them moves.
      *
      * Malformed scripts (bad opcodes, truncated streams, out-of-range
      * barriers, Signal/Wait count mismatches) and stalled schedules
      * (injected hangs, barrier deadlocks) return a structured error
      * instead of aborting; the diagnostics name the VPP, pc, and
-     * barrier involved. On a stalled schedule the partial execution's
-     * traffic and device time are still accounted (that work was
-     * wasted on the real GPU too).
+     * barrier involved. A stalled schedule runs its rounds up to the
+     * stall, and that partial execution's traffic and device time
+     * are still accounted (that work was wasted on the real GPU too).
      *
      * With @p apply_updates false the pass is gradient-only: every
      * SGD parameter update (the UpdateVec interpretation, the
@@ -265,13 +242,13 @@ class ScriptExecutor
 
   private:
     /**
-     * Copy and statically validate @p batch's script, or return the
-     * cached program of an identical earlier batch. The key is the
-     * generator's (`batch.cache_key`); only a script no generator made
-     * is keyed by its checksum. There is one lookup per batch: none
-     * here when the generator already missed in this executor's
-     * cache. Invalid scripts are never cached, and a hit never reads
-     * the script's words.
+     * Copy, statically validate and schedule @p batch's script, or
+     * return the cached program of an identical earlier batch. The
+     * key is the generator's (`batch.cache_key`); only a script no
+     * generator made is keyed by its checksum. There is one lookup
+     * per batch: none here when the generator already missed in this
+     * executor's cache. Invalid scripts are never cached, and a hit
+     * never reads the script's words.
      *
      * Validation is exhaustive over everything the interpreter will
      * later dereference: opcodes, stream framing, barrier indices and

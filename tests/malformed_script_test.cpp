@@ -10,6 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <ios>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "vpps/script_cache.hpp"
 #include "vpps/script_exec.hpp"
@@ -82,6 +85,26 @@ expectDecodeError(const common::Result<vpps::RunResult>& r, int vpp,
     EXPECT_EQ(r.error().pc, 0);
     EXPECT_NE(r.error().message.find(what), std::string::npos)
         << r.error().toString();
+}
+
+/** Expect @p device to have been charged @p busy_us of device time
+ *  and @p traffic: loads and stores per space in MemSpace order, then
+ *  atomics. A stalled run still charges the work before the stall. */
+void
+expectCharged(const gpusim::Device& device, double busy_us,
+              const std::vector<double>& traffic)
+{
+    EXPECT_EQ(device.busyUs(), busy_us)
+        << std::hexfloat << device.busyUs();
+    std::vector<double> got;
+    const gpusim::TrafficStats& s = device.traffic();
+    for (std::size_t i = 0; i < gpusim::TrafficStats::kNumSpaces; ++i) {
+        const auto space = static_cast<gpusim::MemSpace>(i);
+        got.push_back(s.loadBytes(space));
+        got.push_back(s.storeBytes(space));
+    }
+    got.push_back(s.atomicOps());
+    EXPECT_EQ(got, traffic);
 }
 
 TEST_P(MalformedScriptTest, SignalCountMismatchIsRejectedAtDecode)
@@ -194,6 +217,10 @@ TEST_P(MalformedScriptTest, RuntimeDeadlockIsDiagnosedNotHung)
         << r.error().toString();
     EXPECT_EQ(r.error().vpp, 0);
     EXPECT_EQ(r.error().barrier, 0);
+    // The prologue fetched both streams and every cached row of W.
+    expectCharged(rig.device, 0x1.b35b5b5b5b5b6p+2,
+                  {0x1p+7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x1p+4, 0, 0,
+                   0, 0});
 }
 
 TEST_P(MalformedScriptTest, DeadlockReportsInstructionIndexNotWordOffset)
@@ -227,6 +254,10 @@ TEST_P(MalformedScriptTest, DeadlockReportsInstructionIndexNotWordOffset)
     EXPECT_NE(r.error().message.find("vpp 1 at pc 0 on barrier 1"),
               std::string::npos)
         << r.error().toString();
+    // The Copy and the Nop before the stuck Wait ran and charged.
+    expectCharged(rig.device, 0x1.c058585858586p+2,
+                  {0x1p+7, 0, 0, 0, 0, 0, 0, 0, 0x1p+4, 0x1p+4, 0, 0,
+                   0x1p+5, 0, 0, 0, 0});
 }
 
 // -- Fuzzer-promoted regressions --------------------------------

@@ -1,14 +1,16 @@
 /**
  * @file
- * What a run keeps from earlier runs (DESIGN.md section 4.4): the
- * round order a program's first run records and later runs replay,
- * and the matrix-product prices an executor keeps per kernel. Neither
- * may move a bit: a replayed run computes, charges and traces exactly
- * what the live run did, and an executor that has priced one kernel
+ * What a run reuses (DESIGN.md section 4.4): the schedule validation
+ * computes once per program and every run applies, and the
+ * matrix-product prices an executor keeps per kernel. Neither may
+ * move a bit: a cache hit computes, charges and traces exactly what
+ * the program's first run did, a hung attempt stops, reports and
+ * charges as its pins say, and an executor that has priced one kernel
  * charges the next exactly as a fresh executor does.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <ios>
 #include <memory>
@@ -66,10 +68,11 @@ struct Rig
 /** Everything one run computes and charges, bit for bit. */
 struct Outcome
 {
-    bool hit = false;      //!< the generator found the program cached
-    bool replayed = false; //!< the program carried a recorded order
+    bool hit = false;        //!< the generator found the program cached
+    common::ErrorInfo error; //!< code Ok unless the run failed
     vpps::RunResult result;
     std::vector<double> traffic; //!< loads and stores per space, atomics
+    double busy_us = 0.0;        //!< device time the run charged
     std::uint64_t params_digest = 0;
     std::string trace;
 };
@@ -110,7 +113,8 @@ paramsDigest(const gpusim::Device& device, const graph::Model& m)
 }
 
 /** Generate batch [0, 4) of @p tm against @p exec's cache and run it
- *  on a device whose clock and counters start from zero. */
+ *  on a device whose clock and counters start from zero. A run on a
+ *  device with no fault injector must succeed. */
 Outcome
 runBatch(Rig& rig, models::TreeLstmModel& tm,
          const vpps::CompiledKernel& kernel, vpps::ScriptExecutor& exec,
@@ -128,17 +132,19 @@ runBatch(Rig& rig, models::TreeLstmModel& tm,
         gen.generate(rig.device, tm.model(), cg, loss, &exec.cache());
     Outcome out;
     out.hit = gb.program != nullptr;
-    out.replayed = out.hit && gb.program->order() != nullptr;
     const auto r = exec.run(kernel, gb, tm.model(), cg);
     mem.resetTo(mark);
-    EXPECT_TRUE(r.ok()) << r.status().toString();
-    if (!r.ok())
-        return out;
-    out.result = r.value();
     out.traffic = trafficOf(rig.device);
-    out.params_digest = paramsDigest(rig.device, tm.model());
+    out.busy_us = rig.device.busyUs();
     if (tracer)
         out.trace = tracer->canonicalText();
+    if (!r.ok()) {
+        EXPECT_NE(rig.device.faults(), nullptr) << r.status().toString();
+        out.error = r.error();
+        return out;
+    }
+    out.result = r.value();
+    out.params_digest = paramsDigest(rig.device, tm.model());
     return out;
 }
 
@@ -161,10 +167,10 @@ expectSameResult(const vpps::RunResult& got, const vpps::RunResult& want)
 TEST(RoundReplay, ReplayedRunsMatchTheLiveRunBitwise)
 {
     // One batch three times through one executor and its cache: the
-    // first run misses, schedules live and records the round order;
-    // the next two hit and replay it. Parameters and gradients are
-    // restored before each run, so a functional run computes the same
-    // loss and update every time.
+    // first run misses, validates and schedules the program; the next
+    // two hit and run the cached program. Parameters and gradients
+    // are restored before each run, so a functional run computes the
+    // same loss and update every time.
     for (const int threads : {1, 4, 8})
         for (const bool functional : {true, false})
             for (const bool traced : {true, false}) {
@@ -199,7 +205,6 @@ TEST(RoundReplay, ReplayedRunsMatchTheLiveRunBitwise)
                 for (int i = 1; i < 3; ++i) {
                     SCOPED_TRACE(testing::Message() << "run " << i + 1);
                     EXPECT_TRUE(runs[i].hit);
-                    EXPECT_TRUE(runs[i].replayed);
                     expectSameResult(runs[i].result, runs[0].result);
                     EXPECT_EQ(runs[i].traffic, runs[0].traffic);
                     if (functional) {
@@ -212,13 +217,13 @@ TEST(RoundReplay, ReplayedRunsMatchTheLiveRunBitwise)
             }
 }
 
-TEST(RoundReplay, ReplicasSharingOneCacheRecordTheOrderOnce)
+TEST(RoundReplay, ReplicasSharingOneCacheRunAlike)
 {
     // Two identical replicas on one shared cache run their first batch
-    // at once, on two host threads, so both may record the order of
-    // the one cached program and race to publish it; then each runs
-    // the batch again from that order. With the learning rate at zero
-    // every run computes and charges alike.
+    // at once, on two host threads, so both may validate the program
+    // and both then run the one copy the cache keeps, at once; then
+    // each runs the batch again from the cache. With the learning rate
+    // at zero every run computes and charges alike.
     Rig a, b;
     for (Rig* r : {&a, &b}) {
         r->bm->model().learning_rate = 0.0f;
@@ -236,14 +241,97 @@ TEST(RoundReplay, ReplicasSharingOneCacheRecordTheOrderOnce)
     tb.join();
     const Outcome again_a = runBatch(a, *a.bm, ka, ea, nullptr);
     const Outcome again_b = runBatch(b, *b.bm, kb, eb, nullptr);
-    EXPECT_TRUE(again_a.replayed);
-    EXPECT_TRUE(again_b.replayed);
+    EXPECT_TRUE(again_a.hit);
+    EXPECT_TRUE(again_b.hit);
     EXPECT_EQ(cache.stats().entries, 1u);
     for (const Outcome* o :
          {&std::as_const(first_b), &again_a, &again_b}) {
         expectSameResult(o->result, first_a.result);
         EXPECT_EQ(o->traffic, first_a.traffic);
     }
+}
+
+TEST(RoundReplay, HungAttemptIsPinned)
+{
+    // A device whose injector hangs one VPP at every launch: the
+    // attempt stops at the hung VPP's lost Signal, reports where, and
+    // charges the work done before the stall. Then the injector goes,
+    // and the program the hung attempt cached runs once without
+    // faults: it must charge exactly what a fresh executor charges.
+    for (const int threads : {1, 8})
+        for (const bool traced : {true, false}) {
+            SCOPED_TRACE(testing::Message() << threads
+                                            << " host threads, traced "
+                                            << traced);
+            Rig rig;
+            obs::Tracer tracer{1u << 20};
+            obs::Tracer* const t = traced ? &tracer : nullptr;
+            if (traced)
+                rig.device.installTracer(&tracer);
+            gpusim::FaultPlan hang_only;
+            hang_only.hang_rate = 1.0;
+            rig.device.installFaults(hang_only);
+            const vpps::CompiledKernel kernel = rig.kernel(*rig.bm, 2);
+            vpps::ScriptExecutor exec(rig.device, threads);
+            const graph::Model& m = rig.bm->model();
+            std::vector<float> values, grads;
+            m.gather(rig.device, graph::ParamBuffer::Value, values);
+            m.gather(rig.device, graph::ParamBuffer::Grad, grads);
+            auto restore = [&] {
+                m.scatter(rig.device, graph::ParamBuffer::Value, values);
+                m.scatter(rig.device, graph::ParamBuffer::Grad, grads);
+            };
+
+            const Outcome hung = runBatch(rig, *rig.bm, kernel, exec, t);
+            EXPECT_EQ(hung.error.code, common::ErrorCode::HungVpp);
+            EXPECT_EQ(hung.error.vpp, 42);
+            EXPECT_EQ(hung.error.pc, 29);
+            EXPECT_EQ(hung.error.barrier, 8);
+            EXPECT_EQ(hung.error.message,
+                      "VPP hung (lost signal); 160 VPP(s) stuck: "
+                      "vpp 0 at pc 29 on barrier 8 (0/25 signals); "
+                      "vpp 1 at pc 29 on barrier 8 (0/25 signals); "
+                      "vpp 2 at pc 29 on barrier 8 (0/25 signals); "
+                      "vpp 3 at pc 29 on barrier 8 (0/25 signals); "
+                      "vpp 4 at pc 29 on barrier 8 (0/25 signals); "
+                      "vpp 5 at pc 29 on barrier 8 (0/25 signals); "
+                      "... 154 more");
+            EXPECT_EQ(hung.busy_us, 0x1.e50d8d8d8d8dfp+5)
+                << std::hexfloat << hung.busy_us;
+            // Loads and stores per space in MemSpace order (Weights,
+            // WeightGrads, Params, ParamGrads, Activations, ActGrads,
+            // Script, Workspace), then atomics.
+            EXPECT_EQ(hung.traffic,
+                      (std::vector<double>{
+                          0x1.75p+15, 0, 0, 0, 0, 0, 0, 0,
+                          0x1.324p+16, 0x1.5ep+13, 0, 0, 0x1.a51p+17, 0,
+                          0, 0, 0}));
+            if (traced) {
+                EXPECT_EQ(tracer.dropped(), 0u);
+                EXPECT_EQ(std::count(hung.trace.begin(), hung.trace.end(),
+                                     '\n'),
+                          199);
+                EXPECT_EQ(common::fnv1a64(reinterpret_cast<const std::uint8_t*>(
+                                              hung.trace.data()),
+                                          hung.trace.size()),
+                          16602638004300550976ull);
+            }
+
+            rig.device.clearFaults();
+            restore();
+            const Outcome cached = runBatch(rig, *rig.bm, kernel, exec, t);
+            EXPECT_TRUE(cached.hit);
+            vpps::ScriptExecutor fresh(rig.device, threads);
+            restore();
+            const Outcome want = runBatch(rig, *rig.bm, kernel, fresh, t);
+            EXPECT_FALSE(want.hit);
+            expectSameResult(cached.result, want.result);
+            EXPECT_EQ(cached.busy_us, want.busy_us);
+            EXPECT_EQ(cached.traffic, want.traffic);
+            EXPECT_EQ(cached.params_digest, want.params_digest);
+            EXPECT_TRUE(cached.trace == want.trace)
+                << "the cached program traced other events";
+        }
 }
 
 TEST(PriceTable, RepricesWhenTheKernelChanges)

@@ -39,13 +39,20 @@
 # covered by its suites. Uses gcovr when available, else falls back
 # to parsing gcov itself.
 #
+# A fifth pass re-runs the hand mutation checks of tools/mutants.txt
+# (tools/mutation_check.py): each mutant is applied to a scratch copy
+# of the tree, vpps_tests is rebuilt incrementally, and the tests the
+# mutant names must fail; a surviving mutant fails the check.
+#
 # Usage: tools/check.sh [--tier1] [build-dir]
 #        (default build-dir: build-tsan; the ASan pass uses
-#        <build-dir>-asan, the coverage pass <build-dir>-cov)
+#        <build-dir>-asan, the coverage pass <build-dir>-cov, the
+#        mutation pass <build-dir>-mutants)
 #
 # --tier1 is the quick pre-commit mode: configure and build the TSan
 # tree once, run only the tier1-labelled tests, and skip the fault
-# soak, the ASan rebuild, the bench soaks, and the coverage gate.
+# soak, the ASan rebuild, the bench soaks, the coverage gate and the
+# mutation checks.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,6 +64,7 @@ fi
 BUILD_DIR="${1:-build-tsan}"
 ASAN_DIR="${BUILD_DIR}-asan"
 COV_DIR="${BUILD_DIR}-cov"
+MUTANTS_DIR="${BUILD_DIR}-mutants"
 
 cmake -B "$BUILD_DIR" -S . -DVPPS_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -79,7 +87,7 @@ echo "== partition-tolerance smoke (TSan build, 8 host threads) =="
 "$BUILD_DIR"/bench/partition_tolerance --smoke --threads 8
 
 if [ "$TIER1_ONLY" = 1 ]; then
-    echo "== --tier1: quick mode done, skipping soak/ASan/coverage =="
+    echo "== --tier1: quick mode done, skipping soak/ASan/coverage/mutants =="
     exit 0
 fi
 
@@ -144,3 +152,6 @@ else
         }'
     done
 fi
+
+echo "== mutation checks (tools/mutants.txt, scratch copy in $MUTANTS_DIR) =="
+python3 tools/mutation_check.py "$MUTANTS_DIR"

@@ -15,8 +15,14 @@
  *
  * With no report flags, --plan --jit --summary is assumed.
  * Apps: Tree-LSTM (default), BiLSTM, BiLSTMwChar, BiGRU, TD-RNN,
- * TD-LSTM, RvNN.
+ * TD-LSTM, RvNN. Each number must be a whole decimal in its field's
+ * range (--hidden 0 and --embed 0 keep the app's default width;
+ * --rpw and --batch start at 1); anything else prints the usage and
+ * exits 2.
  */
+#include <cctype>
+#include <charconv>
+#include <climits>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -55,6 +61,19 @@ usage()
     std::exit(2);
 }
 
+/** @return @p text as a whole decimal in [@p lo, @p hi]; anything
+ *  else prints the usage and exits 2. */
+long long
+wholeDecimal(const std::string& text, long long lo, long long hi)
+{
+    const char* const end = text.data() + text.size();
+    long long n = 0;
+    const auto [stop, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc() || stop != end || n < lo || n > hi)
+        usage();
+    return n;
+}
+
 Args
 parse(int argc, char** argv)
 {
@@ -71,14 +90,15 @@ parse(int argc, char** argv)
             args.app = next();
         } else if (a == "--hidden") {
             args.hidden = static_cast<std::uint32_t>(
-                std::stoul(next()));
+                wholeDecimal(next(), 0, UINT32_MAX));
         } else if (a == "--embed") {
             args.embed = static_cast<std::uint32_t>(
-                std::stoul(next()));
+                wholeDecimal(next(), 0, UINT32_MAX));
         } else if (a == "--rpw") {
-            args.rpw = std::stoi(next());
+            args.rpw = static_cast<int>(wholeDecimal(next(), 1, INT_MAX));
         } else if (a == "--batch") {
-            args.batch = std::stoul(next());
+            args.batch = static_cast<std::size_t>(
+                wholeDecimal(next(), 1, LLONG_MAX));
         } else if (a == "--no-grad-cache") {
             args.grad_cache = false;
         } else if (a == "--plan") {
@@ -91,8 +111,10 @@ parse(int argc, char** argv)
             args.show_summary = any_report = true;
         } else if (a == "--disasm") {
             args.show_disasm = any_report = true;
-            if (i + 1 < argc && std::isdigit(argv[i + 1][0]))
-                args.disasm_vpp = std::stoi(argv[++i]);
+            if (i + 1 < argc &&
+                std::isdigit(static_cast<unsigned char>(argv[i + 1][0])))
+                args.disasm_vpp =
+                    static_cast<int>(wholeDecimal(argv[++i], 0, INT_MAX));
         } else {
             usage();
         }
